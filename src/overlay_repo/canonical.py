@@ -17,7 +17,9 @@ record layout and the bulk-fixture format.
       <rels>...RDF/XML fragment...</rels>
     </digitalObject>
 
-Tombstones serialize as an empty root element with state="deleted".
+Tombstones serialize as an empty root element with state="deleted". The
+RELS fragment passes through as it is: the repository makes it canonical
+once, on write and on open, and export emits it as stored.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from xml.etree import ElementTree as ET
 from xml.sax.saxutils import quoteattr
 
 from .errors import ValidationError
-from .graph import parse_rels, serialize_rels
 from .model import (
     RELS_DS,
     RELS_MEDIA_TYPE,
@@ -71,10 +72,7 @@ def export_object(obj: DigitalObject) -> bytes:
         lines.append("  <behavior" + _render_attrs([("name", name)]) + "/>")
     if rels_payload is not None:
         lines.append("  <rels>")
-        # Re-serialize through the parsed triples so embedded markup stays
-        # canonical regardless of how the stored fragment was formatted.
-        fragment = serialize_rels(obj.pid, parse_rels(obj.pid, rels_payload))
-        for raw in fragment.decode("utf-8").splitlines():
+        for raw in rels_payload.decode("utf-8").splitlines():
             lines.append("    " + raw if raw else "")
         lines.append("  </rels>")
     lines.append("</digitalObject>")
@@ -85,7 +83,8 @@ def import_object(doc: bytes) -> DigitalObject:
     """Parse a canonical document back into a DigitalObject.
 
     Malformed documents are rejected with the offending element named;
-    structural invariants are re-validated by the caller's write path.
+    the RELS fragment is kept as found, for the repository's write or
+    open path to check and make canonical.
     """
     try:
         root = ET.fromstring(doc)
@@ -115,8 +114,6 @@ def import_object(doc: bytes) -> DigitalObject:
             if len(rdf) != 1:
                 raise ValidationError(f"{pid}: rels must wrap one rdf:RDF element")
             fragment = ET.tostring(rdf[0], encoding="utf-8")
-            # Normalize to the canonical fragment layout on the way in.
-            fragment = serialize_rels(pid, parse_rels(pid, fragment))
             datastreams.append(
                 Datastream(RELS_DS, "local", RELS_MEDIA_TYPE, payload=fragment))
         else:

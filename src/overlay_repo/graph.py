@@ -8,7 +8,6 @@ ontology, and queried with conjunctive triple patterns.
 
 from __future__ import annotations
 
-import logging
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -18,8 +17,6 @@ from . import ontology
 from .errors import QueryParseError, ValidationError
 from .model import INFO_URI_PREFIX, is_pid, pid_sort_key, representation_uri
 from .ontology import BASE_NAMESPACE, Predicate, predicate_from_uri
-
-log = logging.getLogger(__name__)
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 _RDF_ROOT = f"{{{RDF_NS}}}RDF"
@@ -207,25 +204,6 @@ class TripleStore:
         return violations
 
     # -- mutation
-
-    def merge_object_triples(self, pid: str, fragment: bytes, *, strict: bool = True,
-                             pending_behaviors: "frozenset[str] | None" = None) -> int:
-        """Replace pid's assertions with the parsed fragment; returns the
-        inserted count. Strict mode rejects ontology violations listing all
-        of them; lenient mode logs and accepts."""
-        triples = parse_rels(pid, fragment)
-        violations = self.validate_fragment(
-            pid, triples,
-            pending_behaviors if pending_behaviors is not None else self._type_oracle(pid),
-        )
-        if violations:
-            if strict:
-                raise ValidationError(
-                    f"{pid}: relationship fragment rejected", violations)
-            for v in violations:
-                log.warning("accepting despite ontology violation: %s", v)
-        self.replace_triples(pid, triples)
-        return len(triples)
 
     def replace_triples(self, pid: str, triples: list[Triple]) -> None:
         with self._mutex:

@@ -11,6 +11,7 @@ URL across all providers and collected into the provider's aggregation.
 from __future__ import annotations
 
 import json
+import logging
 import urllib.request
 from dataclasses import dataclass, field, replace
 from datetime import datetime
@@ -21,7 +22,7 @@ from xml.etree import ElementTree as ET
 
 from . import records
 from .behaviors import build_brand_doc
-from .errors import HarvestProtocolError, NotFoundError
+from .errors import HarvestProtocolError, NotFoundError, ValidationError
 from .graph import Triple, serialize_rels
 from .model import (
     BRAND_DS,
@@ -39,6 +40,9 @@ from .model import (
 )
 from .ontology import base_predicate
 from .records import MetadataRecord, apply_safe_transforms, crosswalk, validate_record
+from .store import _atomic_write, _read_json
+
+log = logging.getLogger(__name__)
 
 OAI_NS = "http://www.openarchives.org/OAI/2.0/"
 DC_IDENTIFIER = "{http://purl.org/dc/elements/1.1/}identifier"
@@ -322,8 +326,10 @@ class Harvester:
             stamp = header_el.findtext(f"{{{OAI_NS}}}datestamp", "").strip()
             try:
                 datestamp = parse_datestamp(stamp)
-            except Exception:
+            except ValidationError:
                 datestamp = self.repo.clock()
+                log.warning("record %s has malformed datestamp %r; using %s",
+                            identifier, stamp, format_datestamp(datestamp))
             deleted = header_el.get("status") == "deleted"
             metadata_el = record.find(f"{{{OAI_NS}}}metadata")
             payload = None
@@ -468,19 +474,13 @@ def providers_path(data_dir: Path) -> Path:
 
 
 def load_provider_configs(path: Path) -> dict[str, ProviderConfig]:
-    path = Path(path)
-    if not path.exists():
-        return {}
-    raw = json.loads(path.read_text("utf-8"))
-    configs = [ProviderConfig.from_dict(item) for item in raw]
+    configs = [ProviderConfig.from_dict(item) for item in _read_json(Path(path)) or []]
     return {cfg.name: cfg for cfg in configs}
 
 
 def save_provider_configs(path: Path, configs: dict[str, ProviderConfig]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = [configs[name].to_dict() for name in sorted(configs)]
-    path.write_text(json.dumps(payload, indent=2) + "\n", "utf-8")
+    _save_json(Path(path), payload)
 
 
 def state_path(data_dir: Path, provider_name: str) -> Path:
@@ -488,13 +488,13 @@ def state_path(data_dir: Path, provider_name: str) -> Path:
 
 
 def load_state(data_dir: Path, provider_name: str) -> HarvestState:
-    path = state_path(data_dir, provider_name)
-    if not path.exists():
-        return HarvestState()
-    return HarvestState.from_dict(json.loads(path.read_text("utf-8")))
+    return HarvestState.from_dict(_read_json(state_path(data_dir, provider_name)) or {})
 
 
 def save_state(data_dir: Path, provider_name: str, state: HarvestState) -> None:
-    path = state_path(data_dir, provider_name)
+    _save_json(state_path(data_dir, provider_name), state.to_dict())
+
+
+def _save_json(path: Path, data) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(state.to_dict(), indent=2) + "\n", "utf-8")
+    _atomic_write(path, (json.dumps(data, indent=2) + "\n").encode("utf-8"))

@@ -4,7 +4,8 @@ Writes are serialized behind one lock and commit the object record, its
 graph assertions, and the secondary indexes as a single unit; readers see
 immutable snapshots. Persistence is a directory of canonical XML records
 plus a counters file; the triple index and all lookup tables are rebuilt
-from those records on open.
+from those records on open. A RELS fragment is parsed and made canonical
+here only, once on write and once on open; exports emit it as stored.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     StoreError,
     ValidationError,
 )
-from .graph import TripleStore, parse_rels, serialize_rels
+from .graph import Triple, TripleStore, parse_rels, serialize_rels
 from .model import (
     CONTENT_DS,
     RELS_DS,
@@ -58,6 +59,25 @@ UrlFetcher = Callable[[str, float], bytes]
 def _default_fetcher(url: str, timeout: float) -> bytes:
     with urllib.request.urlopen(url, timeout=timeout) as response:
         return response.read()
+
+
+def _atomic_write(path: Path, data: bytes) -> None:
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    try:
+        tmp.write_bytes(data)
+        tmp.replace(path)
+    except OSError as exc:
+        raise StoreError(f"write to {path} failed: {exc}") from exc
+
+
+def _read_json(path: Path):
+    """Parsed JSON state file, or None when there is none."""
+    try:
+        return json.loads(path.read_text("utf-8"))
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError) as exc:
+        raise StoreError(f"unreadable state file {path}: {exc}") from exc
 
 
 class Repository:
@@ -132,7 +152,7 @@ class Repository:
                 obj, handle=handle, version=obj.version + 1,
                 last_modified=self.clock())
             self._write_record(updated)
-            self._commit(updated, obj)
+            self._commit(updated, obj, None)
             self._persist_counters()
             return handle
 
@@ -168,11 +188,13 @@ class Repository:
             old = self._objects.get(obj.pid)
             if old is not None and old.version >= obj.version:
                 obj = replace(obj, version=old.version + 1)
+            counters = (self._pid_counter, self._handle_counter)
             self._pid_counter = max(self._pid_counter, pid_number(obj.pid))
             if obj.handle is not None:
                 self._absorb_handle(obj.handle)
             self._store(obj, old, strict=strict)
-            self._persist_counters()
+            if (self._pid_counter, self._handle_counter) != counters:
+                self._persist_counters()
             return obj.pid
 
     def get_object(self, pid: str) -> DigitalObject:
@@ -190,7 +212,7 @@ class Repository:
                 return
             tomb = old.tombstone(self.clock())
             self._write_record(tomb)
-            self._commit(tomb, old)
+            self._commit(tomb, old, [])
 
     def export_object(self, pid: str) -> bytes:
         return canonical.export_object(self.get_object(pid))
@@ -305,16 +327,9 @@ class Repository:
         obj.validate()
         if obj.state == "deleted":
             self._write_record(obj)
-            self._commit(obj, old)
+            self._commit(obj, old, [])
             return obj
-        rels = obj.rels()
-        triples = parse_rels(obj.pid, rels) if rels is not None else []
-        if rels is not None:
-            # Store the canonical form so exports and graph rebuilds are
-            # byte-stable no matter how the fragment arrived.
-            obj = obj.with_datastream(
-                Datastream(RELS_DS, "local", RELS_MEDIA_TYPE,
-                           payload=serialize_rels(obj.pid, triples)))
+        obj, triples = _with_canonical_rels(obj)
         violations = self.graph.validate_fragment(
             obj.pid, triples, pending_behaviors=obj.behaviors)
         if violations:
@@ -333,15 +348,16 @@ class Repository:
                 raise ValidationError(
                     f"{obj.pid}: handle {obj.handle} already registered to {owner}")
         self._write_record(obj)
-        self._objects[obj.pid] = obj
-        self.graph.replace_triples(obj.pid, triples)
-        self._index(obj, old)
+        self._commit(obj, old, triples)
         return obj
 
-    def _commit(self, obj: DigitalObject, old: DigitalObject | None) -> None:
+    def _commit(self, obj: DigitalObject, old: DigitalObject | None,
+                triples: list[Triple] | None) -> None:
+        """Apply a written object to the object table, the graph and the
+        indexes; triples None leaves the object's assertions as they are."""
         self._objects[obj.pid] = obj
-        if obj.state == "deleted":
-            self.graph.retract(obj.pid)
+        if triples is not None:
+            self.graph.replace_triples(obj.pid, triples)
         self._index(obj, old)
 
     def _index(self, obj: DigitalObject, old: DigitalObject | None) -> None:
@@ -380,25 +396,21 @@ class Repository:
             objects_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise StoreError(f"cannot initialize data directory: {exc}") from exc
-        state_path = self.data_dir / "state.json"
-        if state_path.exists():
-            state = json.loads(state_path.read_text("utf-8"))
-            self._pid_counter = int(state.get("pid_counter", 0))
-            self._handle_counter = int(state.get("handle_counter", 0))
+        state = _read_json(self.data_dir / "state.json") or {}
+        self._pid_counter = int(state.get("pid_counter", 0))
+        self._handle_counter = int(state.get("handle_counter", 0))
         records = sorted(objects_dir.glob("*.xml"),
                          key=lambda p: int(p.stem) if p.stem.isdigit() else 0)
         for path in records:
             try:
-                obj = canonical.import_object(path.read_bytes())
+                obj, triples = _with_canonical_rels(
+                    canonical.import_object(path.read_bytes()))
             except ValidationError as exc:
                 raise StoreError(f"corrupt object record {path.name}: {exc}") from exc
-            self._objects[obj.pid] = obj
             self._pid_counter = max(self._pid_counter, pid_number(obj.pid))
             if obj.handle is not None:
-                self._handles[obj.handle] = obj.pid
                 self._absorb_handle(obj.handle)
-            self._index(obj, None)
-        self.rebuild_graph()
+            self._commit(obj, None, triples)
 
     def _persist_counters(self) -> None:
         if self.data_dir is None:
@@ -415,14 +427,21 @@ class Repository:
         path = self.data_dir / "objects" / f"{pid_number(obj.pid)}.xml"
         self._atomic_write(path, canonical.export_object(obj))
 
-    @staticmethod
-    def _atomic_write(path: Path, data: bytes) -> None:
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        try:
-            tmp.write_bytes(data)
-            tmp.replace(path)
-        except OSError as exc:
-            raise StoreError(f"write to {path} failed: {exc}") from exc
+    # The harvest state files share the module's writer; the store's own
+    # writes go through this attribute.
+    _atomic_write = staticmethod(_atomic_write)
+
+
+def _with_canonical_rels(obj: DigitalObject) -> tuple[DigitalObject, list[Triple]]:
+    """obj with its RELS fragment in canonical form (so exports are
+    byte-stable however it arrived), and the triples it asserts."""
+    rels = obj.rels()
+    if rels is None:
+        return obj, []
+    triples = parse_rels(obj.pid, rels)
+    return obj.with_datastream(Datastream(
+        RELS_DS, "local", RELS_MEDIA_TYPE,
+        payload=serialize_rels(obj.pid, triples))), triples
 
 
 def _content_url(obj: DigitalObject) -> str | None:

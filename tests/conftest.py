@@ -1,5 +1,10 @@
+import importlib
+import pkgutil
+
 import pytest
 
+import overlay_repo
+from overlay_repo import graph
 from overlay_repo.store import Repository
 
 from support import TickingClock
@@ -13,3 +18,35 @@ def clock():
 @pytest.fixture
 def repo(clock):
     return Repository(clock=clock)
+
+
+@pytest.fixture
+def rels_parses(monkeypatch):
+    """pid of every parse_rels call, in whichever overlay_repo module it
+    was imported."""
+    calls = []
+    original = graph.parse_rels
+
+    def counting(pid, fragment):
+        calls.append(pid)
+        return original(pid, fragment)
+
+    for info in pkgutil.iter_modules(overlay_repo.__path__):
+        module = importlib.import_module(f"overlay_repo.{info.name}")
+        if getattr(module, "parse_rels", None) is original:
+            monkeypatch.setattr(module, "parse_rels", counting)
+    return calls
+
+
+@pytest.fixture
+def atomic_writes(monkeypatch):
+    """Path of every file the repository writes."""
+    paths = []
+    original = Repository._atomic_write
+
+    def counting(path, data):
+        paths.append(path)
+        original(path, data)
+
+    monkeypatch.setattr(Repository, "_atomic_write", staticmethod(counting))
+    return paths

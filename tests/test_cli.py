@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from overlay_repo.cli import run
 from overlay_repo.fixtures import build_all
 from overlay_repo.oai import OaiProvider
 from overlay_repo.store import Repository
@@ -82,6 +83,21 @@ def upstream_server():
         yield f"http://127.0.0.1:{server.server_port}/oai"
     finally:
         server.shutdown()
+
+
+@pytest.mark.parametrize(
+    "name", ["state.json", "providers.json", "harvest_state/alpha.json"])
+def test_truncated_state_file_is_storage_error(tmp_path, monkeypatch, capsys, name):
+    data = tmp_path / "data"
+    (data / "harvest_state").mkdir(parents=True)
+    (data / "providers.json").write_text(
+        '[{"name": "alpha", "base_url": "http://alpha.example/oai"}]')
+    (data / name).write_text('{"pid_counter": ')
+    monkeypatch.setattr(sys, "argv", [
+        "overlay", "--data-dir", str(data), "harvest", "--provider", "alpha"])
+    assert run() == 2
+    err = capsys.readouterr().err
+    assert err.startswith("storage error:") and name in err
 
 
 def test_register_and_harvest_over_http(tmp_path, upstream_server):

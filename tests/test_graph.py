@@ -1,4 +1,5 @@
-"""Triple store: RELS parsing, merge semantics, validation, queries."""
+"""Triple store: RELS parsing, replacement semantics through the
+repository's write path, validation, queries."""
 
 import random
 
@@ -73,8 +74,8 @@ def test_empty_fragment_retracts_prior_assertions(repo):
     resource = put_object(repo, {"Content"})
     metadata = put_object(repo, {"Metadata"}, edges=[("metadataFor", resource)])
     assert len(repo.graph.dump()) == 1
-    count = repo.graph.merge_object_triples(
-        metadata, serialize_rels(metadata, []))
+    repo.put_object(repo.get_object(metadata).with_datastream(rels_stream(metadata, [])))
+    count = len(repo.graph.triples_asserted_by(metadata))
     assert count == 0
     assert repo.graph.dump() == []
 
@@ -82,9 +83,9 @@ def test_empty_fragment_retracts_prior_assertions(repo):
 def test_merge_rejects_domain_range_violation(repo):
     not_aggregator = put_object(repo, {"Content"})
     metadata = put_object(repo, {"Metadata"})
-    fragment = rels_stream(metadata, [("memberOf", not_aggregator)]).payload
     with pytest.raises(ValidationError) as excinfo:
-        repo.graph.merge_object_triples(metadata, fragment)
+        put_object(repo, {"Metadata"}, edges=[("memberOf", not_aggregator)],
+                   pid=metadata)
     assert any("memberOf" in v for v in excinfo.value.violations)
     # both ends are wrong: Metadata is not a Resource, Content not an Aggregator
     assert len(excinfo.value.violations) == 2
@@ -93,14 +94,15 @@ def test_merge_rejects_domain_range_violation(repo):
 def test_merge_accepts_extension_predicates(repo):
     a = put_object(repo, {"Content"})
     b = put_object(repo, {"Content"})
-    fragment = rels_stream(a, [("http://example.org/v#", "cites", b)]).payload
-    assert repo.graph.merge_object_triples(a, fragment) == 1
+    put_object(repo, {"Content"}, edges=[("http://example.org/v#", "cites", b)], pid=a)
+    assert len(repo.graph.triples_asserted_by(a)) == 1
 
 
 def test_merge_lenient_mode_accepts_and_keeps_triples(repo):
     metadata = put_object(repo, {"Metadata"})
-    fragment = rels_stream(metadata, [("metadataFor", "nsdl:999")]).payload
-    count = repo.graph.merge_object_triples(metadata, fragment, strict=False)
+    put_object(repo, {"Metadata"}, edges=[("metadataFor", "nsdl:999")],
+               pid=metadata, strict=False)
+    count = len(repo.graph.triples_asserted_by(metadata))
     assert count == 1
     assert len(repo.graph.dump()) == 1
 

@@ -1,11 +1,15 @@
 """Harvester: provisioning, incremental ingest, dedup, deletions, recovery."""
 
+import logging
+import re
+from dataclasses import replace
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 
 from overlay_repo import behaviors
-from overlay_repo.errors import HarvestProtocolError
+from overlay_repo.errors import HarvestProtocolError, StoreError
 from overlay_repo.harvest import (
     HarvestState,
     Harvester,
@@ -383,6 +387,45 @@ def test_config_and_state_round_trip(tmp_path, cfg):
     save_state(tmp_path, cfg.name, state)
     assert load_state(tmp_path, cfg.name) == state
     assert load_state(tmp_path, "missing") == HarvestState()
+
+
+def test_failed_state_write_keeps_previous_file(tmp_path, cfg, monkeypatch):
+    providers = tmp_path / "providers.json"
+    save_provider_configs(providers, {cfg.name: cfg})
+    state = HarvestState(last_success_until=START)
+    save_state(tmp_path, cfg.name, state)
+
+    def torn_write(path, data, *args, **kwargs):
+        raw = data.encode() if isinstance(data, str) else data
+        with open(path, "wb") as out:
+            out.write(raw[:len(raw) // 2])
+        raise OSError("device full")
+
+    with monkeypatch.context() as m:
+        m.setattr(Path, "write_bytes", torn_write)
+        m.setattr(Path, "write_text", torn_write)
+        with pytest.raises(StoreError):
+            save_provider_configs(providers, {})
+        with pytest.raises(StoreError):
+            save_state(tmp_path, cfg.name, replace(state, consecutive_failures=3))
+    assert load_provider_configs(providers) == {cfg.name: cfg}
+    assert load_state(tmp_path, cfg.name) == state
+
+
+def test_malformed_datestamp_is_logged_and_replaced_by_clock(repo, stub, cfg, caplog):
+    seed(stub, "alpha", 1)
+
+    def transport(url):
+        return re.sub(rb"<datestamp>[^<]*</datestamp>",
+                      b"<datestamp>last Tuesday</datestamp>", stub.transport(url))
+
+    with caplog.at_level(logging.WARNING, logger="overlay_repo.harvest"):
+        report, _ = Harvester(repo, transport=transport).harvest(cfg)
+    assert report.created == 1
+    assert "oai:alpha:0" in caplog.text and "'last Tuesday'" in caplog.text
+    pid = repo.source_pid(cfg.name, "oai:alpha:0")
+    _, _, stamp = parse_source_doc(repo.get_object(pid).datastream(SOURCE_DS).payload)
+    assert stamp > START
 
 
 def test_report_invariant():

@@ -11,6 +11,7 @@ from overlay_repo.errors import (
     NotFoundError,
     ObjectDeletedError,
     OperationNotSupportedError,
+    StoreError,
     ValidationError,
 )
 from overlay_repo.graph import parse_query
@@ -395,3 +396,53 @@ def test_concurrent_writers_and_readers(repo):
     assert not errors
     listing = repo.resolve(f"info:nsdl/{resource}/getMetadata").body.decode()
     assert len(listing.splitlines()) == 80
+
+
+def test_put_parses_rels_once(tmp_path, clock, rels_parses):
+    repo = Repository(tmp_path / "d", clock=clock)
+    resource = put_object(repo, {"Content"})
+    metadata = put_object(repo, {"Metadata"}, edges=[("metadataFor", resource)])
+    assert rels_parses == [metadata]
+
+
+def test_export_emits_stored_rels_without_parsing(repo, rels_parses):
+    resource = put_object(repo, {"Content"})
+    metadata = put_object(repo, {"Metadata"}, edges=[("metadataFor", resource)])
+    rels_parses.clear()
+    repo.export_object(metadata)
+    assert rels_parses == []
+
+
+def test_reopen_parses_each_rels_once(tmp_path, clock, rels_parses):
+    repo = Repository(tmp_path / "d", clock=clock)
+    resource = put_object(repo, {"Content"})
+    described = [put_object(repo, {"Metadata"}, edges=[("metadataFor", resource)])
+                 for _ in range(3)]
+    repo.delete_object(described[0])
+    rels_parses.clear()
+    reopened = Repository(tmp_path / "d", clock=clock)
+    assert rels_parses == described[1:]
+    assert reopened.graph.dump() == repo.graph.dump()
+
+
+def test_reopen_names_record_with_bad_rels(tmp_path, clock):
+    repo = Repository(tmp_path / "d", clock=clock)
+    pid = put_object(repo, {"Content"}, edges=[("http://example.org/v#", "cites", "nsdl:9")])
+    path = tmp_path / "d" / "objects" / "1.xml"
+    path.write_bytes(path.read_bytes().replace(
+        f"info:nsdl/{pid}".encode(), b"info:nsdl/nsdl:8", 1))
+    with pytest.raises(StoreError, match="1.xml.*not the owning object"):
+        Repository(tmp_path / "d", clock=clock)
+
+
+def test_restore_rewrites_counters_only_when_they_advance(tmp_path, clock,
+                                                          atomic_writes):
+    repo = Repository(tmp_path / "d", clock=clock)
+    state = tmp_path / "d" / "state.json"
+    repo.restore_object(DigitalObject(pid="nsdl:5", handle="hdl:2200/00003",
+                                      behaviors=frozenset({"Content"})))
+    assert atomic_writes.count(state) == 1
+    repo.restore_object(repo.get_object("nsdl:5"))
+    repo.restore_object(DigitalObject(pid="nsdl:2", behaviors=frozenset({"Content"})))
+    assert atomic_writes.count(state) == 1
+    assert Repository(tmp_path / "d", clock=clock).mint_pid() == "nsdl:6"

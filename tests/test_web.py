@@ -114,6 +114,30 @@ def test_put_round_trip_is_canonical_equal(repo, app):
     assert repo.export_object(labels["resource"]) == doc
 
 
+def test_put_of_existing_pid_parses_rels_once_and_writes_once(
+        tmp_path, clock, rels_parses, atomic_writes):
+    repo = Repository(tmp_path / "d", clock=clock)
+    app = GatewayApp(repo, OaiProvider(repo, repository_id="test.local"))
+    resource = put_object(repo, {"Content"})
+    metadata = put_object(repo, {"Metadata"}, edges=[("metadataFor", resource)])
+    doc = repo.export_object(metadata)
+    rels_parses.clear()
+    atomic_writes.clear()
+    status, _, body = request(app, "PUT", f"/objects/{metadata}", body=doc)
+    assert status == 200, body
+    assert rels_parses == [metadata]
+    assert atomic_writes == [tmp_path / "d" / "objects" / "2.xml"]
+
+
+def test_put_malformed_rels_422(repo, app):
+    pid = put_object(repo, {"Content"}, edges=[("http://example.org/v#", "cites", "nsdl:9")])
+    doc = repo.export_object(pid).replace(
+        f"info:nsdl/{pid}".encode(), b"info:nsdl/nsdl:8", 1)
+    status, _, body = request(app, "PUT", f"/objects/{pid}", body=doc)
+    assert status == 422
+    assert b"not the owning object" in body
+
+
 def test_put_ontology_violation_422_lists_problems(repo, app):
     donor = Repository()
     aggregator = put_object(donor, {"Aggregator"})
