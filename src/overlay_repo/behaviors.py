@@ -65,9 +65,6 @@ class BehaviorRegistry:
                 return fn
         return None
 
-    def operations_for(self, behaviors: frozenset[str]) -> list[str]:
-        return sorted({op for (b, op) in self._impl if b in behaviors})
-
 
 @dataclass(frozen=True)
 class Brand:

@@ -474,7 +474,8 @@ def providers_path(data_dir: Path) -> Path:
 
 
 def load_provider_configs(path: Path) -> dict[str, ProviderConfig]:
-    configs = [ProviderConfig.from_dict(item) for item in _read_json(Path(path)) or []]
+    configs = _read_json(Path(path), lambda data: [
+        ProviderConfig.from_dict(item) for item in data or []])
     return {cfg.name: cfg for cfg in configs}
 
 
@@ -488,7 +489,8 @@ def state_path(data_dir: Path, provider_name: str) -> Path:
 
 
 def load_state(data_dir: Path, provider_name: str) -> HarvestState:
-    return HarvestState.from_dict(_read_json(state_path(data_dir, provider_name)) or {})
+    return _read_json(state_path(data_dir, provider_name),
+                      lambda data: HarvestState.from_dict(data or {}))
 
 
 def save_state(data_dir: Path, provider_name: str, state: HarvestState) -> None:

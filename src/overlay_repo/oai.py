@@ -3,18 +3,20 @@
 Every stored or crosswalkable metadata format is exposed, plus the
 resource-centric "nsdl_agg" format bundling everything known about one
 resource. Sets map one-to-one onto aggregations. Selective harvest
-windows are half-open [from, until) over object datestamps; resumption
-tokens freeze the window end at first request so mid-harvest writes can
-never cause omissions.
+windows are half-open [from, until) over object datestamps. A resumption
+token carries its harvest: verb, format, set, window (the end frozen at the
+first request, so mid-harvest writes never cause omissions), the pid number
+of the last record served and an expiry. The provider keeps no token state,
+so tokens survive a restart, and each page resumes from its cursor.
 """
 
 from __future__ import annotations
 
-import secrets
-import threading
+import base64
+import bisect
+import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from urllib.parse import parse_qsl
 from xml.etree import ElementTree as ET
 
 from . import behaviors
@@ -76,15 +78,8 @@ class ProtocolError(Exception):
         self.code = code
 
 
-@dataclass
-class _TokenState:
-    verb: str
-    format: str
-    set_spec: str | None
-    from_: datetime | None
-    window_until: datetime
-    cursor: int
-    expiry: datetime
+# verb, format, set, from, until, cursor pid number, expiry
+_TOKEN_FIELDS = (str, str, (str, type(None)), (str, type(None)), str, int, str)
 
 
 @dataclass(frozen=True)
@@ -111,8 +106,6 @@ class OaiProvider:
         self.admin_email = admin_email
         self.page_size = page_size
         self.token_ttl = token_ttl
-        self._tokens: dict[str, _TokenState] = {}
-        self._token_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # identifiers
@@ -142,22 +135,6 @@ class OaiProvider:
             return self._envelope(verb, params, body)
         except ProtocolError as exc:
             return self._error_envelope(verb, params, exc)
-
-    def wsgi_app(self, environ, start_response):
-        params = dict(parse_qsl(environ.get("QUERY_STRING", "")))
-        if environ.get("REQUEST_METHOD") == "POST":
-            try:
-                length = int(environ.get("CONTENT_LENGTH") or 0)
-            except ValueError:
-                length = 0
-            body = environ["wsgi.input"].read(length).decode("utf-8")
-            params.update(dict(parse_qsl(body)))
-        payload = self.handle_request(params)
-        start_response("200 OK", [
-            ("Content-Type", "text/xml; charset=UTF-8"),
-            ("Content-Length", str(len(payload))),
-        ])
-        return [payload]
 
     def _check_arguments(self, verb: str, params: dict[str, str]) -> None:
         allowed = _VERB_ARGS[verb]
@@ -275,14 +252,9 @@ class OaiProvider:
 
     def serve_list(self, verb: str, params: dict[str, str]) -> list[ET.Element]:
         headers_only = verb == "ListIdentifiers"
-        token_id = params.get("resumptionToken")
-        if token_id is not None:
-            state = self._take_token(token_id, verb)
-            format_name = state.format
-            set_spec = state.set_spec
-            from_ = state.from_
-            until = state.window_until
-            cursor = state.cursor
+        token = params.get("resumptionToken")
+        if token is not None:
+            format_name, set_spec, from_, until, cursor = self._read_token(token, verb)
         else:
             format_name = params["metadataPrefix"]
             set_spec = params.get("set")
@@ -290,30 +262,28 @@ class OaiProvider:
             until = self._parse_stamp(params.get("until")) or self.repo.clock()
             cursor = -1
             self._check_format_known(format_name)
-            if set_spec is not None and set_spec not in {
-                    spec for spec, _ in self._aggregation_sets()}:
+            # a set is named by its active aggregation's unpadded pid number
+            if set_spec is not None and (set_spec.startswith("0") or "Aggregator" not in (
+                    self.repo.behaviors_of(f"nsdl:{set_spec}") or ())):
                 raise ProtocolError("noRecordsMatch", f"no such set {set_spec}")
 
-        items = self._select(format_name, from_, until, set_spec)
-        remaining = [i for i in items if pid_number(i.pid) > cursor]
-        if not remaining and token_id is None:
+        items = self._select(format_name, from_, until, set_spec, cursor)
+        if not items and token is None:
             raise ProtocolError("noRecordsMatch", "selection is empty")
-        page, rest = remaining[:self.page_size], remaining[self.page_size:]
+        page = items[:self.page_size]
         out = [self._record_element(i, format_name, headers_only) for i in page]
-        if rest:
-            new_token = secrets.token_hex(16)
-            with self._token_lock:
-                self._tokens[new_token] = _TokenState(
-                    verb=verb, format=format_name, set_spec=set_spec,
-                    from_=from_, window_until=until,
-                    cursor=pid_number(page[-1].pid),
-                    expiry=self.repo.clock() + timedelta(seconds=self.token_ttl))
+        if len(items) > len(page):
+            expiry = format_datestamp(
+                self.repo.clock() + timedelta(seconds=self.token_ttl))
+            state = [verb, format_name, set_spec,
+                     None if from_ is None else format_datestamp(from_),
+                     format_datestamp(until), pid_number(page[-1].pid), expiry]
             el = ET.Element(_q("resumptionToken"))
-            el.set("expirationDate", format_datestamp(
-                self._tokens[new_token].expiry))
-            el.text = new_token
+            el.set("expirationDate", expiry)
+            el.text = base64.urlsafe_b64encode(
+                json.dumps(state).encode("utf-8")).rstrip(b"=").decode("ascii")
             out.append(el)
-        elif token_id is not None:
+        elif token is not None:
             out.append(ET.Element(_q("resumptionToken")))
         return out
 
@@ -321,21 +291,28 @@ class OaiProvider:
     # selection
 
     def _select(self, format_name: str, from_: datetime | None,
-                until: datetime, set_spec: str | None) -> list[_Item]:
-        """Items in the half-open window [from, until), pid order."""
+                until: datetime, set_spec: str | None, cursor: int) -> list[_Item]:
+        """The first page_size + 1 items past the cursor pid number in the
+        half-open window [from, until), pid order."""
+        # an nsdl_agg datestamp may be newer than its object's own
+        own_stamp = from_ if format_name != AGG_FORMAT else None
+        pids = self.repo.pids()
         items = []
-        for obj in self.repo.objects():
+        for pid in pids[bisect.bisect_right(pids, cursor, key=pid_number):]:
+            obj = self.repo.get_object(pid)
+            if obj.last_modified >= until or (
+                    own_stamp is not None and obj.last_modified < own_stamp):
+                continue
             item = self._classify(obj, format_name)
-            if item is None:
-                continue
-            if from_ is not None and item.datestamp < from_:
-                continue
-            if item.datestamp >= until:
+            if item is None or item.datestamp >= until or (
+                    from_ is not None and item.datestamp < from_):
                 continue
             if set_spec is not None and not item.deleted \
                     and set_spec not in item.set_specs:
                 continue
             items.append(item)
+            if len(items) > self.page_size:
+                break
         return items
 
     def _classify(self, obj: DigitalObject, format_name: str) -> _Item | None:
@@ -403,7 +380,8 @@ class OaiProvider:
         return sorted(names)
 
     def _check_format_known(self, format_name: str) -> None:
-        if format_name not in self._global_formats():
+        if format_name not in FORMATS and format_name != AGG_FORMAT \
+                and format_name not in self._global_formats():
             raise ProtocolError(
                 "cannotDisseminateFormat", f"unknown format {format_name}")
 
@@ -415,15 +393,25 @@ class OaiProvider:
         except RepositoryError:
             raise ProtocolError("badArgument", f"malformed datestamp {value!r}")
 
-    def _take_token(self, token_id: str, verb: str) -> _TokenState:
-        with self._token_lock:
-            state = self._tokens.get(token_id)
-            if state is None or state.verb != verb:
-                raise ProtocolError("badResumptionToken", "unknown token")
-            if self.repo.clock() > state.expiry:
-                del self._tokens[token_id]
-                raise ProtocolError("badResumptionToken", "token expired")
-        return state
+    def _read_token(self, token: str, verb: str):
+        """format, set, from, until and cursor of a token issued for verb."""
+        try:
+            state = json.loads(base64.b64decode(
+                token + "=" * (-len(token) % 4), altchars=b"-_", validate=True))
+            if not (isinstance(state, list) and len(state) == len(_TOKEN_FIELDS)
+                    and all(isinstance(v, t) and not isinstance(v, bool)
+                            for v, t in zip(state, _TOKEN_FIELDS))):
+                raise ValueError("not a token")
+            token_verb, format_name, set_spec, from_, until, cursor, expiry = state
+            if token_verb != verb:
+                raise ValueError("token issued for another verb")
+            from_ = None if from_ is None else parse_datestamp(from_)
+            until, expiry = parse_datestamp(until), parse_datestamp(expiry)
+        except (ValueError, RecursionError, RepositoryError):
+            raise ProtocolError("badResumptionToken", "unknown token")
+        if self.repo.clock() > expiry:
+            raise ProtocolError("badResumptionToken", "token expired")
+        return format_name, set_spec, from_, until, cursor
 
     # ------------------------------------------------------------------
     # record rendering

@@ -10,6 +10,8 @@ here only, once on write and once on open; exports emit it as stored.
 
 from __future__ import annotations
 
+import bisect
+import contextlib
 import json
 import logging
 import threading
@@ -67,16 +69,20 @@ def _atomic_write(path: Path, data: bytes) -> None:
         tmp.write_bytes(data)
         tmp.replace(path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
         raise StoreError(f"write to {path} failed: {exc}") from exc
 
 
-def _read_json(path: Path):
-    """Parsed JSON state file, or None when there is none."""
+def _read_json(path: Path, convert: Callable):
+    """convert() of a JSON state file's value, or of None when there is no
+    file; an unreadable or wrongly shaped file is a StoreError naming it."""
     try:
-        return json.loads(path.read_text("utf-8"))
+        return convert(json.loads(path.read_text("utf-8")))
     except FileNotFoundError:
-        return None
-    except (OSError, ValueError) as exc:
+        return convert(None)
+    except (OSError, ValueError, AttributeError, LookupError, TypeError,
+            ValidationError) as exc:
         raise StoreError(f"unreadable state file {path}: {exc}") from exc
 
 
@@ -107,6 +113,7 @@ class Repository:
 
         self._lock = threading.RLock()
         self._objects: dict[str, DigitalObject] = {}
+        self._pids: list[str] = []  # pid order, kept by _commit
         self._pid_counter = 0
         self._handle_counter = 0
         self._handles: dict[str, str] = {}
@@ -188,11 +195,11 @@ class Repository:
             old = self._objects.get(obj.pid)
             if old is not None and old.version >= obj.version:
                 obj = replace(obj, version=old.version + 1)
+            self._store(obj, old, strict=strict)
             counters = (self._pid_counter, self._handle_counter)
             self._pid_counter = max(self._pid_counter, pid_number(obj.pid))
             if obj.handle is not None:
                 self._absorb_handle(obj.handle)
-            self._store(obj, old, strict=strict)
             if (self._pid_counter, self._handle_counter) != counters:
                 self._persist_counters()
             return obj.pid
@@ -225,7 +232,7 @@ class Repository:
 
     def pids(self) -> list[str]:
         with self._lock:
-            return sorted(self._objects, key=pid_number)
+            return list(self._pids)
 
     def objects(self) -> Iterator[DigitalObject]:
         for pid in self.pids():
@@ -355,6 +362,11 @@ class Repository:
                 triples: list[Triple] | None) -> None:
         """Apply a written object to the object table, the graph and the
         indexes; triples None leaves the object's assertions as they are."""
+        if obj.pid not in self._objects:  # new pids mostly come last
+            if self._pids and pid_number(obj.pid) < pid_number(self._pids[-1]):
+                bisect.insort(self._pids, obj.pid, key=pid_number)
+            else:
+                self._pids.append(obj.pid)
         self._objects[obj.pid] = obj
         if triples is not None:
             self.graph.replace_triples(obj.pid, triples)
@@ -396,9 +408,9 @@ class Repository:
             objects_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise StoreError(f"cannot initialize data directory: {exc}") from exc
-        state = _read_json(self.data_dir / "state.json") or {}
-        self._pid_counter = int(state.get("pid_counter", 0))
-        self._handle_counter = int(state.get("handle_counter", 0))
+        self._pid_counter, self._handle_counter = _read_json(
+            self.data_dir / "state.json", lambda state: [
+                int((state or {}).get(key, 0)) for key in ("pid_counter", "handle_counter")])
         records = sorted(objects_dir.glob("*.xml"),
                          key=lambda p: int(p.stem) if p.stem.isdigit() else 0)
         for path in records:

@@ -39,7 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import parse_query
-from .oai import OaiProvider
+from .oai import OaiProvider, ProtocolError
 
 _OBJECT_RE = re.compile(r"^/objects/([^/]+)$")
 _METHOD_RE = re.compile(r"^/objects/([^/]+)/methods/([^/]+)$")
@@ -121,7 +121,7 @@ class GatewayApp:
 
     def _route(self, method, path, params, environ):
         if path == "/oai" or path.startswith("/oai/"):
-            return self._delegate_oai(environ)
+            return self._oai(method, params, environ)
         if path == "/query" and method == "POST":
             return self._query(params, _read_body(environ))
         match = _METHOD_RE.match(path)
@@ -180,17 +180,17 @@ class GatewayApp:
         text = "".join("\t".join(row) + "\n" for row in rows)
         return "200 OK", "text/plain; charset=utf-8", text.encode("utf-8")
 
-    def _delegate_oai(self, environ):
-        captured = {}
-
-        def capture(status, headers):
-            captured["status"] = status
-            captured["headers"] = headers
-
-        chunks = self.oai.wsgi_app(environ, capture)
-        body = b"".join(chunks)
-        content_type = dict(captured["headers"]).get("Content-Type", "text/xml")
-        return captured["status"], content_type, body
+    def _oai(self, method, params, environ):
+        """OAI-PMH answers every request, errors included, with HTTP 200."""
+        try:
+            if method == "POST":
+                params.update(parse_qsl(_read_body(environ).decode("utf-8")))
+        except UnicodeDecodeError:
+            payload = self.oai._error_envelope("", params, ProtocolError(
+                "badArgument", "request body is not UTF-8"))
+        else:
+            payload = self.oai.handle_request(params)
+        return "200 OK", "text/xml; charset=UTF-8", payload
 
     @staticmethod
     def _error_response(exc: RepositoryError):

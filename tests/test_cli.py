@@ -100,6 +100,22 @@ def test_truncated_state_file_is_storage_error(tmp_path, monkeypatch, capsys, na
     assert err.startswith("storage error:") and name in err
 
 
+@pytest.mark.parametrize(
+    "name", ["state.json", "providers.json", "harvest_state/alpha.json"])
+def test_wrong_shaped_state_file_is_storage_error(tmp_path, monkeypatch, capsys,
+                                                  name):
+    data = tmp_path / "data"
+    (data / "harvest_state").mkdir(parents=True)
+    (data / "providers.json").write_text(
+        '[{"name": "alpha", "base_url": "http://alpha.example/oai"}]')
+    (data / name).write_text("[1, 2]")
+    monkeypatch.setattr(sys, "argv", [
+        "overlay", "--data-dir", str(data), "harvest", "--provider", "alpha"])
+    assert run() == 2
+    err = capsys.readouterr().err
+    assert err.startswith("storage error:") and name in err
+
+
 def test_register_and_harvest_over_http(tmp_path, upstream_server):
     data = tmp_path / "data"
     registered = cli("--data-dir", str(data), "register-provider",

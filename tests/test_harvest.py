@@ -410,6 +410,7 @@ def test_failed_state_write_keeps_previous_file(tmp_path, cfg, monkeypatch):
             save_state(tmp_path, cfg.name, replace(state, consecutive_failures=3))
     assert load_provider_configs(providers) == {cfg.name: cfg}
     assert load_state(tmp_path, cfg.name) == state
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_malformed_datestamp_is_logged_and_replaced_by_clock(repo, stub, cfg, caplog):

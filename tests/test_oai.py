@@ -1,5 +1,7 @@
 """OAI-PMH provider: verbs, windows, pagination, errors, nsdl_agg."""
 
+import base64
+import json
 from datetime import timedelta
 from xml.etree import ElementTree as ET
 
@@ -9,6 +11,8 @@ from overlay_repo.fixtures import build_augmented_metadata
 from overlay_repo.model import format_datestamp, local_stream, pid_number
 from overlay_repo.oai import OaiProvider
 from overlay_repo.behaviors import build_brand_doc
+from overlay_repo.store import Repository
+from overlay_repo.web import GatewayApp
 
 from support import put_object, record_stream, seed_metadata
 
@@ -139,6 +143,16 @@ def test_list_records_unknown_set(repo, provider):
     assert error_code(response) == "noRecordsMatch"
 
 
+def test_padded_set_spec_is_refused(repo, provider):
+    aggregator = put_object(
+        repo, {"Aggregator"},
+        streams=[local_stream("BRAND", "application/xml", build_brand_doc("A"))])
+    seed_metadata(repo, 2, aggregator=aggregator)
+    response = call(provider, verb="ListRecords", metadataPrefix="oai_dc",
+                    set="0" + str(pid_number(aggregator)))
+    assert error_code(response) == "noRecordsMatch"
+
+
 @pytest.mark.parametrize("page_size", [1, 7, 250])
 def test_pagination_complete_and_duplicate_free(repo, page_size):
     pids = seed_metadata(repo, 23)
@@ -192,6 +206,90 @@ def test_expired_resumption_token(repo, clock):
     clock.now += timedelta(hours=2)
     response = call(provider, verb="ListRecords", resumptionToken=token)
     assert error_code(response) == "badResumptionToken"
+
+
+def b64(raw: bytes) -> str:
+    return base64.urlsafe_b64encode(raw).rstrip(b"=").decode("ascii")
+
+
+def encode_token(*fields) -> str:
+    return b64(json.dumps(list(fields)).encode("utf-8"))
+
+
+# verb, format, set, from, until, cursor, expiry
+TOKEN_FIELDS = ("ListRecords", "oai_dc", None, None, "2030-01-01T00:00:00Z", 3,
+                "2999-01-01T00:00:00Z")
+
+
+def test_token_carries_its_state(repo):
+    pids = seed_metadata(repo, 5)
+    provider = OaiProvider(repo, repository_id="test.local", page_size=2)
+    response = call(provider, verb="ListRecords",
+                    resumptionToken=encode_token(*TOKEN_FIELDS))
+    assert error_code(response) is None
+    assert record_identifiers(response) == [
+        provider.oai_identifier(p) for p in pids if pid_number(p) > 3][:2]
+
+
+@pytest.mark.parametrize("token", [
+    b64(b"not json"),
+    b64(json.dumps({"verb": "ListRecords"}).encode("utf-8")),
+    encode_token(*TOKEN_FIELDS[:-1]),
+    encode_token(*TOKEN_FIELDS[:4], "yesterday", *TOKEN_FIELDS[5:]),
+    encode_token(*TOKEN_FIELDS[:5], "3", TOKEN_FIELDS[6]),
+    encode_token(*TOKEN_FIELDS[:6], "2000-01-01T00:00:00Z"),
+], ids=["not-json", "json-non-list", "wrong-arity", "bad-datestamp",
+        "non-integer-cursor", "expired"])
+def test_malformed_token_is_bad_resumption_token(repo, provider, token):
+    seed_metadata(repo, 5)
+    response = call(provider, verb="ListRecords", resumptionToken=token)
+    assert error_code(response) == "badResumptionToken"
+
+
+def test_token_survives_restart(tmp_path, clock):
+    data = tmp_path / "data"
+    seed_metadata(Repository(data, clock=clock), 5)
+
+    def fresh_provider():
+        return OaiProvider(Repository(data, clock=clock),
+                           repository_id="test.local", page_size=2)
+
+    def walk(provider, params):
+        collected = []
+        while True:
+            response = call(provider, **params)
+            collected.extend(record_identifiers(response))
+            token = response.findtext(
+                "o:ListRecords/o:resumptionToken", namespaces=NS)
+            if not token:
+                return collected
+            params = {"verb": "ListRecords", "resumptionToken": token}
+
+    whole = walk(fresh_provider(),
+                 {"verb": "ListRecords", "metadataPrefix": "oai_dc"})
+    response = call(fresh_provider(), verb="ListRecords", metadataPrefix="oai_dc")
+    token = response.findtext("o:ListRecords/o:resumptionToken", namespaces=NS)
+    rest = walk(fresh_provider(), {"verb": "ListRecords", "resumptionToken": token})
+    assert len(whole) == 5
+    assert record_identifiers(response) + rest == whole
+
+
+def test_resumption_page_classifies_only_its_page(repo, monkeypatch):
+    seed_metadata(repo, 200)
+    provider = OaiProvider(repo, repository_id="test.local", page_size=2)
+    response = call(provider, verb="ListRecords", metadataPrefix="oai_dc")
+    token = response.findtext("o:ListRecords/o:resumptionToken", namespaces=NS)
+    classified = []
+    original = OaiProvider._classify
+
+    def counting(self, obj, format_name):
+        classified.append(obj.pid)
+        return original(self, obj, format_name)
+
+    monkeypatch.setattr(OaiProvider, "_classify", counting)
+    response = call(provider, verb="ListRecords", resumptionToken=token)
+    assert len(record_identifiers(response)) == 2
+    assert len(classified) <= 10
 
 
 def test_token_is_exclusive_argument(repo, provider):
@@ -364,6 +462,18 @@ def test_content_item_formats_offer_aggregation(repo, provider):
     assert prefixes == ["nsdl_agg"]
 
 
+def test_aggregation_window_uses_newest_metadata_datestamp(repo, provider):
+    pids = seed_metadata(repo, 2)
+    repo.put_object(repo.get_object(pids[0]))  # metadata of the first resource changes
+    since = format_datestamp(repo.get_object(pids[0]).last_modified)
+    response = call(provider, verb="ListRecords", metadataPrefix="nsdl_agg",
+                    **{"from": since})
+    from overlay_repo.behaviors import metadata_get_resource
+
+    assert record_identifiers(response) == [
+        provider.oai_identifier(metadata_get_resource(repo, pids[0]))]
+
+
 def test_aggregation_skips_undescribed_resources(repo, provider):
     put_object(repo, {"Content"})
     response = call(provider, verb="ListRecords", metadataPrefix="nsdl_agg")
@@ -384,6 +494,6 @@ def test_aggregation_get_record_for_undescribed_resource(repo, provider):
 def test_wsgi_errors_served_with_http_200(repo, provider):
     from support import wsgi_transport
 
-    transport = wsgi_transport(provider.wsgi_app)
+    transport = wsgi_transport(GatewayApp(repo, provider))
     body = transport("http://test.local/oai?verb=ListRecords&metadataPrefix=mods")
     assert error_code(ET.fromstring(body)) == "cannotDisseminateFormat"

@@ -313,6 +313,28 @@ def test_import_advances_pid_counter(repo):
     assert repo.mint_pid() == "nsdl:41"
 
 
+def test_rejected_import_keeps_counters(repo):
+    resource = put_object(repo, {"Content"})
+    bad = DigitalObject(pid="nsdl:50", handle="hdl:2200/00050",
+                        behaviors=frozenset({"Content"}),
+                        datastreams=(rels_stream("nsdl:50",
+                                                 [("metadataFor", resource)]),))
+    with pytest.raises(ValidationError):
+        repo.restore_object(bad, strict=True)
+    assert repo.assign_handle(resource) == "hdl:2200/00001"
+    assert repo.mint_pid() == "nsdl:2"
+
+
+def test_pids_follow_pid_order_not_write_order(repo):
+    first, second = repo.mint_pid(), repo.mint_pid()
+    put_object(repo, {"Content"}, pid=second)
+    put_object(repo, {"Content"}, pid=first)
+    repo.restore_object(DigitalObject(pid="nsdl:10", behaviors=frozenset({"Content"})))
+    repo.restore_object(DigitalObject(pid="nsdl:9", behaviors=frozenset({"Content"})))
+    put_object(repo, {"Content"}, pid=second)
+    assert repo.pids() == ["nsdl:1", "nsdl:2", "nsdl:9", "nsdl:10"]
+
+
 def test_handle_mapping_survives_delete(repo):
     pid = put_object(repo, {"Content"}, handle="hdl:2200/00009")
     repo.delete_object(pid)

@@ -253,6 +253,29 @@ def test_oai_mounted_same_instance(repo, app):
     assert identifiers(body) == identifiers(direct)
 
 
+def test_oai_post_lists_same_records_as_get(repo, app):
+    seed_metadata(repo, 2)
+    query = "verb=ListRecords&metadataPrefix=oai_dc"
+    ns = {"o": "http://www.openarchives.org/OAI/2.0/"}
+
+    def identifiers(payload):
+        return [h.findtext("o:identifier", namespaces=ns)
+                for h in ET.fromstring(payload).findall(".//o:header", ns)]
+
+    status, headers, posted = request(app, "POST", "/oai", body=query.encode())
+    assert status == 200 and headers["Content-Type"].startswith("text/xml")
+    got = request(app, "GET", "/oai", query=query)[2]
+    assert len(identifiers(posted)) == 2
+    assert identifiers(posted) == identifiers(got)
+
+
+def test_oai_post_body_not_utf8_is_bad_argument(app):
+    status, _, body = request(app, "POST", "/oai", body=b"\xff\xfe")
+    assert status == 200
+    error = ET.fromstring(body).find("{http://www.openarchives.org/OAI/2.0/}error")
+    assert error.get("code") == "badArgument"
+
+
 def test_unknown_route_404(app):
     assert request(app, "GET", "/nope")[0] == 404
 
