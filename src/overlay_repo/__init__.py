@@ -10,6 +10,7 @@ from .errors import (
     DisseminationError,
     FormatUnavailableError,
     HarvestProtocolError,
+    LimitExceededError,
     ModelIntegrityError,
     NoMetadataError,
     NotFoundError,
@@ -33,6 +34,7 @@ __all__ = [
     "DisseminationError",
     "FormatUnavailableError",
     "HarvestProtocolError",
+    "LimitExceededError",
     "ModelIntegrityError",
     "NoMetadataError",
     "NotFoundError",

@@ -64,6 +64,11 @@ class QueryParseError(RepositoryError):
     """The textual graph query could not be parsed."""
 
 
+class LimitExceededError(RepositoryError):
+    """A request passed a size bound (query rows, candidate bindings, or
+    body length) and was refused before the work was done."""
+
+
 class HarvestProtocolError(RepositoryError):
     """The remote endpoint answered with a protocol-level error; the
     harvest was aborted and local state left unchanged."""

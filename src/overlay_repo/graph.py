@@ -4,17 +4,29 @@ Each object asserts relationships about itself in its RELS datastream
 (RDF/XML, one rdf:Description about the object's info URI). Fragments are
 merged into one graph keyed by provenance, validated against the base
 ontology, and queried with conjunctive triple patterns.
+
+A query is planned before it runs. The clauses are ordered greedily, the
+access-path choice of Selinger et al. (SIGMOD 1979): first a clause that
+shares a variable bound by an earlier clause (so no cross product is
+chosen while a connected clause remains), then the clause with the most
+bound positions, then the smallest index bucket for its constant terms,
+then the written order. The plan is walked depth first over one array of
+variable values, so no binding is copied, and distinct rows are collected
+as they complete. A caller may cap the rows and the triples the index
+lookups return; the walk stops with ``LimitExceededError`` as soon as a
+cap is passed, so refusing a query costs O(cap), not O(result).
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from operator import attrgetter
+from typing import Callable, Collection, Iterable
 from xml.etree import ElementTree as ET
 
 from . import ontology
-from .errors import QueryParseError, ValidationError
+from .errors import LimitExceededError, QueryParseError, ValidationError
 from .model import INFO_URI_PREFIX, is_pid, pid_sort_key, representation_uri
 from .ontology import BASE_NAMESPACE, Predicate, predicate_from_uri
 
@@ -26,6 +38,9 @@ _RDF_RESOURCE = f"{{{RDF_NS}}}resource"
 
 # pid -> behavior set of an active object, or None when absent/deleted.
 TypeOracle = Callable[[str], "frozenset[str] | None"]
+
+_EMPTY: frozenset = frozenset()
+_FIELDS = (attrgetter("subject"), attrgetter("predicate"), attrgetter("object"))
 
 
 @dataclass(frozen=True, order=True)
@@ -274,27 +289,27 @@ class TripleStore:
         with self._mutex:
             return list(self._by_provenance.get(pid, ()))
 
-    def lookup(self, s: str | None, p: Predicate | None, o: str | None) -> set[Triple]:
-        """Triples matching a single pattern with None as wildcard."""
+    def lookup(self, s: str | None, p: Predicate | None,
+               o: str | None) -> Collection[Triple]:
+        """Triples matching a single pattern with None as wildcard.
+
+        Unless s and o are both bound, the index bucket itself is returned,
+        not a copy: read it under the store's lock and never change it.
+        """
         with self._mutex:
-            if s is not None and p is not None:
-                candidates = set(self._by_sp.get((s, p), ()))
-            elif p is not None and o is not None:
-                candidates = set(self._by_po.get((p, o), ()))
-            elif s is not None:
-                candidates = set(self._by_s.get(s, ()))
-            elif o is not None:
-                candidates = set(self._by_o.get(o, ()))
-            elif p is not None:
-                candidates = set(self._by_p.get(p, ()))
-            else:
-                candidates = set(self._all)
-        return {
-            t for t in candidates
-            if (s is None or t.subject == s)
-            and (p is None or t.predicate == p)
-            and (o is None or t.object == o)
-        }
+            bucket = self._bucket(s, p, o)
+            if s is None or o is None:
+                return bucket
+            return [t for t in bucket if t.object == o]
+
+    def _bucket(self, s, p, o) -> Collection[Triple]:
+        """The index bucket of the bound terms, leaving o unmatched when s
+        is bound too."""
+        if s is not None:
+            return self._by_s.get(s, _EMPTY) if p is None else self._by_sp.get((s, p), _EMPTY)
+        if o is not None:
+            return self._by_o.get(o, _EMPTY) if p is None else self._by_po.get((p, o), _EMPTY)
+        return self._all if p is None else self._by_p.get(p, _EMPTY)
 
     def subjects_of(self, predicate_name: str, obj: str) -> list[str]:
         """Sorted subjects s with (s, base:predicate, obj); the inverse-
@@ -310,55 +325,97 @@ class TripleStore:
             found = list(self._by_sp.get((subj, pred), ()))
         return sorted({t.object for t in found}, key=pid_sort_key)
 
-    def query(self, pattern: QueryPattern) -> list[tuple[str, ...]]:
-        """All satisfying assignments for the selected variables,
-        deterministically ordered. Conjunctive semantics, no inference."""
+    def query(self, pattern: QueryPattern, row_cap: int | None = None,
+              max_candidates: int | None = None) -> list[tuple[str, ...]]:
+        """Distinct assignments of the selected variables,
+        deterministically ordered. Conjunctive semantics, no inference.
+
+        Raises LimitExceededError as soon as more than ``row_cap`` distinct
+        rows are found, or once the index lookups have returned more than
+        ``max_candidates`` triples in all (each one a candidate binding at
+        its clause); None leaves a bound off.
+        """
         pattern.validate()
         with self._mutex:
-            return self._evaluate(pattern)
+            rows = self._evaluate(pattern, row_cap, max_candidates)
+        rendered = {tuple(map(_render, row)) for row in rows}
+        return sorted(rendered, key=lambda row: tuple(_row_key(v) for v in row))
 
-    def _evaluate(self, pattern: QueryPattern) -> list[tuple[str, ...]]:
-        bindings: list[dict[str, object]] = [{}]
-        for clause in pattern.clauses:
-            extended: list[dict[str, object]] = []
-            for binding in bindings:
-                s, p, o = (_resolve(term, binding) for term in clause)
-                matches = self.lookup(
-                    s if isinstance(s, str) else None,
-                    p if isinstance(p, Predicate) else None,
-                    o if isinstance(o, str) else None,
-                )
-                for t in matches:
-                    new = _extend(binding, clause, t)
-                    if new is not None:
-                        extended.append(new)
-            bindings = extended
-            if not bindings:
-                break
-        rows = {
-            tuple(_render(b[name]) for name in pattern.select)
-            for b in bindings
-        }
-        return sorted(rows, key=lambda row: tuple(_row_key(v) for v in row))
+    def _plan(self, clauses) -> tuple[list[tuple], dict[str, int]]:
+        """Clauses in evaluation order, each compiled into a step, and the
+        slot of each variable. A step is (probe, bound, new, same): the
+        clause's constants with None for its variables; (position, slot)
+        of the variables bound before it; (field, slot) of the variables
+        it binds; (field, slot) of their repeats within the clause."""
+        slots: dict[str, int] = {}
+        remaining = list(clauses)
+        steps = []
 
+        def cost(clause):
+            names = {t.name for t in clause if isinstance(t, Var)}
+            bound = sum(1 for t in clause if not isinstance(t, Var) or t.name in slots)
+            constants = [None if isinstance(t, Var) else t for t in clause]
+            return (bool(names) and not names & slots.keys(), -bound,
+                    len(self._bucket(*constants)))
 
-def _resolve(term, binding):
-    if isinstance(term, Var):
-        return binding.get(term.name)
-    return term
+        while remaining:
+            clause = min(remaining, key=cost)
+            remaining.remove(clause)
+            before = set(slots)
+            probe, bound, new, same = [None, None, None], [], [], []
+            for pos, term in enumerate(clause):
+                if not isinstance(term, Var):
+                    probe[pos] = term
+                elif term.name in before:
+                    bound.append((pos, slots[term.name]))
+                elif term.name in slots:
+                    same.append((_FIELDS[pos], slots[term.name]))
+                else:
+                    slots[term.name] = len(slots)
+                    new.append((_FIELDS[pos], slots[term.name]))
+            steps.append((probe, bound, new, same))
+        return steps, slots
 
+    def _evaluate(self, pattern: QueryPattern, row_cap: int | None,
+                  max_candidates: int | None) -> set[tuple]:
+        steps, slots = self._plan(pattern.clauses)
+        select = [slots[name] for name in pattern.select]
+        values: list[object] = [None] * len(slots)
+        rows: set[tuple] = set()
+        row_cap = float("inf") if row_cap is None else row_cap
+        budget = float("inf") if max_candidates is None else max_candidates
+        lookup = self.lookup
+        last = len(steps) - 1
 
-def _extend(binding: dict, clause, triple: Triple) -> dict | None:
-    new = dict(binding)
-    for term, value in zip(clause, (triple.subject, triple.predicate, triple.object)):
-        if isinstance(term, Var):
-            bound = new.get(term.name)
-            if bound is not None and bound != value:
-                return None
-            new[term.name] = value
-        elif term != value:
-            return None
-    return new
+        def walk(depth: int) -> None:
+            nonlocal budget
+            probe, bound, new, same = steps[depth]
+            if bound:
+                probe = probe.copy()
+                for pos, slot in bound:
+                    probe[pos] = values[slot]
+            matches = lookup(*probe)
+            budget -= len(matches)
+            if budget < 0:
+                raise LimitExceededError(
+                    f"query examines more than {max_candidates} candidate "
+                    f"bindings; narrow it")
+            for t in matches:
+                for get, slot in new:
+                    values[slot] = get(t)
+                if same and any(get(t) != values[slot] for get, slot in same):
+                    continue
+                if depth < last:
+                    walk(depth + 1)
+                    continue
+                rows.add(tuple(map(values.__getitem__, select)))
+                if len(rows) > row_cap:
+                    raise LimitExceededError(
+                        f"query matches more than {row_cap} rows; "
+                        f"pass offset/limit")
+
+        walk(0)
+        return rows
 
 
 def _render(value) -> str:

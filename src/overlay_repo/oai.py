@@ -25,6 +25,7 @@ from .errors import (
     FormatUnavailableError,
     ModelIntegrityError,
     NoMetadataError,
+    OperationNotSupportedError,
     RepositoryError,
 )
 from .model import (
@@ -457,7 +458,8 @@ class OaiProvider:
             try:
                 role = behaviors.metadata_get_provider(self.repo, m)
                 label = behaviors.role_get_brand(self.repo, role).label
-            except (ModelIntegrityError, BrandMissingError):
+            except (ModelIntegrityError, BrandMissingError,
+                    OperationNotSupportedError):
                 label = ""
             for format_name in meta_obj.record_formats():
                 source = ET.SubElement(root, _a("sourceRecord"))

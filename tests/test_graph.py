@@ -1,11 +1,12 @@
 """Triple store: RELS parsing, replacement semantics through the
 repository's write path, validation, queries."""
 
+import itertools
 import random
 
 import pytest
 
-from overlay_repo.errors import QueryParseError, ValidationError
+from overlay_repo.errors import LimitExceededError, QueryParseError, ValidationError
 from overlay_repo.graph import (
     QueryPattern,
     Triple,
@@ -18,12 +19,14 @@ from overlay_repo.graph import (
 from overlay_repo.ontology import BASE_NAMESPACE, Predicate, base_predicate
 
 from support import (
+    EXT_NS,
     brute_force_query,
     load_plain_triples,
     put_object,
     random_graph,
     random_pattern,
     rels_stream,
+    seed_metadata,
     to_engine_pattern,
     to_oracle_pattern,
 )
@@ -166,6 +169,65 @@ def test_random_graphs_match_brute_force():
             expected = brute_force_query(triples, to_oracle_pattern(clauses), select)
             assert set(got) == expected
             assert len(got) == len(set(got))
+
+
+def chain_store(n):
+    """nsdl:1 -> nsdl:2 -> ... -> nsdl:n+1: n triples, n distinct subjects."""
+    return load_plain_triples(TripleStore(), [
+        (f"nsdl:{i}", EXT_NS + "links", f"nsdl:{i + 1}") for i in range(1, n + 1)])
+
+
+OVER_CAP_QUERIES = [
+    "select ?s ?p ?o where (?s ?p ?o)",
+    "select ?a ?b where (?a ?p ?x) (?b ?q ?y)",
+]
+
+
+@pytest.mark.parametrize("text", OVER_CAP_QUERIES)
+def test_row_cap_stops_after_o_cap_bindings(text, lookups):
+    store = chain_store(500)
+    with pytest.raises(LimitExceededError):
+        store.query(parse_query(text), row_cap=10)
+    assert len(lookups) <= 2
+    assert sum(call.taken for call in lookups) <= 2 * 11
+
+
+def test_candidate_budget_stops_cross_product(lookups):
+    store = chain_store(500)
+    with pytest.raises(LimitExceededError):
+        store.query(parse_query(OVER_CAP_QUERIES[1]), max_candidates=1000)
+    assert sum(call.taken for call in lookups) <= 1000
+
+
+def test_join_written_in_bad_order_does_no_more_lookups(repo, lookups):
+    metadata = seed_metadata(repo, 20)
+    resource = repo.graph.objects_of(metadata[0], "metadataFor")[0]
+    selective = f"(?m <rel:metadataFor> <info:nsdl/{resource}>)"
+    unselective = "(?m <rel:providedBy> ?p)"
+    good = repo.graph.query(parse_query(f"select ?m ?p where {selective} {unselective}"))
+    good_lookups = len(lookups)
+    bad = repo.graph.query(parse_query(f"select ?m ?p where {unselective} {selective}"))
+    assert bad == good and len(good) == 1
+    assert len(lookups) - good_lookups <= good_lookups
+
+
+def test_three_clause_join_rows_do_not_depend_on_clause_order(repo):
+    for label in ("One", "Two"):
+        aggregator = put_object(repo, {"Aggregator"})
+        seed_metadata(repo, 3, aggregator=aggregator, provider_label=label)
+    seed_metadata(repo, 2)
+    clauses = [("?m", "metadataFor", "?r"), ("?m", "providedBy", "?p"),
+               ("?r", "memberOf", "?a")]
+    plain = [(t.subject, t.predicate.uri, t.object) for t in repo.graph.dump()]
+    expected = brute_force_query(
+        plain, [(s, BASE_NAMESPACE + p, o) for s, p, o in clauses], ["m", "a"])
+    answers = set()
+    for order in itertools.permutations(clauses):
+        where = " ".join(f"({s} <rel:{p}> {o})" for s, p, o in order)
+        rows = repo.graph.query(parse_query(f"select ?m ?a where {where}"))
+        assert set(rows) == expected
+        answers.add(tuple(rows))
+    assert len(answers) == 1 and len(expected) == 6
 
 
 def test_dump_ordering(repo):

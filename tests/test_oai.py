@@ -14,7 +14,7 @@ from overlay_repo.behaviors import build_brand_doc
 from overlay_repo.store import Repository
 from overlay_repo.web import GatewayApp
 
-from support import put_object, record_stream, seed_metadata
+from support import put_object, record_stream, rels_stream, seed_metadata
 
 NS = {"o": "http://www.openarchives.org/OAI/2.0/"}
 
@@ -486,6 +486,21 @@ def test_aggregation_get_record_for_undescribed_resource(repo, provider):
                     identifier=provider.oai_identifier(lone),
                     metadataPrefix="nsdl_agg")
     assert error_code(response) == "idDoesNotExist"
+
+
+def test_aggregation_record_when_provider_is_not_a_role(repo, provider):
+    metadata = seed_metadata(repo, 1)[0]
+    resource = repo.graph.objects_of(metadata, "metadataFor")[0]
+    stranger = put_object(repo, {"Content"})
+    repo.put_object(repo.get_object(metadata).with_datastream(rels_stream(
+        metadata, [("metadataFor", resource), ("providedBy", stranger)])),
+        strict=False)
+    for params in ({"verb": "ListRecords"},
+                   {"verb": "GetRecord", "identifier": provider.oai_identifier(resource)}):
+        response = call(provider, metadataPrefix="nsdl_agg", **params)
+        assert error_code(response) is None
+        sources = response.findall(".//a:sourceRecord", AGG)
+        assert [s.get("brand") for s in sources] == [""]
 
 
 # -- transport-level protocol behavior

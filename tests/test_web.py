@@ -8,7 +8,13 @@ import pytest
 from overlay_repo.fixtures import build_aggregation, build_basic_pair
 from overlay_repo.oai import OaiProvider
 from overlay_repo.store import Repository
-from overlay_repo.web import GatewayApp, GatewayConfig, load_config
+from overlay_repo.web import (
+    CANDIDATES_PER_CAPPED_ROW,
+    MAX_BODY_BYTES,
+    GatewayApp,
+    GatewayConfig,
+    load_config,
+)
 
 from support import brute_force_query, put_object, seed_metadata
 
@@ -18,13 +24,14 @@ def app(repo):
     return GatewayApp(repo, OaiProvider(repo, repository_id="test.local"))
 
 
-def request(app, method, path, body=b"", query=""):
+def request(app, method, path, body=b"", query="", content_length=None,
+            stream=None):
     environ = {
         "REQUEST_METHOD": method,
         "PATH_INFO": path,
         "QUERY_STRING": query,
-        "CONTENT_LENGTH": str(len(body)),
-        "wsgi.input": BytesIO(body),
+        "CONTENT_LENGTH": str(len(body)) if content_length is None else content_length,
+        "wsgi.input": BytesIO(body) if stream is None else stream,
     }
     captured = {}
 
@@ -231,6 +238,38 @@ def test_query_row_cap_413(repo):
                              query="offset=0&limit=2")
     assert status == 200
     assert len(out.decode().splitlines()) == 2
+
+
+@pytest.mark.parametrize("query", ["", "offset=0&limit=2"])
+@pytest.mark.parametrize("text", [
+    b"select ?s ?p ?o where (?s ?p ?o)",
+    b"select ?a ?b where (?a ?p ?x) (?b ?q ?y)",
+])
+def test_over_cap_query_413_after_o_cap_bindings(repo, lookups, text, query):
+    cap = 5
+    app = GatewayApp(repo, query_row_cap=cap)
+    seed_metadata(repo, 60)
+    assert len(repo.graph) > CANDIDATES_PER_CAPPED_ROW * cap
+    status, _, out = request(app, "POST", "/query", body=text, query=query)
+    assert status == 413 and b"more than" in out
+    assert sum(call.taken for call in lookups) <= CANDIDATES_PER_CAPPED_ROW * cap
+
+
+def test_body_over_limit_413_unread(app):
+    stream = BytesIO(b"select ?r where (?r <rel:memberOf> <info:nsdl/nsdl:2>)")
+    status, _, _ = request(app, "POST", "/query", stream=stream,
+                           content_length=str(MAX_BODY_BYTES + 1))
+    assert status == 413
+    assert stream.tell() == 0
+
+
+@pytest.mark.parametrize("length", ["-1", "twelve"])
+def test_negative_or_malformed_body_length_reads_nothing(app, length):
+    stream = BytesIO(b"select ?r where (?r <rel:memberOf> <info:nsdl/nsdl:2>)")
+    status, _, _ = request(app, "POST", "/query", stream=stream,
+                           content_length=length)
+    assert status == 400  # an empty query
+    assert stream.tell() == 0
 
 
 # -- mounted OAI endpoint
