@@ -168,7 +168,6 @@ class Datastream:
     media_type: str
     payload: bytes | None = None
     url: str | None = None
-    created: datetime = field(default_factory=utcnow_seconds)
 
     def validate(self) -> None:
         if self.kind not in ("local", "remote"):
@@ -186,14 +185,12 @@ class Datastream:
 
 def local_stream(ds_id: str, media_type: str, payload: bytes,
                  created: datetime | None = None) -> Datastream:
-    return Datastream(ds_id, "local", media_type, payload=payload,
-                      created=created or utcnow_seconds())
+    """A local datastream; created is ignored (streams keep no creation time)."""
+    return Datastream(ds_id, "local", media_type, payload=payload)
 
 
-def remote_stream(ds_id: str, media_type: str, url: str,
-                  created: datetime | None = None) -> Datastream:
-    return Datastream(ds_id, "remote", media_type, url=url,
-                      created=created or utcnow_seconds())
+def remote_stream(ds_id: str, media_type: str, url: str) -> Datastream:
+    return Datastream(ds_id, "remote", media_type, url=url)
 
 
 @dataclass(frozen=True)

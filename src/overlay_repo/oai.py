@@ -7,7 +7,8 @@ windows are half-open [from, until) over object datestamps. A resumption
 token carries its harvest: verb, format, set, window (the end frozen at the
 first request, so mid-harvest writes never cause omissions), the pid number
 of the last record served and an expiry. The provider keeps no token state,
-so tokens survive a restart, and each page resumes from its cursor.
+so tokens survive a restart, and each page resumes from its cursor. Each
+response is one element tree, aggregation bundles included, serialized once.
 """
 
 from __future__ import annotations
@@ -437,13 +438,14 @@ class OaiProvider:
 
     def _payload(self, pid: str, format_name: str) -> ET.Element:
         if format_name == AGG_FORMAT:
-            return ET.fromstring(self.emit_aggregation_record(pid))
+            return self.emit_aggregation_record(pid)
         record = behaviors.metadata_get_record(self.repo, pid, format_name)
         return ET.fromstring(record.xml)
 
-    def emit_aggregation_record(self, resource_pid: str) -> bytes:
+    def emit_aggregation_record(self, resource_pid: str) -> ET.Element:
         """The resource-centric bundle: every source record with its
-        provider's brand, plus the computed gold record."""
+        provider's brand, plus the computed gold record (empty when no
+        gold can be folded)."""
         obj = self.repo.get_object(resource_pid)
         root = ET.Element(_a(AGG_FORMAT))
         resource = ET.SubElement(root, _a("resource"))
@@ -471,9 +473,9 @@ class OaiProvider:
         try:
             gold.append(ET.fromstring(
                 behaviors.content_get_gold(self.repo, resource_pid).xml))
-        except (NoMetadataError, FormatUnavailableError):
+        except (NoMetadataError, FormatUnavailableError, ModelIntegrityError):
             pass
-        return ET.tostring(root, encoding="utf-8")
+        return root
 
     # ------------------------------------------------------------------
     # envelopes

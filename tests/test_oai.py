@@ -3,18 +3,21 @@
 import base64
 import json
 from datetime import timedelta
+from pathlib import Path
+from urllib.parse import urlencode
 from xml.etree import ElementTree as ET
 
 import pytest
 
-from overlay_repo.fixtures import build_augmented_metadata
+from overlay_repo.fixtures import build_augmented_metadata, load_fixture_dir
 from overlay_repo.model import format_datestamp, local_stream, pid_number
 from overlay_repo.oai import OaiProvider
 from overlay_repo.behaviors import build_brand_doc
 from overlay_repo.store import Repository
 from overlay_repo.web import GatewayApp
 
-from support import put_object, record_stream, rels_stream, seed_metadata
+from support import (
+    TickingClock, put_object, record_stream, rels_stream, seed_metadata)
 
 NS = {"o": "http://www.openarchives.org/OAI/2.0/"}
 
@@ -425,7 +428,7 @@ AGG = {"a": "http://ns.nsdl.org/nsdl_agg_v1.00/"}
 
 def test_aggregation_record_bundles_sources_and_gold(repo, provider):
     labels = build_augmented_metadata(repo)
-    payload = ET.fromstring(provider.emit_aggregation_record(labels["resource"]))
+    payload = provider.emit_aggregation_record(labels["resource"])
     assert payload.tag == "{%s}nsdl_agg" % AGG["a"]
     resource_el = payload.find("a:resource", AGG)
     assert resource_el.get("handle") == "hdl:2200/00121"
@@ -503,6 +506,50 @@ def test_aggregation_record_when_provider_is_not_a_role(repo, provider):
         assert [s.get("brand") for s in sources] == [""]
 
 
+def test_aggregation_answers_despite_augmentation_cycle(repo, provider):
+    from support import wsgi_transport
+
+    labels = build_augmented_metadata(repo)
+    base, resource = labels["base_record"], labels["resource"]
+    repo.put_object(repo.get_object(base).with_datastream(rels_stream(base, [
+        ("metadataFor", resource), ("providedBy", labels["provider_role_one"]),
+        ("augments", labels["augmenting_record"])])))
+    transport = wsgi_transport(GatewayApp(repo, provider))  # raises unless 200
+    identifier = provider.oai_identifier(resource)
+    for query in ("verb=ListRecords&metadataPrefix=nsdl_agg",
+                  f"verb=GetRecord&identifier={identifier}&metadataPrefix=nsdl_agg"):
+        response = ET.fromstring(transport(f"http://test.local/oai?{query}"))
+        assert error_code(response) is None
+        assert response.findtext(".//o:header/o:identifier", namespaces=NS) \
+            == identifier
+        assert len(response.findall(".//a:sourceRecord", AGG)) == 2
+        assert list(response.find(".//a:gold", AGG)) == []
+
+
+def test_aggregation_response_serialized_once(repo, monkeypatch):
+    from overlay_repo import oai
+
+    seed_metadata(repo, 5)
+    provider = OaiProvider(repo, repository_id="test.local", page_size=3)
+    calls = []
+    original = oai.ET.tostring
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].tag)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(oai.ET, "tostring", counting)
+    response = call(provider, verb="ListRecords", metadataPrefix="nsdl_agg")
+    assert len(record_identifiers(response)) == 3
+    assert calls == [f"{{{NS['o']}}}OAI-PMH"]
+    identifier = record_identifiers(response)[0]
+    calls.clear()
+    response = call(provider, verb="GetRecord", identifier=identifier,
+                    metadataPrefix="nsdl_agg")
+    assert record_identifiers(response, "GetRecord") == [identifier]
+    assert calls == [f"{{{NS['o']}}}OAI-PMH"]
+
+
 # -- transport-level protocol behavior
 
 
@@ -512,3 +559,47 @@ def test_wsgi_errors_served_with_http_200(repo, provider):
     transport = wsgi_transport(GatewayApp(repo, provider))
     body = transport("http://test.local/oai?verb=ListRecords&metadataPrefix=mods")
     assert error_code(ET.fromstring(body)) == "cannotDisseminateFormat"
+
+
+# -- byte stability
+
+FIGURES = Path(__file__).resolve().parents[1] / "fixtures" / "figures"
+GOLDEN = Path(__file__).resolve().parent / "golden" / "oai_figures.txt"
+
+
+def figures_transcript() -> bytes:
+    """Every response of a fixed request script over the figure topologies:
+    full ListRecords and ListIdentifiers walks in oai_dc, nsdl_dc and
+    nsdl_agg at page size 2, then GetRecord in nsdl_agg. Each response is
+    preceded by a ">>> " line with its request."""
+    repo = Repository(clock=TickingClock())
+    load_fixture_dir(repo, FIGURES)
+    provider = OaiProvider(repo, repository_id="test.local", page_size=2)
+    out = []
+
+    def request(params):
+        out.append(b">>> " + urlencode(params).encode("ascii") + b"\n")
+        body = provider.handle_request(params)
+        out.append(body + b"\n")
+        return ET.fromstring(body)
+
+    for verb in ("ListRecords", "ListIdentifiers"):
+        for prefix in ("oai_dc", "nsdl_dc", "nsdl_agg"):
+            response = request({"verb": verb, "metadataPrefix": prefix})
+            while token := response.findtext(f"o:{verb}/o:resumptionToken",
+                                              namespaces=NS):
+                response = request({"verb": verb, "resumptionToken": token})
+    request({"verb": "GetRecord", "identifier": "oai:test.local:nsdl:21",
+             "metadataPrefix": "nsdl_agg"})
+    return b"".join(out)
+
+
+def test_responses_match_golden_bytes():
+    assert figures_transcript().decode("utf-8") \
+        == GOLDEN.read_bytes().decode("utf-8")
+
+
+if __name__ == "__main__":
+    # Rewrites the golden transcript: PYTHONPATH=src:tests python tests/test_oai.py
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_bytes(figures_transcript())

@@ -375,6 +375,8 @@ def test_persistence_across_reopen(tmp_path, clock):
     reopened = Repository(tmp_path / "data", clock=clock)
     assert reopened.pids() == repo.pids()
     assert {p: reopened.export_object(p) for p in reopened.pids()} == exports
+    assert [reopened.get_object(p) for p in reopened.pids()] \
+        == [repo.get_object(p) for p in repo.pids()]
     assert reopened.graph.dump() == dump
     assert reopened.get_object(deleted).state == "deleted"
     # counter survives restart: next mint continues after the last pid
