@@ -119,13 +119,11 @@ def metadata_get_record(repo, pid: str, format_name: str) -> MetadataRecord:
     _require(obj, "Metadata")
     ds = obj.datastream(RECORD_DS_PREFIX + format_name)
     if ds is not None:
-        return MetadataRecord(format_name, ds.payload, obj.last_modified)
+        return MetadataRecord(format_name, ds.payload)
     for stored in obj.record_formats():
         if format_name in records.crosswalk_targets(stored):
             source = obj.datastream(RECORD_DS_PREFIX + stored)
-            return crosswalk(
-                MetadataRecord(stored, source.payload, obj.last_modified),
-                format_name)
+            return crosswalk(MetadataRecord(stored, source.payload), format_name)
     raise FormatUnavailableError(f"{pid} cannot disseminate format {format_name}")
 
 
@@ -232,7 +230,7 @@ def content_get_gold(repo, pid: str) -> GoldRecord:
         inputs.append(GoldInput(
             pid=m,
             datestamp=repo.get_object(m).last_modified,
-            entries=tuple(records.parse_dc_entries(record.xml)),
+            entries=tuple(records.parse_dc_entries(record.xml, "nsdl_dc")),
         ))
     if not inputs:
         raise NoMetadataError(f"no record describing {pid} can produce nsdl_dc")

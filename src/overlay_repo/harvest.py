@@ -6,6 +6,8 @@ metadata provider and an aggregator). Every harvested record becomes a
 metadata object carrying the verbatim payload, the normalized nsdl_dc
 derivative, and provenance; described resources are created once per
 URL across all providers and collected into the provider's aggregation.
+The stored payload keeps the upstream bindings of the prefixes its
+xsi:type values use.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from pathlib import Path
 from typing import Callable
 from urllib.parse import urlencode, urlparse
 from xml.etree import ElementTree as ET
+from xml.sax.saxutils import quoteattr
 
 from . import records
 from .behaviors import build_brand_doc
@@ -39,13 +42,13 @@ from .model import (
     remote_stream,
 )
 from .ontology import base_predicate
-from .records import MetadataRecord, apply_safe_transforms, crosswalk, validate_record
 from .store import _atomic_write, _read_json
 
 log = logging.getLogger(__name__)
 
 OAI_NS = "http://www.openarchives.org/OAI/2.0/"
-DC_IDENTIFIER = "{http://purl.org/dc/elements/1.1/}identifier"
+DC_IDENTIFIER = f"{{{records.DC_NS}}}identifier"
+XSI_TYPE = f"{{{records.XSI_NS}}}type"
 
 # Transport seam: url -> response body. The default speaks HTTP; tests and
 # in-process federation substitute direct calls.
@@ -249,59 +252,18 @@ class Harvester:
         return report, state
 
     # ------------------------------------------------------------------
-    # other client verbs
-
-    def identify(self, cfg: ProviderConfig) -> dict[str, str]:
-        """The provider's Identify fields (repositoryName, baseURL, ...)."""
-        root = self._request(cfg, {"verb": "Identify"})
-        self._raise_on_error(cfg, root)
-        el = root.find(f"{{{OAI_NS}}}Identify")
-        if el is None:
-            raise HarvestProtocolError(f"{cfg.name}: response has no Identify")
-        return {child.tag.split('}', 1)[1]: (child.text or "") for child in el}
-
-    def list_formats(self, cfg: ProviderConfig) -> list[str]:
-        root = self._request(cfg, {"verb": "ListMetadataFormats"})
-        self._raise_on_error(cfg, root)
-        return [el.text or "" for el in root.findall(
-            f"{{{OAI_NS}}}ListMetadataFormats/{{{OAI_NS}}}metadataFormat"
-            f"/{{{OAI_NS}}}metadataPrefix")]
-
-    def get_record(self, cfg: ProviderConfig,
-                   identifier: str) -> tuple[_Header, bytes | None]:
-        root = self._request(cfg, {
-            "verb": "GetRecord", "identifier": identifier,
-            "metadataPrefix": cfg.format})
-        self._raise_on_error(cfg, root)
-        container = root.find(f"{{{OAI_NS}}}GetRecord")
-        records = self._parse_records(container) if container is not None else []
-        if not records:
-            raise HarvestProtocolError(f"{cfg.name}: GetRecord returned nothing")
-        return records[0]
-
-    # ------------------------------------------------------------------
     # transport plumbing
 
-    def _request(self, cfg: ProviderConfig, params: dict) -> ET.Element:
+    def _fetch_page(self, cfg: ProviderConfig, params: dict) -> _Page:
         url = cfg.base_url + "?" + urlencode(params)
         try:
             body = self.transport(url)
         except Exception as exc:
             raise HarvestProtocolError(f"{cfg.name}: request failed: {exc}") from exc
         try:
-            return ET.fromstring(body)
+            root, type_bindings = _parse_response(body)
         except ET.ParseError as exc:
             raise HarvestProtocolError(f"{cfg.name}: malformed response: {exc}") from exc
-
-    def _raise_on_error(self, cfg: ProviderConfig, root: ET.Element) -> None:
-        error = root.find(f"{{{OAI_NS}}}error")
-        if error is not None:
-            code = error.get("code", "")
-            raise HarvestProtocolError(
-                f"{cfg.name}: provider error {code}: {error.text or ''}", code=code)
-
-    def _fetch_page(self, cfg: ProviderConfig, params: dict) -> _Page:
-        root = self._request(cfg, params)
         error = root.find(f"{{{OAI_NS}}}error")
         if error is not None:
             code = error.get("code", "")
@@ -314,9 +276,9 @@ class Harvester:
             raise HarvestProtocolError(f"{cfg.name}: response has no ListRecords")
         token_el = container.find(f"{{{OAI_NS}}}resumptionToken")
         token = (token_el.text or "").strip() if token_el is not None else ""
-        return _Page(self._parse_records(container), token or None)
+        return _Page(self._parse_records(container, type_bindings), token or None)
 
-    def _parse_records(self, container: ET.Element) -> list:
+    def _parse_records(self, container: ET.Element, type_bindings: dict) -> list:
         parsed = []
         for record in container.findall(f"{{{OAI_NS}}}record"):
             header_el = record.find(f"{{{OAI_NS}}}header")
@@ -336,7 +298,7 @@ class Harvester:
             if metadata_el is not None:
                 children = list(metadata_el)
                 if children:
-                    payload = ET.tostring(children[0], encoding="utf-8")
+                    payload = _record_payload(children[0], type_bindings)
             parsed.append((_Header(identifier, datestamp, deleted), payload))
         return parsed
 
@@ -345,13 +307,25 @@ class Harvester:
 
     def ingest_record(self, header: _Header, payload: bytes | None,
                       cfg: ProviderConfig) -> str:
-        """Returns "created", "updated", or a rejection reason."""
+        """Returns "created", "updated", or a rejection reason. A DC-family
+        record is parsed and normalized once; its entries give the resource
+        key (the first absolute-URL dc:identifier) and, from oai_dc, the
+        REC.nsdl_dc derivative. Any other format only has to be well-formed."""
         if payload is None:
             return "empty record"
-        verdict = validate_record(payload, cfg.format)
-        if verdict is not None:
-            return verdict
-        resource_key = extract_resource_key(payload, cfg.format)
+        try:
+            if cfg.format in records.FORMATS:
+                entries = records.apply_rules(
+                    records.parse_dc_entries(payload, cfg.format))
+                identifiers = [e.value for e in entries if e.name == "identifier"]
+                if not any(identifiers):
+                    return "no identifier"
+            else:
+                identifiers = [(el.text or "").strip() for el in
+                               records.parse_xml(payload).iter(DC_IDENTIFIER)]
+        except ValidationError as exc:
+            return str(exc)
+        resource_key = next((v for v in identifiers if is_absolute_url(v)), None)
         if resource_key is None:
             return "no resource key"
         resource_pid = self._resolve_resource(resource_key, cfg)
@@ -365,11 +339,9 @@ class Harvester:
                                           header.datestamp)),
         ]
         if cfg.format in records.FORMATS and cfg.format != "nsdl_dc":
-            normalized = crosswalk(
-                apply_safe_transforms(MetadataRecord(cfg.format, payload)),
-                "nsdl_dc")
             streams.append(local_stream(
-                "REC.nsdl_dc", records.RECORD_MEDIA_TYPE, normalized.xml))
+                "REC.nsdl_dc", records.RECORD_MEDIA_TYPE,
+                records.serialize_dc("nsdl_dc", entries)))
         rels = serialize_rels(metadata_pid, [
             Triple(metadata_pid, base_predicate("metadataFor"), resource_pid,
                    metadata_pid),
@@ -442,22 +414,47 @@ class Harvester:
 
 
 # --------------------------------------------------------------------------
-# resource keys
+# response parsing
 
 
-def extract_resource_key(payload: bytes, format_name: str) -> str | None:
-    """First absolute-URL dc:identifier; the cross-provider dedup key."""
-    if format_name in records.FORMATS:
-        entries = records.apply_rules(records.parse_dc_entries(payload))
-        candidates = [e.value for e in entries if e.name == "identifier"]
-    else:
-        root = ET.fromstring(payload)
-        candidates = [
-            (el.text or "").strip() for el in root.iter(DC_IDENTIFIER)]
-    for value in candidates:
-        if is_absolute_url(value):
-            return value
-    return None
+def _parse_response(body: bytes) -> tuple[ET.Element, dict]:
+    """The response tree, and for each element whose xsi:type value is a
+    prefixed QName, that prefix and the namespace bound to it in scope."""
+    parser = ET.XMLPullParser(events=("start-ns", "start", "end"))
+    parser.feed(body)
+    parser.close()
+    scopes, declared, bindings = [{}], {}, {}
+    for event, item in parser.read_events():
+        if event == "start-ns":
+            declared[item[0]] = item[1]
+        elif event == "start":
+            scopes.append({**scopes[-1], **declared} if declared else scopes[-1])
+            declared = {}
+            prefix, colon, _ = (item.get(XSI_TYPE) or "").partition(":")
+            if colon and prefix in scopes[-1]:
+                bindings[item] = (prefix, scopes[-1][prefix])
+        else:
+            scopes.pop()
+            root = item
+    return root, bindings
+
+
+def _record_payload(element: ET.Element, type_bindings: dict) -> bytes:
+    """The record element serialized on its own. ElementTree declares only
+    the namespaces that tags and attribute names use, so the prefixes that
+    xsi:type values use are declared again on the root."""
+    payload = ET.tostring(element, encoding="utf-8")
+    used = sorted({type_bindings[el] for el in element.iter() if el in type_bindings})
+    if not used:
+        return payload
+    end = payload.index(b">")
+    if payload[end - 1:end] == b"/":
+        end -= 1
+    head = payload[:end]
+    decls = [f" xmlns:{prefix}={quoteattr(uri)}".encode("utf-8")
+             for prefix, uri in used
+             if f" xmlns:{prefix}=".encode("utf-8") not in head]
+    return head + b"".join(decls) + payload[end:]
 
 
 def is_absolute_url(value: str) -> bool:

@@ -1,22 +1,25 @@
-"""Metadata record handling: DC-family formats, safe transforms, the
-oai_dc -> nsdl_dc crosswalk, and the merged "gold" record fold.
+"""Metadata record handling: DC-family formats, the normalization pass,
+the oai_dc -> nsdl_dc crosswalk, and the merged "gold" record fold.
 
-Transforms are lossless by convention: callers keep the original record
-verbatim and store the normalized output next to it. Every function here
-is a pure function of its inputs so record pipelines stay deterministic.
+Harvest ingest and the read-time crosswalk both derive nsdl_dc through
+``parse_dc_entries`` (the one validating parse) and ``apply_rules`` (the
+one normalization pass), so a record derives the same nsdl_dc either way.
+Callers keep the original record verbatim and store the normalized output
+next to it. Every function here is a pure function of its inputs so record
+pipelines stay deterministic.
 """
 
 from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from xml.etree import ElementTree as ET
 from xml.sax.saxutils import escape, quoteattr
 
 from .errors import FormatUnavailableError, ModelIntegrityError, ValidationError
-from .model import EPOCH, pid_sort_key
+from .model import pid_sort_key
 
 DC_NS = "http://purl.org/dc/elements/1.1/"
 DCT_NS = "http://purl.org/dc/terms/"
@@ -62,11 +65,10 @@ FORMATS: dict[str, FormatInfo] = {
 
 @dataclass(frozen=True)
 class MetadataRecord:
-    """Format-tagged XML payload with harvest provenance."""
+    """Format-tagged XML payload."""
 
     format: str
     xml: bytes
-    source_datestamp: datetime = EPOCH
 
 
 @dataclass(frozen=True)
@@ -86,22 +88,38 @@ class GoldRecord:
 # parsing / serialization
 
 
-def parse_dc_entries(xml: bytes) -> list[DcEntry]:
-    """DC elements of an oai_dc or nsdl_dc document, in document order.
-
-    Elements outside the DC namespace are skipped, so the parser tolerates
-    provider-specific extras.
-    """
+def parse_xml(xml: bytes) -> ET.Element:
+    """Root of a record payload; ValidationError when it is not
+    well-formed, with the reason as message."""
     try:
-        root = ET.fromstring(xml)
+        return ET.fromstring(xml)
     except ET.ParseError as exc:
-        raise ValidationError(f"record is not well-formed XML: {exc}")
+        raise ValidationError(f"not well-formed: {exc}")
+
+
+def parse_dc_entries(xml: bytes, format_name: str) -> list[DcEntry]:
+    """DC elements of a record in a registered DC format, in document order.
+
+    This is the validating parse: a payload that is not well-formed, or
+    whose root is not the format's root element, raises ValidationError
+    with the rejection reason as message. Elements outside the DC
+    namespace are skipped, so the parser tolerates provider-specific
+    extras. xsi:type is read only from nsdl_dc, because oai_dc is
+    unqualified (as in serialize_dc).
+    """
+    info = FORMATS[format_name]
+    root = parse_xml(xml)
+    if root.tag != f"{{{info.namespace}}}{info.root}":
+        raise ValidationError(
+            f"root element {root.tag} does not match format {format_name}")
+    qualified = format_name == "nsdl_dc"
     entries = []
     for child in root:
         if child.tag.startswith("{%s}" % DC_NS):
             name = child.tag.split("}", 1)[1]
             value = (child.text or "").strip()
-            entries.append(DcEntry(name, value, child.get(f"{{{XSI_NS}}}type")))
+            xsi_type = child.get(f"{{{XSI_NS}}}type") if qualified else None
+            entries.append(DcEntry(name, value, xsi_type))
     return entries
 
 
@@ -111,9 +129,7 @@ def serialize_dc(format_name: str, entries: list[DcEntry]) -> bytes:
     oai_dc is unqualified, so xsi:type annotations are dropped there;
     nsdl_dc keeps them.
     """
-    info = FORMATS.get(format_name)
-    if info is None:
-        raise FormatUnavailableError(f"unknown record format {format_name!r}")
+    info = FORMATS[format_name]
     qualified = format_name == "nsdl_dc"
     decls = (
         f' xmlns:{info.prefix}="{info.namespace}"'
@@ -131,37 +147,8 @@ def serialize_dc(format_name: str, entries: list[DcEntry]) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def validate_record(xml: bytes, format_name: str) -> str | None:
-    """Structural validation verdict: None when acceptable, else the
-    rejection reason. Registered DC formats are checked for the right
-    root element and at least one dc:identifier; anything else only has
-    to be well-formed."""
-    try:
-        root = ET.fromstring(xml)
-    except ET.ParseError as exc:
-        return f"not well-formed: {exc}"
-    info = FORMATS.get(format_name)
-    if info is None:
-        return None
-    expected = f"{{{info.namespace}}}{info.root}"
-    if root.tag != expected:
-        return f"root element {root.tag} does not match format {format_name}"
-    for entry in parse_dc_entries(xml):
-        if entry.name == "identifier" and entry.value:
-            return None
-    return "no identifier"
-
-
 # --------------------------------------------------------------------------
-# safe transforms
-
-
-@dataclass(frozen=True)
-class TransformRule:
-    element: str  # DC element name, or "*" for all
-    rule_kind: str
-    parameters: dict = field(default_factory=dict)
-
+# normalization
 
 _W3CDTF_RE = re.compile(
     r"^\d{4}(-\d{2}(-\d{2}(T\d{2}:\d{2}(:\d{2})?(Z|[+-]\d{2}:\d{2}))?)?)?$")
@@ -212,22 +199,6 @@ TYPE_VOCAB_MAP = {
     "physical object": "PhysicalObject",
 }
 
-# Applied in this exact order; every rule is total and idempotent, so the
-# whole pipeline is too.
-DEFAULT_TRANSFORMS: tuple[TransformRule, ...] = (
-    TransformRule("*", "whitespace_collapse"),
-    TransformRule("date", "date_normalize"),
-    TransformRule("language", "language_normalize", LANGUAGE_MAP),
-    TransformRule("type", "type_vocab_map", TYPE_VOCAB_MAP),
-    TransformRule("date", "qualify", {"xsi_type": "dct:W3CDTF"}),
-    TransformRule("type", "qualify", {"xsi_type": "dct:DCMIType"}),
-    TransformRule("language", "qualify", {"xsi_type": "dct:RFC3066"}),
-)
-
-
-def collapse_whitespace(value: str) -> str:
-    return " ".join(value.split())
-
 
 def normalize_date(value: str) -> str:
     if _W3CDTF_RE.match(value):
@@ -240,77 +211,45 @@ def normalize_date(value: str) -> str:
     return value
 
 
-def normalize_language(value: str, mapping: dict[str, str]) -> str:
+def normalize_language(value: str) -> str:
     lowered = value.lower()
     if len(lowered) == 2 and lowered.isalpha():
         return lowered
-    return mapping.get(lowered, value)
+    return LANGUAGE_MAP.get(lowered, value)
 
 
-def map_type_vocab(value: str, mapping: dict[str, str]) -> str:
+def map_type_vocab(value: str) -> str:
     if value in DCMI_TYPES:
         return value
-    return mapping.get(value.lower(), value)
+    return TYPE_VOCAB_MAP.get(value.lower(), value)
 
 
-def _qualify(entry: DcEntry, xsi_type: str) -> DcEntry:
+def _normalize(entry: DcEntry) -> DcEntry:
+    value, qualifier = " ".join(entry.value.split()), None
+    if entry.name == "date":
+        value = normalize_date(value)
+        if _W3CDTF_RE.match(value):
+            qualifier = "dct:W3CDTF"
+    elif entry.name == "language":
+        value = normalize_language(value)
+        if len(value) == 2 and value.isalpha() and value.islower():
+            qualifier = "dct:RFC3066"
+    elif entry.name == "type":
+        value = map_type_vocab(value)
+        if value in DCMI_TYPES:
+            qualifier = "dct:DCMIType"
     if entry.xsi_type is not None:
-        return entry
-    conforms = (
-        (xsi_type == "dct:W3CDTF" and bool(_W3CDTF_RE.match(entry.value)))
-        or (xsi_type == "dct:DCMIType" and entry.value in DCMI_TYPES)
-        or (xsi_type == "dct:RFC3066"
-            and len(entry.value) == 2 and entry.value.isalpha()
-            and entry.value.islower())
-    )
-    if conforms:
-        return DcEntry(entry.name, entry.value, xsi_type)
-    return entry
+        qualifier = entry.xsi_type
+    return DcEntry(entry.name, value, qualifier)
 
 
-def apply_rules(entries: list[DcEntry],
-                rules: tuple[TransformRule, ...] = DEFAULT_TRANSFORMS) -> list[DcEntry]:
-    out = list(entries)
-    for rule in rules:
-        applied = []
-        for entry in out:
-            if rule.element not in ("*", entry.name):
-                applied.append(entry)
-                continue
-            if rule.rule_kind == "whitespace_collapse":
-                entry = DcEntry(entry.name, collapse_whitespace(entry.value), entry.xsi_type)
-            elif rule.rule_kind == "date_normalize":
-                entry = DcEntry(entry.name, normalize_date(entry.value), entry.xsi_type)
-            elif rule.rule_kind == "language_normalize":
-                entry = DcEntry(entry.name,
-                                normalize_language(entry.value, rule.parameters),
-                                entry.xsi_type)
-            elif rule.rule_kind == "type_vocab_map":
-                entry = DcEntry(entry.name,
-                                map_type_vocab(entry.value, rule.parameters),
-                                entry.xsi_type)
-            elif rule.rule_kind == "qualify":
-                entry = _qualify(entry, rule.parameters["xsi_type"])
-            else:
-                raise ValueError(f"unknown transform rule kind {rule.rule_kind!r}")
-            applied.append(entry)
-        out = applied
-    return out
-
-
-def apply_safe_transforms(record: MetadataRecord,
-                          rules: tuple[TransformRule, ...] = DEFAULT_TRANSFORMS,
-                          ) -> MetadataRecord:
-    """Normalized copy of a DC-family record, same format. Unknown values
-    pass through untouched; running the pipeline twice changes nothing."""
-    if record.format not in FORMATS:
-        return record
-    entries = apply_rules(parse_dc_entries(record.xml), rules)
-    return MetadataRecord(
-        record.format,
-        serialize_dc(record.format, entries),
-        record.source_datestamp,
-    )
+def apply_rules(entries: list[DcEntry]) -> list[DcEntry]:
+    """Normalize each entry in one pass: collapse whitespace, map date,
+    language and type values onto their vocabularies, then qualify the
+    values that conform and carry no xsi:type yet. Each step maps one
+    entry on its own and is total and idempotent, so the pass is too.
+    Unknown values pass through untouched."""
+    return [_normalize(entry) for entry in entries]
 
 
 # --------------------------------------------------------------------------
@@ -328,9 +267,8 @@ def crosswalk(record: MetadataRecord, to_format: str) -> MetadataRecord:
     if (record.format, to_format) not in _CROSSWALKS:
         raise FormatUnavailableError(
             f"no crosswalk from {record.format} to {to_format}")
-    entries = apply_rules(parse_dc_entries(record.xml))
-    return MetadataRecord(
-        to_format, serialize_dc(to_format, entries), record.source_datestamp)
+    entries = apply_rules(parse_dc_entries(record.xml, record.format))
+    return MetadataRecord(to_format, serialize_dc(to_format, entries))
 
 
 def crosswalk_targets(format_name: str) -> list[str]:

@@ -1,11 +1,14 @@
 import importlib
 import pkgutil
+import sys
+from xml.etree import ElementTree as ET
 
 import pytest
 
 import overlay_repo
-from overlay_repo import graph
+from overlay_repo import graph, records
 from overlay_repo.graph import TripleStore
+from overlay_repo.harvest import Harvester
 from overlay_repo.store import Repository
 
 from support import TickingClock
@@ -21,6 +24,14 @@ def repo(clock):
     return Repository(clock=clock)
 
 
+def _patch_everywhere(monkeypatch, name, original, replacement):
+    """Rebind a function in whichever overlay_repo module holds it."""
+    for info in pkgutil.iter_modules(overlay_repo.__path__):
+        module = importlib.import_module(f"overlay_repo.{info.name}")
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, replacement)
+
+
 @pytest.fixture
 def rels_parses(monkeypatch):
     """pid of every parse_rels call, in whichever overlay_repo module it
@@ -32,10 +43,40 @@ def rels_parses(monkeypatch):
         calls.append(pid)
         return original(pid, fragment)
 
-    for info in pkgutil.iter_modules(overlay_repo.__path__):
-        module = importlib.import_module(f"overlay_repo.{info.name}")
-        if getattr(module, "parse_rels", None) is original:
-            monkeypatch.setattr(module, "parse_rels", counting)
+    _patch_everywhere(monkeypatch, "parse_rels", original, counting)
+    return calls
+
+
+@pytest.fixture
+def ingest_work(monkeypatch):
+    """(outcome, XML parses, normalization passes) of every
+    Harvester.ingest_record call. Only the record pipeline's parses count,
+    those made in the records and harvest modules, not the store's."""
+    calls = []
+    counts = {"parses": 0, "passes": 0}
+    fromstring, apply_rules = ET.fromstring, records.apply_rules
+    ingest = Harvester.ingest_record
+
+    def counting_fromstring(*args, **kwargs):
+        caller = sys._getframe(1).f_globals.get("__name__")
+        if caller in ("overlay_repo.records", "overlay_repo.harvest"):
+            counts["parses"] += 1
+        return fromstring(*args, **kwargs)
+
+    def counting_rules(*args, **kwargs):
+        counts["passes"] += 1
+        return apply_rules(*args, **kwargs)
+
+    def counting_ingest(self, *args, **kwargs):
+        before = dict(counts)
+        outcome = ingest(self, *args, **kwargs)
+        calls.append((outcome, counts["parses"] - before["parses"],
+                      counts["passes"] - before["passes"]))
+        return outcome
+
+    monkeypatch.setattr(ET, "fromstring", counting_fromstring)
+    _patch_everywhere(monkeypatch, "apply_rules", apply_rules, counting_rules)
+    monkeypatch.setattr(Harvester, "ingest_record", counting_ingest)
     return calls
 
 

@@ -88,7 +88,7 @@ def test_criterion_1_fixture_suite():
         # augmentation: fold order [nsdl:5, nsdl:8]; the augmenter's title wins
         gold = behaviors.content_get_gold(repo, "nsdl:21")
         assert gold.contributors == ("nsdl:5", "nsdl:8")
-        titles = [e.value for e in parse_dc_entries(gold.xml) if e.name == "title"]
+        titles = [e.value for e in parse_dc_entries(gold.xml, "nsdl_dc") if e.name == "title"]
         assert titles == ["Photosynthesis Basics (Revised)"]
 
         # aggregation: members and the standing representation, addressed

@@ -56,7 +56,7 @@ def annotated(repo):
 
 def test_get_record_stored(repo, basic):
     record = behaviors.metadata_get_record(repo, basic["metadata"], "oai_dc")
-    values = {e.name: e.value for e in parse_dc_entries(record.xml)}
+    values = {e.name: e.value for e in parse_dc_entries(record.xml, "oai_dc")}
     assert values["title"] == "Introductory Oceanography"
 
 
@@ -67,7 +67,7 @@ def test_get_record_marc_stored_verbatim(repo, basic):
 
 def test_get_record_crosswalked_indistinguishable(repo, basic):
     computed = behaviors.metadata_get_record(repo, basic["metadata"], "nsdl_dc")
-    values = {e.name: e.value for e in parse_dc_entries(computed.xml)}
+    values = {e.name: e.value for e in parse_dc_entries(computed.xml, "nsdl_dc")}
     assert values["title"] == "Introductory Oceanography"
     # independently apply the transform table to the stored DC record
     from overlay_repo.records import MetadataRecord, crosswalk
@@ -285,7 +285,7 @@ def test_gold_fold_order_and_override(repo, augmented):
     assert gold.contributors == (
         augmented["base_record"], augmented["augmenting_record"])
     values = {}
-    for e in parse_dc_entries(gold.xml):
+    for e in parse_dc_entries(gold.xml, "nsdl_dc"):
         values.setdefault(e.name, []).append(e.value)
     assert values["title"] == ["Photosynthesis Basics (Revised)"]
     assert values["subject"] == ["Botany", "Plant physiology"]

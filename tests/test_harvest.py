@@ -15,7 +15,6 @@ from overlay_repo.harvest import (
     Harvester,
     IngestReport,
     ProviderConfig,
-    extract_resource_key,
     load_provider_configs,
     load_state,
     next_attempt_delay,
@@ -25,7 +24,8 @@ from overlay_repo.harvest import (
 from overlay_repo.model import SOURCE_DS, parse_source_doc
 from overlay_repo.store import Repository
 
-from support import START, StubOaiProvider, oai_dc_record, stub_record
+from support import (
+    START, StubOaiProvider, oai_dc_record, put_object, record_stream, stub_record)
 
 
 @pytest.fixture
@@ -329,30 +329,6 @@ def test_set_scoped_harvest_between_instances(repo, clock):
     assert mirrored == {oai.oai_identifier(p) for p in inside}
 
 
-def test_client_identify_and_formats_against_own_provider(repo, clock):
-    from overlay_repo.oai import OaiProvider
-    from support import provider_transport, seed_metadata
-
-    upstream = Repository(clock=clock)
-    pids = seed_metadata(upstream, 1)
-    oai = OaiProvider(upstream, repository_id="up.local")
-    client = Harvester(repo, transport=provider_transport(oai))
-    cfg = ProviderConfig(name="up", base_url="http://up.local/oai")
-
-    info = client.identify(cfg)
-    assert info["protocolVersion"] == "2.0"
-    assert info["deletedRecord"] == "persistent"
-    assert "nsdl_agg" in client.list_formats(cfg)
-
-    header, payload = client.get_record(cfg, oai.oai_identifier(pids[0]))
-    assert header.identifier == oai.oai_identifier(pids[0])
-    assert b"Record 0" in payload
-
-    with pytest.raises(HarvestProtocolError) as excinfo:
-        client.get_record(cfg, "oai:up.local:nsdl:424242")
-    assert excinfo.value.code == "idDoesNotExist"
-
-
 def test_backoff_schedule(cfg):
     state = HarvestState()
     assert next_attempt_delay(cfg, state) == 3600
@@ -362,18 +338,28 @@ def test_backoff_schedule(cfg):
     assert next_attempt_delay(cfg, state) == 86400
 
 
-def test_extract_resource_key_prefers_first_absolute_url():
-    xml = oai_dc_record(
+def test_extract_resource_key_prefers_first_absolute_url(repo, harvester, stub, cfg):
+    stub.add("oai:alpha:keys", SEED_BASE, oai_dc_record(
         ("identifier", "local-1"),
         ("identifier", "http://a.example/x"),
-        ("identifier", "http://b.example/y"))
-    assert extract_resource_key(xml, "oai_dc") == "http://a.example/x"
+        ("identifier", "http://b.example/y")))
+    harvester.harvest(cfg)
+    metadata = repo.source_pid("alpha", "oai:alpha:keys")
+    assert behaviors.metadata_get_resource(repo, metadata) \
+        == repo.content_pid_for_url("http://a.example/x")
+    assert repo.content_pid_for_url("http://b.example/y") is None
 
 
-def test_extract_resource_key_passthrough_format():
-    xml = (b'<mods xmlns:dc="http://purl.org/dc/elements/1.1/">'
-           b"<dc:identifier>http://deep.example/z</dc:identifier></mods>")
-    assert extract_resource_key(xml, "mods") == "http://deep.example/z"
+def test_extract_resource_key_passthrough_format(repo, harvester, stub):
+    cfg = harvester.register_provider(ProviderConfig(
+        name="deep", base_url="http://deep.example/oai", format="mods"))
+    stub.add("oai:deep:1", SEED_BASE,
+             b'<mods xmlns:dc="http://purl.org/dc/elements/1.1/">'
+             b"<dc:identifier>http://deep.example/z</dc:identifier></mods>")
+    harvester.harvest(cfg)
+    metadata = repo.source_pid("deep", "oai:deep:1")
+    assert behaviors.metadata_get_resource(repo, metadata) \
+        == repo.content_pid_for_url("http://deep.example/z")
 
 
 def test_config_and_state_round_trip(tmp_path, cfg):
@@ -434,3 +420,210 @@ def test_report_invariant():
     report.check()
     with pytest.raises(AssertionError):
         IngestReport(harvested=5, created=5, updated=5).check()
+
+
+# --------------------------------------------------------------------------
+# byte stability of ingest
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "ingest_catalog.txt"
+
+_OAI_DC_OPEN = (
+    '<oai_dc:dc xmlns:oai_dc="http://www.openarchives.org/OAI/2.0/oai_dc/"'
+    ' xmlns:dc="http://purl.org/dc/elements/1.1/"'
+    ' xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance">')
+
+
+def _raw_dc(*fields, root="oai_dc:dc") -> bytes:
+    """An upstream oai_dc record written by hand: (name, value) or
+    (name, value, xsi:type) fields, whitespace kept as given."""
+    from xml.sax.saxutils import escape, quoteattr
+
+    lines = [_OAI_DC_OPEN.replace("oai_dc:dc ", root + " ", 1)]
+    for name, value, *xsi_type in fields:
+        attr = f" xsi:type={quoteattr(xsi_type[0])}" if xsi_type else ""
+        lines.append(f"<dc:{name}{attr}>{escape(value)}</dc:{name}>")
+    lines.append(f"</{root}>")
+    return "\n".join(lines).encode("utf-8")
+
+
+def _catalog_records() -> list[tuple[str, bytes | None]]:
+    def url(key):
+        return f"http://catalog.example/{key}"
+
+    out = []
+    for n, raw in enumerate((
+            # every _DATE_INPUT_FORMATS shape, then W3CDTF and unknown shapes
+            "March 5, 2004", "Mar 5, 2004", "5 March 2004", "5 Mar 2004",
+            "March 5 2004", "Mar 5 2004", "2004/03/05", "2004.03.05",
+            "03/05/2004", "March 2004", "Mar 2004",
+            "2004", "2004-03", "2004-03-05T10:20:30Z", "2004-03-05T10:20+01:00",
+            "circa 1850", "  5   March\n 2004 ")):
+        out.append((f"date-{n:02d}", _raw_dc(
+            ("title", f"Date shape {n}"), ("identifier", url(f"date/{n}")),
+            ("date", raw))))
+    out.append(("language", _raw_dc(
+        ("title", "Languages"), ("identifier", url("language")),
+        ("language", "English"), ("language", "eng"), ("language", "fre"),
+        ("language", "DE"), ("language", " german "), ("language", "Klingon"))))
+    out.append(("type", _raw_dc(
+        ("title", "Types"), ("identifier", url("type")),
+        ("type", "Movie"), ("type", "photograph"),
+        ("type", "interactive resource"), ("type", "Text"), ("type", "data"),
+        ("type", "Widget"))))
+    out.append(("whitespace", _raw_dc(
+        ("title", "  Too   many\n\t spaces "),
+        ("description", "\n  Lines\n\n  and   tabs\t\t"),
+        ("subject", "   "),
+        ("identifier", "  http://catalog.example/whitespace \n"))))
+    out.append(("upstream-type", _raw_dc(
+        ("title", "Upstream qualifiers"), ("identifier", url("upstream-type")),
+        ("date", "1999", "local:Year"), ("date", "circa 1850", "local:Free"),
+        ("type", "Movie", "dct:DCMIType"), ("language", "english", "local:Lang"))))
+    out.append(("escapes", _raw_dc(
+        ("title", "Fish & Chips <b>\"quoted\"</b>"),
+        ("identifier", "http://catalog.example/escapes?a=1&b=2"))))
+    out.append(("extras", _raw_dc(
+        ("title", "Extras"), ("identifier", url("extras")))
+        .replace(b"</oai_dc:dc>",
+                 b'<extra xmlns="urn:example:extra">kept verbatim</extra>\n'
+                 b"</oai_dc:dc>")))
+    out.append(("first-url", _raw_dc(
+        ("title", "First URL wins"), ("identifier", "local-1"),
+        ("identifier", url("first")), ("identifier", url("second")))))
+    out.append(("shared-a", _raw_dc(
+        ("title", "Shared A"), ("identifier", url("shared")))))
+    out.append(("shared-b", _raw_dc(
+        ("title", "Shared B"), ("identifier", url("shared")))))
+    out.append(("wrong-root", _raw_dc(
+        ("title", "Wrong root"), ("identifier", url("wrong-root")),
+        root="oai_dc:record")))
+    out.append(("no-identifier", _raw_dc(("title", "No identifier"))))
+    out.append(("blank-identifier", _raw_dc(
+        ("title", "Blank identifier"), ("identifier", " \n "))))
+    out.append(("no-url", _raw_dc(
+        ("title", "No URL"), ("identifier", "local-only-id"))))
+    out.append(("empty", None))
+    return out
+
+
+_MARC_RECORDS = [
+    ("marc-1", b'<record xmlns="http://www.loc.gov/MARC21/slim"'
+               b' xmlns:dc="http://purl.org/dc/elements/1.1/">'
+               b"<leader>00000nam</leader><datafield><dc:identifier>"
+               b" http://catalog.example/marc/1 </dc:identifier></datafield>"
+               b"</record>"),
+    ("marc-2", b'<record xmlns="http://www.loc.gov/MARC21/slim">'
+               b"<leader>00000nam</leader></record>"),
+]
+
+
+def ingest_transcript() -> bytes:
+    """Harvest an oai_dc catalog covering every normalization and reject
+    path, plus a marcxml passthrough provider, into a fresh repository.
+    Lists each provider's report and reject reasons, then every stored
+    REC.* payload of every metadata object in pid order."""
+    from overlay_repo.model import pid_sort_key
+    from support import TickingClock
+
+    repo = Repository(clock=TickingClock())
+    out = []
+    for name, fmt, recs in (("catalog", "oai_dc", _catalog_records()),
+                            ("marc", "marcxml", _MARC_RECORDS)):
+        stub = StubOaiProvider(page_size=7)
+        for i, (key, xml) in enumerate(recs):
+            stub.add(f"oai:{name}:{key}", SEED_BASE + timedelta(minutes=i),
+                     xml or b"")
+        harvester = Harvester(repo, transport=stub.transport)
+        cfg = harvester.register_provider(ProviderConfig(
+            name=name, base_url=f"http://{name}.example/oai", format=fmt))
+        report, _ = harvester.harvest(cfg)
+        out.append(f"### {name} ({fmt}): harvested {report.harvested}"
+                   f" created {report.created} updated {report.updated}"
+                   f" deleted {report.deleted} rejected {report.rejected}\n")
+        out += [f"reject {identifier}: {reason}\n"
+                for identifier, reason in report.rejects]
+    metadata = sorted((o for o in repo.active_objects() if "Metadata" in o.behaviors),
+                      key=lambda o: pid_sort_key(o.pid))
+    for obj in metadata:
+        provider, oai_id, _ = parse_source_doc(obj.datastream(SOURCE_DS).payload)
+        resource = repo.get_object(behaviors.metadata_get_resource(repo, obj.pid))
+        out.append(f"=== {obj.pid} {oai_id} -> {resource.datastream('CONTENT').url}\n")
+        for fmt in obj.record_formats():
+            out.append(f"--- REC.{fmt}\n")
+            out.append(obj.datastream(f"REC.{fmt}").payload.decode("utf-8") + "\n")
+    return "".join(out).encode("utf-8")
+
+
+def test_ingest_matches_golden_bytes():
+    assert ingest_transcript().decode("utf-8") \
+        == GOLDEN.read_bytes().decode("utf-8")
+
+
+# --------------------------------------------------------------------------
+# one parse and one normalization pass per record
+
+
+def test_ingest_parses_and_normalizes_each_record_once(harvester, stub, cfg,
+                                                      ingest_work):
+    seed(stub, "alpha", 3)
+    harvester.harvest(cfg)
+    assert ingest_work == [("created", 1, 1)] * 3
+
+
+def test_harvest_and_put_derive_the_same_nsdl_dc(repo, harvester, stub, cfg):
+    # oai_dc is unqualified: an upstream xsi:type is ignored on both paths.
+    xml = _raw_dc(("title", "Qualified upstream"), ("identifier", "http://q.example/1"),
+                  ("date", "1999", "local:Year"))
+    stub.add("oai:alpha:q", SEED_BASE, xml)
+    harvester.harvest(cfg)
+    harvested = repo.source_pid("alpha", "oai:alpha:q")
+    stored = repo.get_object(harvested).datastream("REC.oai_dc").payload
+    resource = put_object(repo, {"Content"})
+    put = put_object(repo, {"Metadata"}, streams=[record_stream("oai_dc", stored)],
+                     edges=[("metadataFor", resource)])
+    assert behaviors.metadata_get_record(repo, put, "nsdl_dc").xml \
+        == behaviors.metadata_get_record(repo, harvested, "nsdl_dc").xml
+
+
+def _type_prefix_bindings(xml: bytes) -> dict[str, str | None]:
+    """Each xsi:type prefix of a payload and the namespace it declares for
+    that prefix, None when it declares none."""
+    from io import BytesIO
+    from xml.etree import ElementTree as ET
+
+    declared = dict(ns for _, ns in ET.iterparse(BytesIO(xml), events=("start-ns",)))
+    types = [el.get("{http://www.w3.org/2001/XMLSchema-instance}type")
+             for el in ET.fromstring(xml).iter()]
+    return {t.split(":")[0]: declared.get(t.split(":")[0])
+            for t in types if t and ":" in t}
+
+
+def test_upstream_type_prefixes_stay_bound(repo, harvester, stub):
+    from overlay_repo.records import DCT_NS, DcEntry, serialize_dc
+
+    cfg = harvester.register_provider(ProviderConfig(
+        name="q", base_url="http://q.example/oai", format="nsdl_dc"))
+    stub.add("oai:q:own", SEED_BASE, serialize_dc("nsdl_dc", [
+        DcEntry("identifier", "http://q.example/own"),
+        DcEntry("date", "2004", "dct:W3CDTF")]))
+    # This one relies on a declaration of the enclosing <metadata> element.
+    stub.add("oai:q:inherited", SEED_BASE, serialize_dc("nsdl_dc", [
+        DcEntry("identifier", "http://q.example/inherited"),
+        DcEntry("type", "Text", "local:Kind")]))
+
+    def transport(url):
+        return stub.transport(url).replace(
+            b"<metadata>", b'<metadata xmlns:local="urn:example:local">')
+
+    report, _ = Harvester(repo, transport=transport).harvest(cfg)
+    assert report.created == 2
+    stored = {key: repo.get_object(repo.source_pid("q", f"oai:q:{key}"))
+              .datastream("REC.nsdl_dc").payload for key in ("own", "inherited")}
+    assert _type_prefix_bindings(stored["own"]) == {"dct": DCT_NS}
+    assert _type_prefix_bindings(stored["inherited"]) == {"local": "urn:example:local"}
+
+
+if __name__ == "__main__":
+    # Rewrites the golden transcript: PYTHONPATH=src:tests python tests/test_harvest.py
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_bytes(ingest_transcript())

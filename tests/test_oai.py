@@ -332,6 +332,8 @@ def test_get_record(repo, provider):
     assert record.findtext("o:header/o:identifier", namespaces=NS) \
         == provider.oai_identifier(pids[0])
     assert record.find("o:metadata/*", NS) is not None
+    assert record.findtext("o:metadata/*/{http://purl.org/dc/elements/1.1/}title",
+                           namespaces=NS) == "Record 0"
 
 
 def test_get_record_tombstone(repo, provider):

@@ -1,51 +1,68 @@
-"""Record pipeline: safe transforms, crosswalks, and the gold-record fold."""
+"""Record pipeline: the validating parse, the normalization pass,
+crosswalks, and the gold-record fold."""
 
 from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, strategies as st
 
-from overlay_repo.errors import FormatUnavailableError, ModelIntegrityError
+from overlay_repo.errors import FormatUnavailableError, ModelIntegrityError, ValidationError
+from overlay_repo.harvest import Harvester, ProviderConfig
 from overlay_repo.records import (
     DcEntry,
     GoldInput,
     MetadataRecord,
-    apply_safe_transforms,
+    apply_rules,
     crosswalk,
     fold_gold,
     parse_dc_entries,
     serialize_dc,
-    validate_record,
 )
 
-from support import nsdl_dc_record, oai_dc_record, oracle_gold_fold
+from support import START, StubOaiProvider, nsdl_dc_record, oai_dc_record, oracle_gold_fold
 
 T0 = datetime(2004, 1, 1, tzinfo=timezone.utc)
 
 
 def entries_of(xml: bytes) -> dict[str, list[tuple[str, str | None]]]:
     out: dict[str, list[tuple[str, str | None]]] = {}
-    for e in parse_dc_entries(xml):
+    for e in parse_dc_entries(xml, "nsdl_dc"):
         out.setdefault(e.name, []).append((e.value, e.xsi_type))
     return out
 
 
+def normalized(xml: bytes) -> dict[str, list[str]]:
+    """Values of each element of an oai_dc record after one normalization
+    pass."""
+    out: dict[str, list[str]] = {}
+    for e in apply_rules(parse_dc_entries(xml, "oai_dc")):
+        out.setdefault(e.name, []).append(e.value)
+    return out
+
+
+def ingest_verdict(repo, xml: bytes, format_name: str = "oai_dc") -> str | None:
+    """None when harvest ingest accepts the record, else its reject reason."""
+    stub = StubOaiProvider()
+    stub.add("oai:p:1", START - timedelta(days=1), xml)
+    harvester = Harvester(repo, transport=stub.transport)
+    cfg = harvester.register_provider(ProviderConfig(
+        name="p", base_url="http://p.example/oai", format=format_name))
+    report, _ = harvester.harvest(cfg)
+    return report.rejects[0][1] if report.rejects else None
+
+
 # --------------------------------------------------------------------------
-# safe transforms
+# normalization
 
 
 def test_date_normalization_spelled_out_day_first():
-    record = MetadataRecord("oai_dc", oai_dc_record(
-        ("date", "5 March 2004"), ("identifier", "http://x/1")))
-    result = apply_safe_transforms(record)
-    assert entries_of(result.xml)["date"] == [("2004-03-05", None)]
+    xml = oai_dc_record(("date", "5 March 2004"), ("identifier", "http://x/1"))
+    assert normalized(xml)["date"] == ["2004-03-05"]
 
 
 def test_date_normalization_month_first():
-    record = MetadataRecord("oai_dc", oai_dc_record(
-        ("date", "March 5, 2004"), ("identifier", "http://x/1")))
-    result = apply_safe_transforms(record)
-    assert entries_of(result.xml)["date"] == [("2004-03-05", None)]
+    xml = oai_dc_record(("date", "March 5, 2004"), ("identifier", "http://x/1"))
+    assert normalized(xml)["date"] == ["2004-03-05"]
 
 
 @pytest.mark.parametrize("raw,expected", [
@@ -59,40 +76,33 @@ def test_date_normalization_month_first():
     ("circa 1850", "circa 1850"),  # unknown shapes pass through
 ])
 def test_date_rule_table(raw, expected):
-    record = MetadataRecord("oai_dc", oai_dc_record(
-        ("date", raw), ("identifier", "http://x/1")))
-    assert entries_of(apply_safe_transforms(record).xml)["date"][0][0] == expected
+    xml = oai_dc_record(("date", raw), ("identifier", "http://x/1"))
+    assert normalized(xml)["date"] == [expected]
 
 
 def test_type_vocabulary_mapping():
-    record = MetadataRecord("oai_dc", oai_dc_record(
-        ("type", "Movie"), ("identifier", "http://x/1")))
-    assert entries_of(apply_safe_transforms(record).xml)["type"] == [
-        ("MovingImage", None)]
+    xml = oai_dc_record(("type", "Movie"), ("identifier", "http://x/1"))
+    assert normalized(xml)["type"] == ["MovingImage"]
 
 
 def test_language_normalization():
-    record = MetadataRecord("oai_dc", oai_dc_record(
+    xml = oai_dc_record(
         ("language", "English"), ("language", "FR"), ("language", "Klingon"),
-        ("identifier", "http://x/1")))
-    assert entries_of(apply_safe_transforms(record).xml)["language"] == [
-        ("en", None), ("fr", None), ("Klingon", None)]
+        ("identifier", "http://x/1"))
+    assert normalized(xml)["language"] == ["en", "fr", "Klingon"]
 
 
 def test_whitespace_collapse():
-    record = MetadataRecord("oai_dc", oai_dc_record(
-        ("title", "  Too   many\n spaces "), ("identifier", "http://x/1")))
-    assert entries_of(apply_safe_transforms(record).xml)["title"] == [
-        ("Too many spaces", None)]
+    xml = oai_dc_record(("title", "  Too   many\n spaces "), ("identifier", "http://x/1"))
+    assert normalized(xml)["title"] == ["Too many spaces"]
 
 
 def test_transforms_idempotent_on_normalized_record():
-    record = MetadataRecord("oai_dc", oai_dc_record(
-        ("title", "Plain"), ("date", "2004-03-05"), ("identifier", "http://x/1")))
-    once = apply_safe_transforms(record)
-    twice = apply_safe_transforms(once)
-    assert once.xml == twice.xml
-    assert once.xml == record.xml
+    xml = oai_dc_record(
+        ("title", "Plain"), ("date", "2004-03-05"), ("identifier", "http://x/1"))
+    once = apply_rules(parse_dc_entries(xml, "oai_dc"))
+    assert apply_rules(once) == once
+    assert serialize_dc("oai_dc", once) == xml
 
 
 _xml_text = st.text(
@@ -101,12 +111,15 @@ _xml_text = st.text(
 
 @given(_xml_text, _xml_text)
 def test_transforms_idempotent_property(title, date):
-    record = MetadataRecord("oai_dc", serialize_dc("oai_dc", [
+    xml = serialize_dc("oai_dc", [
         DcEntry("title", " ".join(title.split())),
         DcEntry("date", " ".join(date.split())),
-    ]))
-    once = apply_safe_transforms(record)
-    assert apply_safe_transforms(once).xml == once.xml
+    ])
+    once = apply_rules(parse_dc_entries(xml, "oai_dc"))
+    assert apply_rules(once) == once
+    # A second pass over the stored oai_dc form, which drops the
+    # qualifiers, adds them back unchanged: one pass is enough.
+    assert apply_rules(parse_dc_entries(serialize_dc("oai_dc", once), "oai_dc")) == once
 
 
 def test_qualification_in_nsdl_dc():
@@ -154,28 +167,29 @@ def test_crosswalk_leaves_original_untouched():
 # validation
 
 
-def test_validate_good_record():
-    assert validate_record(
-        oai_dc_record(("title", "T"), ("identifier", "http://x/1")), "oai_dc") is None
+def test_validate_good_record(repo):
+    assert ingest_verdict(
+        repo, oai_dc_record(("title", "T"), ("identifier", "http://x/1"))) is None
 
 
-def test_validate_missing_identifier():
-    verdict = validate_record(oai_dc_record(("title", "T")), "oai_dc")
-    assert verdict == "no identifier"
+def test_validate_missing_identifier(repo):
+    assert ingest_verdict(repo, oai_dc_record(("title", "T"))) == "no identifier"
 
 
 def test_validate_wrong_namespace():
-    verdict = validate_record(
-        nsdl_dc_record(("identifier", "http://x/1")), "oai_dc")
-    assert verdict is not None and "root element" in verdict
+    with pytest.raises(ValidationError, match="root element"):
+        parse_dc_entries(nsdl_dc_record(("identifier", "http://x/1")), "oai_dc")
 
 
 def test_validate_malformed():
-    assert "not well-formed" in validate_record(b"<broken", "oai_dc")
+    with pytest.raises(ValidationError, match="not well-formed"):
+        parse_dc_entries(b"<broken", "oai_dc")
 
 
-def test_validate_unknown_format_only_checks_well_formedness():
-    assert validate_record(b"<marc/>", "marcxml") is None
+def test_validate_unknown_format_only_checks_well_formedness(repo):
+    # Well-formed, so the record passes validation and fails only for
+    # having no dc:identifier to key the resource on.
+    assert ingest_verdict(repo, b"<marc/>", "marcxml") == "no resource key"
 
 
 # --------------------------------------------------------------------------
