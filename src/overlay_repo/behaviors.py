@@ -13,6 +13,7 @@ snapshot.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 from xml.etree import ElementTree as ET
@@ -84,7 +85,10 @@ def build_brand_doc(label: str, logo_url: str | None = None) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+@functools.lru_cache(maxsize=256)
 def parse_brand_doc(holder: str, payload: bytes) -> Brand:
+    """The Brand a BRAND document gives its holder. Roles are few and
+    their documents seldom change, so parses are remembered by content."""
     try:
         root = ET.fromstring(payload)
     except ET.ParseError as exc:
@@ -115,6 +119,12 @@ def _require(obj: DigitalObject, *any_of: str) -> None:
 def metadata_get_record(repo, pid: str, format_name: str) -> MetadataRecord:
     """Stored record in the requested format, or one computed through a
     registered crosswalk; callers cannot tell which path produced it."""
+    return crosswalk(_record_source(repo, pid, format_name), format_name)
+
+
+def _record_source(repo, pid: str, format_name: str) -> MetadataRecord:
+    """The stored record in format_name, else the stored record a
+    registered crosswalk derives it from."""
     obj = _active(repo, pid)
     _require(obj, "Metadata")
     ds = obj.datastream(RECORD_DS_PREFIX + format_name)
@@ -123,7 +133,7 @@ def metadata_get_record(repo, pid: str, format_name: str) -> MetadataRecord:
     for stored in obj.record_formats():
         if format_name in records.crosswalk_targets(stored):
             source = obj.datastream(RECORD_DS_PREFIX + stored)
-            return crosswalk(MetadataRecord(stored, source.payload), format_name)
+            return MetadataRecord(stored, source.payload)
     raise FormatUnavailableError(f"{pid} cannot disseminate format {format_name}")
 
 
@@ -224,13 +234,13 @@ def content_get_gold(repo, pid: str) -> GoldRecord:
     inputs = []
     for m in describing:
         try:
-            record = metadata_get_record(repo, m, "nsdl_dc")
+            source = _record_source(repo, m, "nsdl_dc")
         except FormatUnavailableError:
             continue
         inputs.append(GoldInput(
             pid=m,
             datestamp=repo.get_object(m).last_modified,
-            entries=tuple(records.parse_dc_entries(record.xml, "nsdl_dc")),
+            entries=tuple(records.dc_entries(source, "nsdl_dc")),
         ))
     if not inputs:
         raise NoMetadataError(f"no record describing {pid} can produce nsdl_dc")

@@ -7,8 +7,14 @@ windows are half-open [from, until) over object datestamps. A resumption
 token carries its harvest: verb, format, set, window (the end frozen at the
 first request, so mid-harvest writes never cause omissions), the pid number
 of the last record served and an expiry. The provider keeps no token state,
-so tokens survive a restart, and each page resumes from its cursor. Each
-response is one element tree, aggregation bundles included, serialized once.
+so tokens survive a restart, and each page resumes from its cursor.
+
+A response is written as a list of byte chunks joined once. The envelope,
+headers, small verbs and the nsdl_agg wrapper come from escaped string
+templates; stored records and the gold record go in as their own bytes,
+declaration stripped, each keeping its own namespace declarations. The
+store checks every stored record on write and on open
+(records.check_record), so rendering parses nothing.
 """
 
 from __future__ import annotations
@@ -16,9 +22,10 @@ from __future__ import annotations
 import base64
 import bisect
 import json
+import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from xml.etree import ElementTree as ET
+from xml.sax.saxutils import escape
 
 from . import behaviors
 from .errors import (
@@ -38,7 +45,7 @@ from .model import (
     parse_datestamp,
     pid_number,
 )
-from .records import FORMATS
+from .records import FORMATS, embeddable
 
 OAI_NS = "http://www.openarchives.org/OAI/2.0/"
 XSI_NS = "http://www.w3.org/2001/XMLSchema-instance"
@@ -49,17 +56,20 @@ AGG_FORMAT = "nsdl_agg"
 AGG_NS = "http://ns.nsdl.org/nsdl_agg_v1.00/"
 AGG_SCHEMA = "http://ns.nsdl.org/schemas/nsdl_agg/nsdl_agg_v1.00.xsd"
 
-# Serialize protocol elements in the default namespace.
-ET.register_namespace("", OAI_NS)
-ET.register_namespace(AGG_FORMAT, AGG_NS)
+_ROOT_START = (
+    "<?xml version='1.0' encoding='utf-8'?>\n"
+    f'<OAI-PMH xmlns="{OAI_NS}" xmlns:xsi="{XSI_NS}"'
+    f' xsi:schemaLocation="{OAI_NS} {OAI_SCHEMA}">')
+
+_ATTR_ENTITIES = {'"': "&quot;", "\n": "&#10;", "\r": "&#13;", "\t": "&#09;"}
+
+# Characters outside XML 1.0's Char production cannot appear in a response.
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
-def _q(name: str) -> str:
-    return f"{{{OAI_NS}}}{name}"
-
-
-def _a(name: str) -> str:
-    return f"{{{AGG_NS}}}{name}"
+def _attr(value: str) -> str:
+    """value as a double-quoted attribute value."""
+    return f'"{escape(value, _ATTR_ENTITIES)}"'
 
 
 _VERB_ARGS = {
@@ -139,6 +149,10 @@ class OaiProvider:
             return self._error_envelope(verb, params, exc)
 
     def _check_arguments(self, verb: str, params: dict[str, str]) -> None:
+        if any(_NOT_XML_CHAR.search(key) or _NOT_XML_CHAR.search(value)
+               for key, value in params.items()):
+            raise ProtocolError(
+                "badArgument", "arguments hold characters not allowed in XML")
         allowed = _VERB_ARGS[verb]
         extras = set(params) - allowed - {"verb"}
         if extras:
@@ -153,7 +167,7 @@ class OaiProvider:
             raise ProtocolError(
                 "badArgument", "GetRecord needs identifier and metadataPrefix")
 
-    def _dispatch(self, verb: str, params: dict[str, str]) -> list[ET.Element]:
+    def _dispatch(self, verb: str, params: dict[str, str]) -> list[bytes]:
         if verb == "Identify":
             return self.serve_identify()
         if verb == "ListSets":
@@ -168,7 +182,7 @@ class OaiProvider:
     # ------------------------------------------------------------------
     # verbs
 
-    def serve_identify(self) -> list[ET.Element]:
+    def serve_identify(self) -> list[bytes]:
         stamps = [o.last_modified for o in self.repo.objects()]
         earliest = min(stamps) if stamps else EPOCH
         fields = [
@@ -180,26 +194,18 @@ class OaiProvider:
             ("deletedRecord", "persistent"),
             ("granularity", "YYYY-MM-DDThh:mm:ssZ"),
         ]
-        out = []
-        for name, value in fields:
-            el = ET.Element(_q(name))
-            el.text = value
-            out.append(el)
-        return out
+        return ["".join(f"<{name}>{escape(value)}</{name}>"
+                        for name, value in fields).encode("utf-8")]
 
-    def serve_list_sets(self) -> list[ET.Element]:
+    def serve_list_sets(self) -> list[bytes]:
         sets = self._aggregation_sets()
         if not sets:
             raise ProtocolError("noSetHierarchy", "no aggregations exist")
-        out = []
-        for spec, name in sets:
-            el = ET.Element(_q("set"))
-            ET.SubElement(el, _q("setSpec")).text = spec
-            ET.SubElement(el, _q("setName")).text = name
-            out.append(el)
-        return out
+        return ["".join(
+            f"<set><setSpec>{spec}</setSpec><setName>{escape(name)}</setName></set>"
+            for spec, name in sets).encode("utf-8")]
 
-    def serve_list_formats(self, identifier: str | None) -> list[ET.Element]:
+    def serve_list_formats(self, identifier: str | None) -> list[bytes]:
         if identifier is None:
             names = self._global_formats()
         else:
@@ -214,8 +220,6 @@ class OaiProvider:
                     "noMetadataFormats", f"{identifier} has no available formats")
         out = []
         for name in names:
-            el = ET.Element(_q("metadataFormat"))
-            ET.SubElement(el, _q("metadataPrefix")).text = name
             info = FORMATS.get(name)
             if name == AGG_FORMAT:
                 schema, namespace = AGG_SCHEMA, AGG_NS
@@ -223,36 +227,38 @@ class OaiProvider:
                 schema, namespace = info.schema, info.namespace
             else:
                 schema, namespace = "", f"info:nsdl/formats/{name}"
-            ET.SubElement(el, _q("schema")).text = schema
-            ET.SubElement(el, _q("metadataNamespace")).text = namespace
-            out.append(el)
-        return out
+            out.append(
+                f"<metadataFormat><metadataPrefix>{escape(name)}</metadataPrefix>"
+                f"{f'<schema>{escape(schema)}</schema>' if schema else '<schema />'}"
+                f"<metadataNamespace>"
+                f"{escape(namespace)}</metadataNamespace></metadataFormat>")
+        return ["".join(out).encode("utf-8")]
 
-    def serve_get_record(self, identifier: str, format_name: str) -> list[ET.Element]:
+    def serve_get_record(self, identifier: str, format_name: str) -> list[bytes]:
         pid = self.pid_from_identifier(identifier)
         try:
             obj = self.repo.get_object(pid)
         except RepositoryError:
             raise ProtocolError("idDoesNotExist", identifier)
         if obj.state == "deleted":
-            return [self._record_element(
+            return self._record_element(
                 _Item(pid, obj.last_modified, True, ()), format_name,
-                headers_only=False)]
+                headers_only=False)
         if format_name == AGG_FORMAT:
             if "Content" not in obj.behaviors or not self._described(pid):
                 raise ProtocolError("idDoesNotExist", identifier)
             item = _Item(pid, self._agg_datestamp(obj), False,
                          self._sets_of_resource(pid))
-            return [self._record_element(item, format_name, headers_only=False)]
+            return self._record_element(item, format_name, headers_only=False)
         if "Metadata" not in obj.behaviors:
             raise ProtocolError("idDoesNotExist", identifier)
         if format_name not in behaviors.available_formats(self.repo, pid):
             raise ProtocolError(
                 "cannotDisseminateFormat", f"{identifier} has no {format_name}")
         item = _Item(pid, obj.last_modified, False, self._sets_of_metadata(pid))
-        return [self._record_element(item, format_name, headers_only=False)]
+        return self._record_element(item, format_name, headers_only=False)
 
-    def serve_list(self, verb: str, params: dict[str, str]) -> list[ET.Element]:
+    def serve_list(self, verb: str, params: dict[str, str]) -> list[bytes]:
         headers_only = verb == "ListIdentifiers"
         token = params.get("resumptionToken")
         if token is not None:
@@ -273,20 +279,21 @@ class OaiProvider:
         if not items and token is None:
             raise ProtocolError("noRecordsMatch", "selection is empty")
         page = items[:self.page_size]
-        out = [self._record_element(i, format_name, headers_only) for i in page]
+        out = []
+        for item in page:
+            out += self._record_element(item, format_name, headers_only)
         if len(items) > len(page):
             expiry = format_datestamp(
                 self.repo.clock() + timedelta(seconds=self.token_ttl))
             state = [verb, format_name, set_spec,
                      None if from_ is None else format_datestamp(from_),
                      format_datestamp(until), pid_number(page[-1].pid), expiry]
-            el = ET.Element(_q("resumptionToken"))
-            el.set("expirationDate", expiry)
-            el.text = base64.urlsafe_b64encode(
+            encoded = base64.urlsafe_b64encode(
                 json.dumps(state).encode("utf-8")).rstrip(b"=").decode("ascii")
-            out.append(el)
+            out.append(f'<resumptionToken expirationDate="{expiry}">{encoded}'
+                       "</resumptionToken>".encode("ascii"))
         elif token is not None:
-            out.append(ET.Element(_q("resumptionToken")))
+            out.append(b"<resumptionToken />")
         return out
 
     # ------------------------------------------------------------------
@@ -419,40 +426,33 @@ class OaiProvider:
     # record rendering
 
     def _record_element(self, item: _Item, format_name: str,
-                        headers_only: bool) -> ET.Element:
-        header = ET.Element(_q("header"))
-        if item.deleted:
-            header.set("status", "deleted")
-        ET.SubElement(header, _q("identifier")).text = self.oai_identifier(item.pid)
-        ET.SubElement(header, _q("datestamp")).text = format_datestamp(item.datestamp)
-        for spec in item.set_specs:
-            ET.SubElement(header, _q("setSpec")).text = spec
+                        headers_only: bool) -> list[bytes]:
+        status = ' status="deleted"' if item.deleted else ""
+        sets = "".join(f"<setSpec>{spec}</setSpec>" for spec in item.set_specs)
+        header = (f"<header{status}><identifier>{escape(self.oai_identifier(item.pid))}"
+                  f"</identifier><datestamp>{format_datestamp(item.datestamp)}"
+                  f"</datestamp>{sets}</header>")
         if headers_only:
-            return header
-        record = ET.Element(_q("record"))
-        record.append(header)
-        if not item.deleted:
-            metadata = ET.SubElement(record, _q("metadata"))
-            metadata.append(self._payload(item.pid, format_name))
-        return record
+            return [header.encode("utf-8")]
+        if item.deleted:
+            return [f"<record>{header}</record>".encode("utf-8")]
+        return [f"<record>{header}<metadata>".encode("utf-8"),
+                self._payload(item.pid, format_name), b"</metadata></record>"]
 
-    def _payload(self, pid: str, format_name: str) -> ET.Element:
+    def _payload(self, pid: str, format_name: str) -> bytes:
         if format_name == AGG_FORMAT:
             return self.emit_aggregation_record(pid)
-        record = behaviors.metadata_get_record(self.repo, pid, format_name)
-        return ET.fromstring(record.xml)
+        return embeddable(behaviors.metadata_get_record(self.repo, pid, format_name).xml)
 
-    def emit_aggregation_record(self, resource_pid: str) -> ET.Element:
+    def emit_aggregation_record(self, resource_pid: str) -> bytes:
         """The resource-centric bundle: every source record with its
         provider's brand, plus the computed gold record (empty when no
-        gold can be folded)."""
+        gold can be folded). Stored records go in as their own bytes."""
         obj = self.repo.get_object(resource_pid)
-        root = ET.Element(_a(AGG_FORMAT))
-        resource = ET.SubElement(root, _a("resource"))
-        resource.set("handle", obj.handle or "")
         content = obj.datastream(CONTENT_DS)
         url = content.url if content is not None and content.kind == "remote" else ""
-        resource.set("url", url or "")
+        out = [f'<nsdl_agg:nsdl_agg xmlns:nsdl_agg="{AGG_NS}"><nsdl_agg:resource'
+               f' handle={_attr(obj.handle or "")} url={_attr(url or "")} />'.encode("utf-8")]
         for m in self.repo.graph.subjects_of("metadataFor", resource_pid):
             meta_obj = self.repo.get_object(m)
             if meta_obj.state == "deleted":
@@ -464,47 +464,39 @@ class OaiProvider:
                     OperationNotSupportedError):
                 label = ""
             for format_name in meta_obj.record_formats():
-                source = ET.SubElement(root, _a("sourceRecord"))
-                source.set("brand", label)
-                source.set("format", format_name)
                 record = behaviors.metadata_get_record(self.repo, m, format_name)
-                source.append(ET.fromstring(record.xml))
-        gold = ET.SubElement(root, _a("gold"))
+                out += [f"<nsdl_agg:sourceRecord brand={_attr(label)}"
+                        f" format={_attr(format_name)}>".encode("utf-8"),
+                        embeddable(record.xml), b"</nsdl_agg:sourceRecord>"]
         try:
-            gold.append(ET.fromstring(
-                behaviors.content_get_gold(self.repo, resource_pid).xml))
+            gold = embeddable(behaviors.content_get_gold(self.repo, resource_pid).xml)
+            out += [b"<nsdl_agg:gold>", gold, b"</nsdl_agg:gold>"]
         except (NoMetadataError, FormatUnavailableError, ModelIntegrityError):
-            pass
-        return root
+            out.append(b"<nsdl_agg:gold />")
+        out.append(b"</nsdl_agg:nsdl_agg>")
+        return b"".join(out)
 
     # ------------------------------------------------------------------
     # envelopes
 
     def _envelope(self, verb: str, params: dict[str, str],
-                  body: list[ET.Element]) -> bytes:
-        root = self._root(verb, params, echo_args=True)
-        container = ET.SubElement(root, _q(verb))
-        container.extend(body)
-        return ET.tostring(root, encoding="utf-8", xml_declaration=True)
+                  body: list[bytes]) -> bytes:
+        return b"".join([self._head(params),
+                         f"<{verb}>".encode("ascii"), *body,
+                         f"</{verb}></OAI-PMH>".encode("ascii")])
 
     def _error_envelope(self, verb: str, params: dict[str, str],
                         exc: ProtocolError) -> bytes:
         # Bad requests must not echo their arguments back.
         echo = exc.code not in ("badVerb", "badArgument")
-        root = self._root(verb if echo else "", params, echo_args=echo)
-        error = ET.SubElement(root, _q("error"))
-        error.set("code", exc.code)
-        error.text = str(exc)
-        return ET.tostring(root, encoding="utf-8", xml_declaration=True)
+        return self._head(params if echo else {}) + (
+            f"<error code={_attr(exc.code)}>{escape(str(exc))}</error>"
+            "</OAI-PMH>").encode("utf-8")
 
-    def _root(self, verb: str, params: dict[str, str], echo_args: bool) -> ET.Element:
-        root = ET.Element(_q("OAI-PMH"))
-        root.set(f"{{{XSI_NS}}}schemaLocation", f"{OAI_NS} {OAI_SCHEMA}")
-        ET.SubElement(root, _q("responseDate")).text = format_datestamp(
-            self.repo.clock())
-        request = ET.SubElement(root, _q("request"))
-        if echo_args:
-            for key, value in sorted(params.items()):
-                request.set(key, value)
-        request.text = self.base_url
-        return root
+    def _head(self, params: dict[str, str]) -> bytes:
+        """Declaration, root start tag, responseDate and the request,
+        echoing params."""
+        args = "".join(f" {key}={_attr(value)}" for key, value in sorted(params.items()))
+        return (f"{_ROOT_START}<responseDate>{format_datestamp(self.repo.clock())}"
+                f"</responseDate><request{args}>{escape(self.base_url)}</request>"
+                ).encode("utf-8")

@@ -5,17 +5,20 @@ Harvest ingest and the read-time crosswalk both derive nsdl_dc through
 ``parse_dc_entries`` (the one validating parse) and ``apply_rules`` (the
 one normalization pass), so a record derives the same nsdl_dc either way.
 Callers keep the original record verbatim and store the normalized output
-next to it. Every function here is a pure function of its inputs so record
-pipelines stay deterministic.
+next to it. ``check_record`` is the store's test that a stored record can
+be embedded in another document as it is. Every function here is a pure
+function of its inputs so record pipelines stay deterministic.
 """
 
 from __future__ import annotations
 
+import codecs
 import heapq
 import re
 from dataclasses import dataclass
 from datetime import datetime
 from xml.etree import ElementTree as ET
+from xml.parsers import expat
 from xml.sax.saxutils import escape, quoteattr
 
 from .errors import FormatUnavailableError, ModelIntegrityError, ValidationError
@@ -95,6 +98,53 @@ def parse_xml(xml: bytes) -> ET.Element:
         return ET.fromstring(xml)
     except ET.ParseError as exc:
         raise ValidationError(f"not well-formed: {exc}")
+
+
+def check_record(xml: bytes, format_name: str) -> None:
+    """Accept a record payload only if it can be embedded in another
+    document as it is: namespace-well-formed, no DOCTYPE, UTF-8 (no
+    declaration, or one naming UTF-8), and in a registered format rooted
+    at that format's root element. One expat pass, no tree; the reason
+    is the ValidationError's message."""
+    if xml.startswith((codecs.BOM_UTF16_LE, codecs.BOM_UTF16_BE)):
+        raise ValidationError("encoding UTF-16 is not UTF-8")
+    # encoding="utf-8" overrides any declaration, so expat decodes the
+    # bytes as UTF-8 and refuses any that are not.
+    parser = expat.ParserCreate(encoding="utf-8", namespace_separator=" ")
+    found: list[str] = []
+
+    def declaration(version, encoding, standalone):
+        if encoding is not None and encoding.lower() != "utf-8":
+            raise ValidationError(f"encoding {encoding} is not UTF-8")
+
+    def doctype(*args):
+        raise ValidationError("DOCTYPE declarations are not allowed")
+
+    def root(name, attrs):
+        found.append(name)
+        parser.StartElementHandler = None
+
+    parser.XmlDeclHandler = declaration
+    parser.StartDoctypeDeclHandler = doctype
+    parser.StartElementHandler = root
+    try:
+        parser.Parse(xml, True)
+    except expat.ExpatError as exc:
+        raise ValidationError(f"not well-formed: {exc}")
+    info = FORMATS.get(format_name)
+    if info is not None and found[0] != f"{info.namespace} {info.root}":
+        tag = "{%s}%s" % tuple(found[0].split(" ")) if " " in found[0] else found[0]
+        raise ValidationError(f"root element {tag} does not match format {format_name}")
+
+
+def embeddable(xml: bytes) -> bytes:
+    """A checked payload's root element alone, as bytes to splice into
+    another document: byte order mark, XML declaration and surrounding
+    whitespace removed."""
+    xml = xml.removeprefix(codecs.BOM_UTF8)
+    if xml.startswith(b"<?xml") and xml[5:6].isspace():
+        xml = xml[xml.index(b"?>") + 2:]
+    return xml.strip()
 
 
 def parse_dc_entries(xml: bytes, format_name: str) -> list[DcEntry]:
@@ -264,11 +314,19 @@ def crosswalk(record: MetadataRecord, to_format: str) -> MetadataRecord:
     identity."""
     if to_format == record.format:
         return record
+    return MetadataRecord(to_format, serialize_dc(to_format, dc_entries(record, to_format)))
+
+
+def dc_entries(record: MetadataRecord, to_format: str) -> list[DcEntry]:
+    """The DC entries a record carries in to_format: its own entries in
+    its own format, else those the crosswalk would serialize, without
+    serializing them."""
+    if to_format == record.format:
+        return parse_dc_entries(record.xml, to_format)
     if (record.format, to_format) not in _CROSSWALKS:
         raise FormatUnavailableError(
             f"no crosswalk from {record.format} to {to_format}")
-    entries = apply_rules(parse_dc_entries(record.xml, record.format))
-    return MetadataRecord(to_format, serialize_dc(to_format, entries))
+    return apply_rules(parse_dc_entries(record.xml, record.format))
 
 
 def crosswalk_targets(format_name: str) -> list[str]:

@@ -4,8 +4,11 @@ Writes are serialized behind one lock and commit the object record, its
 graph assertions, and the secondary indexes as a single unit; readers see
 immutable snapshots. Persistence is a directory of canonical XML records
 plus a counters file; the triple index and all lookup tables are rebuilt
-from those records on open. A RELS fragment is parsed and made canonical
-here only, once on write and once on open; exports emit it as stored.
+from those records on open. One record check runs on write and on open:
+a RELS fragment is parsed and made canonical here only, and every
+REC.<format> payload must be embeddable as it is (one expat pass, no
+tree), so readers such as the OAI provider splice stored records into
+their output unparsed; exports emit both as stored.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .errors import (
 from .graph import Triple, TripleStore, parse_rels, serialize_rels
 from .model import (
     CONTENT_DS,
+    RECORD_DS_PREFIX,
     RELS_DS,
     RELS_MEDIA_TYPE,
     SOURCE_DS,
@@ -51,6 +55,7 @@ from .model import (
     utcnow_seconds,
 )
 from .ontology import expand_behaviors
+from .records import check_record
 
 log = logging.getLogger(__name__)
 
@@ -336,7 +341,7 @@ class Repository:
             self._write_record(obj)
             self._commit(obj, old, [])
             return obj
-        obj, triples = _with_canonical_rels(obj)
+        obj, triples = _checked(obj)
         violations = self.graph.validate_fragment(
             obj.pid, triples, pending_behaviors=obj.behaviors)
         if violations:
@@ -415,7 +420,7 @@ class Repository:
                          key=lambda p: int(p.stem) if p.stem.isdigit() else 0)
         for path in records:
             try:
-                obj, triples = _with_canonical_rels(
+                obj, triples = _checked(
                     canonical.import_object(path.read_bytes()))
             except ValidationError as exc:
                 raise StoreError(f"corrupt object record {path.name}: {exc}") from exc
@@ -444,9 +449,20 @@ class Repository:
     _atomic_write = staticmethod(_atomic_write)
 
 
-def _with_canonical_rels(obj: DigitalObject) -> tuple[DigitalObject, list[Triple]]:
-    """obj with its RELS fragment in canonical form (so exports are
-    byte-stable however it arrived), and the triples it asserts."""
+def _checked(obj: DigitalObject) -> tuple[DigitalObject, list[Triple]]:
+    """The one record check, on write and on open: obj with its RELS
+    fragment in canonical form (so exports are byte-stable however it
+    arrived), and the triples it asserts. Every REC.<format> stream must
+    be local and embeddable as it is (records.check_record), so the OAI
+    provider splices stored records into responses without parsing them."""
+    for ds in obj.datastreams:
+        if ds.ds_id.startswith(RECORD_DS_PREFIX):
+            if ds.kind != "local":
+                raise ValidationError(f"{obj.pid}: {ds.ds_id} must be local")
+            try:
+                check_record(ds.payload, ds.ds_id[len(RECORD_DS_PREFIX):])
+            except ValidationError as exc:
+                raise ValidationError(f"{obj.pid}: {ds.ds_id} {exc}") from None
     rels = obj.rels()
     if rels is None:
         return obj, []

@@ -2,6 +2,7 @@ import importlib
 import pkgutil
 import sys
 from xml.etree import ElementTree as ET
+from xml.parsers import expat
 
 import pytest
 
@@ -78,6 +79,33 @@ def ingest_work(monkeypatch):
     _patch_everywhere(monkeypatch, "apply_rules", apply_rules, counting_rules)
     monkeypatch.setattr(Harvester, "ingest_record", counting_ingest)
     return calls
+
+
+@pytest.fixture
+def xml_work(monkeypatch):
+    """Counts of XML parsers made, ElementTree serializations and
+    parse_dc_entries calls, wherever they happen."""
+    counts = {"parsers": 0, "serializations": 0, "dc_parses": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    class CountingParser(ET.XMLParser):
+        def __init__(self, *args, **kwargs):
+            counts["parsers"] += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(ET, "XMLParser", CountingParser)
+    monkeypatch.setattr(expat, "ParserCreate", counted("parsers", expat.ParserCreate))
+    monkeypatch.setattr(ET, "tostring", counted("serializations", ET.tostring))
+    monkeypatch.setattr(ET.ElementTree, "write",
+                        counted("serializations", ET.ElementTree.write))
+    _patch_everywhere(monkeypatch, "parse_dc_entries", records.parse_dc_entries,
+                      counted("dc_parses", records.parse_dc_entries))
+    return counts
 
 
 class CountedLookup:

@@ -304,6 +304,17 @@ def test_gold_single_record_identity(repo, branded):
         + b"  </contributors>\n", b"") == expected
 
 
+def test_gold_parses_each_contributor_once(repo, augmented, xml_work):
+    """The oai_dc-only contributor is normalized from its own entries, not
+    crosswalked to nsdl_dc bytes and parsed back."""
+    stored = {m: repo.get_object(m).record_formats() for m in (
+        augmented["base_record"], augmented["augmenting_record"])}
+    assert sorted(stored.values()) == [["nsdl_dc"], ["oai_dc"]]
+    gold = behaviors.content_get_gold(repo, augmented["resource"])
+    assert len(gold.contributors) == 2
+    assert xml_work["dc_parses"] == 2
+
+
 def test_gold_requires_metadata(repo):
     lone = put_object(repo, {"Content"})
     with pytest.raises(NoMetadataError):

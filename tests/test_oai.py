@@ -1,6 +1,7 @@
 """OAI-PMH provider: verbs, windows, pagination, errors, nsdl_agg."""
 
 import base64
+import functools
 import json
 from datetime import timedelta
 from pathlib import Path
@@ -8,6 +9,7 @@ from urllib.parse import urlencode
 from xml.etree import ElementTree as ET
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from overlay_repo.fixtures import build_augmented_metadata, load_fixture_dir
 from overlay_repo.model import format_datestamp, local_stream, pid_number
@@ -430,7 +432,7 @@ AGG = {"a": "http://ns.nsdl.org/nsdl_agg_v1.00/"}
 
 def test_aggregation_record_bundles_sources_and_gold(repo, provider):
     labels = build_augmented_metadata(repo)
-    payload = provider.emit_aggregation_record(labels["resource"])
+    payload = ET.fromstring(provider.emit_aggregation_record(labels["resource"]))
     assert payload.tag == "{%s}nsdl_agg" % AGG["a"]
     resource_el = payload.find("a:resource", AGG)
     assert resource_el.get("handle") == "hdl:2200/00121"
@@ -528,28 +530,115 @@ def test_aggregation_answers_despite_augmentation_cycle(repo, provider):
         assert list(response.find(".//a:gold", AGG)) == []
 
 
-def test_aggregation_response_serialized_once(repo, monkeypatch):
-    from overlay_repo import oai
-
+def test_rendering_parses_and_serializes_no_xml(repo, xml_work):
+    """An oai_dc page splices stored records unparsed; an nsdl_agg page
+    parses only for the gold fold, once per contributing record."""
     seed_metadata(repo, 5)
+    labels = build_augmented_metadata(repo)  # a resource with 2 contributors
     provider = OaiProvider(repo, repository_id="test.local", page_size=3)
-    calls = []
-    original = oai.ET.tostring
+    cases = [
+        ({"verb": "ListRecords", "metadataPrefix": "oai_dc"}, 0),
+        ({"verb": "ListRecords", "metadataPrefix": "nsdl_agg"}, 3),
+        ({"verb": "GetRecord", "metadataPrefix": "nsdl_agg",
+          "identifier": provider.oai_identifier(labels["resource"])}, 2),
+    ]
+    for params, _ in cases:  # BRAND documents are parsed once, then remembered
+        provider.handle_request(params)
+    for params, contributors in cases:
+        for key in xml_work:
+            xml_work[key] = 0
+        body = provider.handle_request(params)
+        assert xml_work == {"parsers": contributors, "serializations": 0,
+                            "dc_parses": contributors}, params
+        response = ET.fromstring(body)
+        assert error_code(response) is None
+        assert len(record_identifiers(response, params["verb"])) \
+            == (1 if params["verb"] == "GetRecord" else 3)
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].tag)
-        return original(*args, **kwargs)
 
-    monkeypatch.setattr(oai.ET, "tostring", counting)
-    response = call(provider, verb="ListRecords", metadataPrefix="nsdl_agg")
-    assert len(record_identifiers(response)) == 3
-    assert calls == [f"{{{NS['o']}}}OAI-PMH"]
-    identifier = record_identifiers(response)[0]
-    calls.clear()
-    response = call(provider, verb="GetRecord", identifier=identifier,
-                    metadataPrefix="nsdl_agg")
-    assert record_identifiers(response, "GetRecord") == [identifier]
-    assert calls == [f"{{{NS['o']}}}OAI-PMH"]
+def unbound_type_prefixes(body: bytes) -> list[str]:
+    """Prefixes of xsi:type QName values with no namespace binding in
+    scope, in document order."""
+    parser = ET.XMLPullParser(events=("start-ns", "start", "end"))
+    parser.feed(body)
+    parser.close()
+    scopes, declared, unbound = [{"xml"}], set(), []
+    for event, value in parser.read_events():
+        if event == "start-ns":
+            declared.add(value[0])
+        elif event == "start":
+            scopes.append(scopes[-1] | declared)
+            declared = set()
+            qname = value.get("{http://www.w3.org/2001/XMLSchema-instance}type")
+            if qname and ":" in qname and qname.split(":", 1)[0] not in scopes[-1]:
+                unbound.append(qname.split(":", 1)[0])
+        else:
+            scopes.pop()
+    return unbound
+
+
+def test_golden_walks_bind_every_xsi_type_prefix():
+    responses = figures_transcript().split(b"\n>>> ")
+    typed = 0
+    for response in responses:
+        body = response.split(b"\n", 1)[1]
+        typed += body.count(b"xsi:type=")
+        assert unbound_type_prefixes(body) == [], response.split(b"\n", 1)[0]
+    assert typed > 0
+
+
+@pytest.mark.parametrize("params", [
+    {"verb": "ListRecords", "metadataPrefix": "a\x01b"},
+    {"verb": "GetRecord", "identifier": "oai:x\x0b", "metadataPrefix": "oai_dc"},
+    {"verb": "ListRecords", "metadataPrefix": "oai_dc", "set": "\x02"},
+    {"verb": "ListIdentifiers", "metadataPrefix": "oai_dc", "from\ufffe": "x"},
+    {"verb": "Identify\x00"},
+])
+def test_arguments_outside_xml_chars_are_bad_arguments(provider, params):
+    body = provider.handle_request(params)
+    response = ET.fromstring(body)
+    assert error_code(response) in ("badArgument", "badVerb")
+    assert response.find("o:request", NS).attrib == {}
+
+
+_any_text = st.text(st.characters(blacklist_categories=()), max_size=12)
+
+
+_VERB_NAMES = ("GetRecord", "Identify", "ListIdentifiers", "ListMetadataFormats",
+               "ListRecords", "ListSets")
+
+
+def _arg(*likely):
+    return st.one_of(st.sampled_from(likely), _any_text)
+
+
+_ARGS = st.tuples(
+    st.fixed_dictionaries(
+        {"verb": _arg(*_VERB_NAMES)},
+        optional={
+            "metadataPrefix": _arg("oai_dc", "nsdl_dc", "nsdl_agg", "marcxml"),
+            "identifier": _arg("oai:test.local:nsdl:4", "oai:test.local:nsdl:21"),
+            "set": _arg("14", "31"),
+            "from": _arg("2005-03-05T12:03:00Z"),
+            "until": _arg("2005-03-05T12:06:00Z"),
+            "resumptionToken": _any_text,
+        }),
+    st.dictionaries(_any_text, _any_text, max_size=1),
+).map(lambda dicts: {**dicts[1], **dicts[0]})
+
+
+@functools.lru_cache(maxsize=None)
+def _figures_provider():
+    repo = Repository(clock=TickingClock())
+    load_fixture_dir(repo, FIGURES)
+    return OaiProvider(repo, repository_id="test.local", page_size=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ARGS)
+def test_every_response_parses_and_binds_its_type_prefixes(params):
+    body = _figures_provider().handle_request(params)
+    assert unbound_type_prefixes(body) == []
 
 
 # -- transport-level protocol behavior

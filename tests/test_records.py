@@ -2,6 +2,7 @@
 crosswalks, and the gold-record fold."""
 
 from datetime import datetime, timedelta, timezone
+from xml.etree import ElementTree as ET
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +14,10 @@ from overlay_repo.records import (
     GoldInput,
     MetadataRecord,
     apply_rules,
+    check_record,
     crosswalk,
+    dc_entries,
+    embeddable,
     fold_gold,
     parse_dc_entries,
     serialize_dc,
@@ -122,6 +126,31 @@ def test_transforms_idempotent_property(title, date):
     assert apply_rules(parse_dc_entries(serialize_dc("oai_dc", once), "oai_dc")) == once
 
 
+_dc_entry = st.tuples(
+    st.sampled_from(("title", "date", "type", "language", "identifier", "subject")),
+    st.one_of(_xml_text, st.sampled_from(
+        ("March 5, 2004", "2004-03", "Movie", "video", "English", "fre", " Text "))))
+
+
+@given(st.lists(_dc_entry, max_size=6), st.lists(_dc_entry, max_size=6))
+def test_dc_entries_equal_the_crosswalk_parsed_back(first, second):
+    """Gold folds an oai_dc contributor's normalized entries directly; they
+    equal the entries of its nsdl_dc crosswalk parsed back, so gold bytes
+    are the same either way."""
+    records = [MetadataRecord("oai_dc", oai_dc_record(*entries))
+               for entries in (first, second)]
+    direct = [dc_entries(r, "nsdl_dc") for r in records]
+    parsed_back = [parse_dc_entries(crosswalk(r, "nsdl_dc").xml, "nsdl_dc")
+                   for r in records]
+    assert direct == parsed_back
+
+    def gold(entries):
+        return fold_gold([GoldInput(f"nsdl:{i + 1}", T0 + timedelta(seconds=i),
+                                    tuple(e)) for i, e in enumerate(entries)], [])
+
+    assert gold(direct).xml == gold(parsed_back).xml
+
+
 def test_qualification_in_nsdl_dc():
     record = MetadataRecord("oai_dc", oai_dc_record(
         ("date", "March 5, 2004"), ("type", "Movie"), ("language", "English"),
@@ -190,6 +219,38 @@ def test_validate_unknown_format_only_checks_well_formedness(repo):
     # Well-formed, so the record passes validation and fails only for
     # having no dc:identifier to key the resource on.
     assert ingest_verdict(repo, b"<marc/>", "marcxml") == "no resource key"
+
+
+_GOOD = oai_dc_record(("title", "T"), ("identifier", "http://x/1"))
+
+
+@pytest.mark.parametrize("payload,reason", [
+    (b"<oai_dc:dc xmlns:oai_dc='http://www.openarchives.org/OAI/2.0/oai_dc/'>",
+     "not well-formed"),
+    (b"<x:dc/>", "not well-formed: unbound prefix"),
+    (nsdl_dc_record(("identifier", "http://x/1")), "root element .*nsdl_dc"),
+    (b"<!DOCTYPE dc>" + _GOOD, "DOCTYPE"),
+    (b'<?xml version="1.0" encoding="ISO-8859-1"?>' + _GOOD, "ISO-8859-1 is not UTF-8"),
+    (_GOOD.decode().encode("utf-16"), "UTF-16 is not UTF-8"),
+    (b"<marc>\xe9</marc>", "not well-formed"),
+])
+def test_check_record_refuses_what_cannot_be_embedded(payload, reason):
+    with pytest.raises(ValidationError, match=reason):
+        check_record(payload, "oai_dc" if b"marc" not in payload else "marcxml")
+
+
+@pytest.mark.parametrize("payload", [
+    _GOOD,
+    b"\xef\xbb\xbf" + _GOOD,
+    b'<?xml version="1.0" encoding="utf-8"?>\n<!-- c -->' + _GOOD,
+    b"<?xml version='1.0'?>" + _GOOD + b"\n\n",
+])
+def test_checked_record_embeds_as_its_root_element(payload):
+    check_record(payload, "oai_dc")
+    check_record(payload, "marcxml")  # unregistered: root not checked
+    wrapped = ET.fromstring(b"<w>" + embeddable(payload) + b"</w>")
+    assert wrapped.text is None and wrapped[0].tail is None
+    assert ET.tostring(wrapped[0]) == ET.tostring(ET.fromstring(_GOOD))
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Object store behavior: minting, lifecycle, dissemination, round-trips."""
 
+import base64
 import string
 import threading
 from datetime import datetime, timezone
@@ -457,6 +458,24 @@ def test_reopen_names_record_with_bad_rels(tmp_path, clock):
         f"info:nsdl/{pid}".encode(), b"info:nsdl/nsdl:8", 1))
     with pytest.raises(StoreError, match="1.xml.*not the owning object"):
         Repository(tmp_path / "d", clock=clock)
+
+
+def test_reopen_names_record_with_malformed_rec_payload(tmp_path, clock):
+    repo = Repository(tmp_path / "d", clock=clock)
+    good = oai_dc_record(("title", "T"), ("identifier", "http://x/1"))
+    put_object(repo, {"Metadata"}, streams=[record_stream("oai_dc", good)])
+    path = tmp_path / "d" / "objects" / "1.xml"
+    path.write_bytes(path.read_bytes().replace(
+        base64.b64encode(good), base64.b64encode(good[:-20])))
+    with pytest.raises(StoreError, match="1.xml.*REC.oai_dc not well-formed"):
+        Repository(tmp_path / "d", clock=clock)
+
+
+def test_rec_streams_must_be_local(repo):
+    with pytest.raises(ValidationError, match="REC.oai_dc must be local"):
+        put_object(repo, {"Metadata"}, streams=[
+            remote_stream("REC.oai_dc", "application/xml", "http://x.example/r")])
+    assert repo.pids() == []
 
 
 def test_restore_rewrites_counters_only_when_they_advance(tmp_path, clock,

@@ -5,6 +5,8 @@ from xml.etree import ElementTree as ET
 
 import pytest
 
+from overlay_repo import canonical
+from overlay_repo.errors import ValidationError
 from overlay_repo.fixtures import build_aggregation, build_basic_pair
 from overlay_repo.oai import OaiProvider
 from overlay_repo.store import Repository
@@ -16,7 +18,8 @@ from overlay_repo.web import (
     load_config,
 )
 
-from support import brute_force_query, put_object, seed_metadata
+from support import (
+    brute_force_query, oai_dc_record, put_object, record_stream, seed_metadata)
 
 
 @pytest.fixture
@@ -143,6 +146,36 @@ def test_put_malformed_rels_422(repo, app):
     status, _, body = request(app, "PUT", f"/objects/{pid}", body=doc)
     assert status == 422
     assert b"not the owning object" in body
+
+
+_GOOD_DC = oai_dc_record(("title", "T"), ("identifier", "http://x.example/1"))
+_UNEMBEDDABLE = {
+    "malformed": _GOOD_DC[:-10],
+    "wrong root": _GOOD_DC.replace(b"oai_dc:dc", b"oai_dc:record"),
+    "doctype": b"<!DOCTYPE dc>" + _GOOD_DC,
+    "latin-1": b'<?xml version="1.0" encoding="ISO-8859-1"?>\n' + _GOOD_DC,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_UNEMBEDDABLE))
+def test_unembeddable_record_refused_and_oai_still_answers(repo, app, kind):
+    metadata = seed_metadata(repo, 2)[1]
+    bad = repo.get_object(metadata).with_datastream(
+        record_stream("oai_dc", _UNEMBEDDABLE[kind]))
+    before = repo.export_object(metadata)
+    with pytest.raises(ValidationError, match="REC.oai_dc"):
+        repo.put_object(bad)
+    status, _, body = request(app, "PUT", f"/objects/{metadata}",
+                              body=canonical.export_object(bad))
+    assert status == 422 and b"REC.oai_dc" in body
+    assert repo.export_object(metadata) == before
+    for prefix in ("nsdl_dc", "nsdl_agg"):
+        status, _, body = request(app, "GET", "/oai",
+                                  query=f"verb=ListRecords&metadataPrefix={prefix}")
+        response = ET.fromstring(body)
+        assert status == 200
+        assert response.find("{http://www.openarchives.org/OAI/2.0/}error") is None
+        assert len(response.findall(".//{http://www.openarchives.org/OAI/2.0/}record")) == 2
 
 
 def test_put_ontology_violation_422_lists_problems(repo, app):
