@@ -1,13 +1,11 @@
 """Content-model behaviors: the typed operations objects can bind.
 
 Six behavior definitions (Metadata, Agent, Content, Aggregator,
-MetadataProvider, Role) plus the two implied abstract sets (Resource,
-Role) give objects their operational semantics. An object binds any
-subset and answers the union of the bound operation sets.
-
-Implementations live in a registry keyed by (behavior, operation) so a
-remote web-service binding could replace any entry without touching
-callers; everything registered here runs in-process against a repository
+MetadataProvider, Role) give objects their operational semantics. An
+object binds any subset. OPERATIONS names, for each operation, the
+ontology type whose objects answer it (the abstract Resource and Role
+types included), so an object answers every operation of every type its
+bindings satisfy; everything here runs in-process against a repository
 snapshot.
 """
 
@@ -47,24 +45,6 @@ URI_LIST_TYPE = "text/uri-list"
 ALIASES = {"displayContent": "showContent"}
 
 Operation = Callable[[object, str, dict], Representation]
-
-
-class BehaviorRegistry:
-    """Named operations per behavior definition, pluggable per entry."""
-
-    def __init__(self):
-        self._impl: dict[tuple[str, str], Operation] = {}
-
-    def register(self, behavior: str, op: str, fn: Operation) -> None:
-        self._impl[(behavior, op)] = fn
-
-    def dispatch(self, behaviors: frozenset[str], op: str) -> Operation | None:
-        op = ALIASES.get(op, op)
-        for behavior in sorted(behaviors):
-            fn = self._impl.get((behavior, op))
-            if fn is not None:
-                return fn
-        return None
 
 
 @dataclass(frozen=True)
@@ -314,68 +294,54 @@ def _brands_doc(brands: list[Brand]) -> Representation:
         "application/xml", ("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def default_registry() -> BehaviorRegistry:
-    reg = BehaviorRegistry()
+def _op_get_record(repo, pid: str, params: dict) -> Representation:
+    format_name = params.get("format")
+    if not format_name:
+        raise ValidationError("getRecord requires a format parameter")
+    record = metadata_get_record(repo, pid, format_name)
+    return Representation(records.RECORD_MEDIA_TYPE, record.xml)
 
-    def op_get_record(repo, pid, params):
-        format_name = params.get("format")
-        if not format_name:
-            raise ValidationError("getRecord requires a format parameter")
-        record = metadata_get_record(repo, pid, format_name)
-        return Representation(records.RECORD_MEDIA_TYPE, record.xml)
 
-    reg.register("Metadata", "getRecord", op_get_record)
-    reg.register(
-        "Metadata", "getProvider",
-        lambda repo, pid, params: _uri_list([metadata_get_provider(repo, pid)]))
-    reg.register(
-        "Metadata", "getResource",
-        lambda repo, pid, params: _uri_list([metadata_get_resource(repo, pid)]))
+def _op_get_brand(repo, pid: str, params: dict) -> Representation:
+    role_get_brand(repo, pid)
+    obj = repo.get_object(pid)
+    return Representation("application/xml", obj.datastream(BRAND_DS).payload)
 
-    reg.register(
-        "Resource", "getHandle",
-        lambda repo, pid, params: Representation(
-            "text/plain", (resource_get_handle(repo, pid) + "\n").encode("utf-8")))
-    reg.register(
-        "Resource", "getMetadata",
-        lambda repo, pid, params: _uri_list(resource_get_metadata(repo, pid)))
-    reg.register(
-        "Resource", "listMemberships",
-        lambda repo, pid, params: _uri_list(resource_memberships(repo, pid)))
-    reg.register(
-        "Resource", "showBrand",
-        lambda repo, pid, params: _brands_doc(show_brand(repo, pid)))
-    reg.register(
-        "Resource", "getAnnotations",
-        lambda repo, pid, params: _uri_list(annotations_for(repo, pid)))
 
-    reg.register(
-        "Content", "showContent",
-        lambda repo, pid, params: content_show_content(repo, pid))
-    reg.register(
-        "Content", "getGold",
-        lambda repo, pid, params: Representation(
-            records.RECORD_MEDIA_TYPE, content_get_gold(repo, pid).xml))
+def _op_list_members(repo, pid: str, params: dict) -> Representation:
+    offset, limit = _paging(params)
+    return _uri_list(aggregator_list_members(repo, pid, offset, limit))
 
-    def op_get_brand(repo, pid, params):
-        brand = role_get_brand(repo, pid)
-        obj = repo.get_object(pid)
-        return Representation("application/xml", obj.datastream(BRAND_DS).payload)
 
-    reg.register("Role", "getBrand", op_get_brand)
+def _op_list_provided(repo, pid: str, params: dict) -> Representation:
+    offset, limit = _paging(params)
+    return _uri_list(mdprovider_list_provided(repo, pid, offset, limit))
 
-    def op_list_members(repo, pid, params):
-        offset, limit = _paging(params)
-        return _uri_list(aggregator_list_members(repo, pid, offset, limit))
 
-    reg.register("Aggregator", "listMembers", op_list_members)
-    reg.register(
-        "Aggregator", "getRepresentation",
-        lambda repo, pid, params: _uri_list([aggregator_get_representation(repo, pid)]))
-
-    def op_list_provided(repo, pid, params):
-        offset, limit = _paging(params)
-        return _uri_list(mdprovider_list_provided(repo, pid, offset, limit))
-
-    reg.register("MetadataProvider", "listProvided", op_list_provided)
-    return reg
+# Operation name -> (ontology type whose objects answer it, implementation).
+OPERATIONS: dict[str, tuple[str, Operation]] = {
+    "getRecord": ("Metadata", _op_get_record),
+    "getProvider": ("Metadata", lambda repo, pid, params: _uri_list(
+        [metadata_get_provider(repo, pid)])),
+    "getResource": ("Metadata", lambda repo, pid, params: _uri_list(
+        [metadata_get_resource(repo, pid)])),
+    "getHandle": ("Resource", lambda repo, pid, params: Representation(
+        "text/plain", (resource_get_handle(repo, pid) + "\n").encode("utf-8"))),
+    "getMetadata": ("Resource", lambda repo, pid, params: _uri_list(
+        resource_get_metadata(repo, pid))),
+    "listMemberships": ("Resource", lambda repo, pid, params: _uri_list(
+        resource_memberships(repo, pid))),
+    "showBrand": ("Resource", lambda repo, pid, params: _brands_doc(
+        show_brand(repo, pid))),
+    "getAnnotations": ("Resource", lambda repo, pid, params: _uri_list(
+        annotations_for(repo, pid))),
+    "showContent": ("Content", lambda repo, pid, params: content_show_content(
+        repo, pid)),
+    "getGold": ("Content", lambda repo, pid, params: Representation(
+        records.RECORD_MEDIA_TYPE, content_get_gold(repo, pid).xml)),
+    "getBrand": ("Role", _op_get_brand),
+    "listMembers": ("Aggregator", _op_list_members),
+    "getRepresentation": ("Aggregator", lambda repo, pid, params: _uri_list(
+        [aggregator_get_representation(repo, pid)])),
+    "listProvided": ("MetadataProvider", _op_list_provided),
+}

@@ -17,9 +17,11 @@ record layout and the bulk-fixture format.
       <rels>...RDF/XML fragment...</rels>
     </digitalObject>
 
-Tombstones serialize as an empty root element with state="deleted". The
-RELS fragment passes through as it is: the repository makes it canonical
-once, on write and on open, and export emits it as stored.
+Tombstones serialize as an empty root element with state="deleted". This
+module only converts: import parses, and the repository's one record
+check (store._checked) validates the object and makes the RELS fragment
+canonical, once, on write and on open; export emits the fragment as
+stored.
 """
 
 from __future__ import annotations
@@ -82,9 +84,9 @@ def export_object(obj: DigitalObject) -> bytes:
 def import_object(doc: bytes) -> DigitalObject:
     """Parse a canonical document back into a DigitalObject.
 
-    Malformed documents are rejected with the offending element named;
-    the RELS fragment is kept as found, for the repository's write or
-    open path to check and make canonical.
+    Malformed documents are rejected with the offending element named.
+    The object is not validated and the RELS fragment is kept as found:
+    the repository's write and open paths check both.
     """
     try:
         root = ET.fromstring(doc)
@@ -121,7 +123,7 @@ def import_object(doc: bytes) -> DigitalObject:
 
     behaviors = frozenset(
         _require(el, "name") for el in root if el.tag == "behavior")
-    obj = DigitalObject(
+    return DigitalObject(
         pid=pid,
         state=state,
         handle=root.get("handle"),
@@ -130,10 +132,6 @@ def import_object(doc: bytes) -> DigitalObject:
         last_modified=parse_datestamp(last_modified),
         version=int(version),
     )
-    obj.validate()
-    if obj.state == "deleted" and (obj.datastreams or obj.behaviors):
-        raise ValidationError(f"{pid}: tombstone documents must be empty")
-    return obj
 
 
 def canonical_xml(data: bytes) -> bytes:

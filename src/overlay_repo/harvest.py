@@ -131,12 +131,6 @@ class IngestReport:
         assert self.harvested == self.created + self.updated + self.deleted + self.rejected
 
 
-def next_attempt_delay(cfg: ProviderConfig, state: HarvestState) -> int:
-    """Exponential backoff from the provider's schedule hint, capped at
-    24 hours."""
-    return min(cfg.schedule_hint * (2 ** state.consecutive_failures), 86400)
-
-
 @dataclass(frozen=True)
 class _Header:
     identifier: str

@@ -240,22 +240,12 @@ class OaiProvider:
             obj = self.repo.get_object(pid)
         except RepositoryError:
             raise ProtocolError("idDoesNotExist", identifier)
-        if obj.state == "deleted":
-            return self._record_element(
-                _Item(pid, obj.last_modified, True, ()), format_name,
-                headers_only=False)
-        if format_name == AGG_FORMAT:
-            if "Content" not in obj.behaviors or not self._described(pid):
-                raise ProtocolError("idDoesNotExist", identifier)
-            item = _Item(pid, self._agg_datestamp(obj), False,
-                         self._sets_of_resource(pid))
-            return self._record_element(item, format_name, headers_only=False)
-        if "Metadata" not in obj.behaviors:
+        item = self._classify(obj, format_name)
+        if item is None:
+            if format_name != AGG_FORMAT and "Metadata" in obj.behaviors:
+                raise ProtocolError(
+                    "cannotDisseminateFormat", f"{identifier} has no {format_name}")
             raise ProtocolError("idDoesNotExist", identifier)
-        if format_name not in behaviors.available_formats(self.repo, pid):
-            raise ProtocolError(
-                "cannotDisseminateFormat", f"{identifier} has no {format_name}")
-        item = _Item(pid, obj.last_modified, False, self._sets_of_metadata(pid))
         return self._record_element(item, format_name, headers_only=False)
 
     def serve_list(self, verb: str, params: dict[str, str]) -> list[bytes]:

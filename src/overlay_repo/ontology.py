@@ -1,9 +1,13 @@
-"""The relationship ontology: base predicates and their typing rules.
+"""The relationship ontology: the type hierarchy, base predicates and
+their typing rules.
 
-Eight base predicates carry fixed (domain, range) constraints checked at
-write time against the behavior sets of the subject and object. Predicates
-qualified by a foreign namespace are accepted unvalidated, so other
-vocabularies can annotate the graph freely.
+TYPE_EXPANSION is the one statement of which bound behaviors make an
+object count as each type; satisfies_type answers from it both for the
+predicate checks and for dissemination (behaviors.OPERATIONS). Eight base
+predicates carry fixed (domain, range) constraints checked at write time
+against the behavior sets of the subject and object. Predicates qualified
+by a foreign namespace are accepted unvalidated, so other vocabularies
+can annotate the graph freely.
 """
 
 from __future__ import annotations
@@ -38,23 +42,6 @@ DOMAIN_RANGE: dict[str, tuple[str, str]] = {
 }
 
 BASE_PREDICATES = frozenset(DOMAIN_RANGE)
-
-# Bound behaviors that imply a supertype's operation set.
-IMPLIED_BEHAVIORS: dict[str, frozenset[str]] = {
-    "Agent": frozenset({"Resource"}),
-    "Content": frozenset({"Resource"}),
-    "Aggregator": frozenset({"Role"}),
-    "MetadataProvider": frozenset({"Role"}),
-}
-
-
-def expand_behaviors(behaviors: frozenset[str]) -> frozenset[str]:
-    """Behavior set plus the abstract operation sets it inherits."""
-    expanded = set(behaviors)
-    for name in behaviors:
-        expanded |= IMPLIED_BEHAVIORS.get(name, frozenset())
-    return frozenset(expanded)
-
 
 @dataclass(frozen=True, order=True)
 class Predicate:

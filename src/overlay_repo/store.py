@@ -1,13 +1,16 @@
 """The repository: persistent digital objects joined to the relationship graph.
 
-Writes are serialized behind one lock and commit the object record, its
-graph assertions, and the secondary indexes as a single unit; readers see
-immutable snapshots. Persistence is a directory of canonical XML records
-plus a counters file; the triple index and all lookup tables are rebuilt
-from those records on open. One record check runs on write and on open:
-a RELS fragment is parsed and made canonical here only, and every
-REC.<format> payload must be embeddable as it is (one expat pass, no
-tree), so readers such as the OAI provider splice stored records into
+Every object change (put, restore, delete, handle assignment) goes
+through one write path, Repository._store, serialized behind one lock: it
+checks the object, writes its record, commits the record, its graph
+assertions and the secondary indexes as a single unit, and moves the
+pid/handle counters past what it stored. Readers see immutable snapshots.
+Persistence is a directory of canonical XML records plus a counters file;
+the triple index and all lookup tables are rebuilt from those records on
+open. One record check, _checked, runs on write and on open: the object
+is validated, a RELS fragment is parsed and made canonical here only, and
+every REC.<format> payload must be embeddable as it is (one expat pass,
+no tree), so readers such as the OAI provider splice stored records into
 their output unparsed; exports emit both as stored.
 """
 
@@ -54,7 +57,8 @@ from .model import (
     pid_number,
     utcnow_seconds,
 )
-from .ontology import expand_behaviors
+from .behaviors import ALIASES, OPERATIONS
+from .ontology import satisfies_type
 from .records import check_record
 
 log = logging.getLogger(__name__)
@@ -99,7 +103,6 @@ class Repository:
         self,
         data_dir: str | Path | None = None,
         *,
-        registry=None,
         clock: Clock | None = None,
         handle_prefix: str = "2200",
         url_fetcher: UrlFetcher | None = None,
@@ -110,11 +113,6 @@ class Repository:
         self.handle_prefix = handle_prefix
         self.fetch_timeout = fetch_timeout
         self._fetch = url_fetcher or _default_fetcher
-        if registry is None:
-            from .behaviors import default_registry
-
-            registry = default_registry()
-        self.registry = registry
 
         self._lock = threading.RLock()
         self._objects: dict[str, DigitalObject] = {}
@@ -158,14 +156,9 @@ class Repository:
             if not obj.is_resource:
                 raise OperationNotSupportedError(
                     f"{pid} binds no resource type, handles do not apply")
-            self._handle_counter += 1
-            handle = make_handle(self.handle_prefix, self._handle_counter)
-            updated = replace(
-                obj, handle=handle, version=obj.version + 1,
-                last_modified=self.clock())
-            self._write_record(updated)
-            self._commit(updated, obj, None)
-            self._persist_counters()
+            handle = make_handle(self.handle_prefix, self._handle_counter + 1)
+            self._store(replace(obj, handle=handle, version=obj.version + 1,
+                                last_modified=self.clock()), obj, strict=False)
             return handle
 
     # ------------------------------------------------------------------
@@ -193,21 +186,15 @@ class Repository:
             return self._store(prepared, old, strict=strict).version
 
     def restore_object(self, obj: DigitalObject, *, strict: bool = True) -> str:
-        """Import path: preserves the document's version and datestamp
-        (bumping the version only when a replaced object is already past
-        it) and advances the pid/handle counters as needed."""
+        """Import path: stores obj, tombstones included, as the document
+        gives it, keeping its version and datestamp (bumping the version
+        only when a replaced object is already past it). It passes the
+        same checks as put_object, handle ownership included."""
         with self._lock:
             old = self._objects.get(obj.pid)
             if old is not None and old.version >= obj.version:
                 obj = replace(obj, version=old.version + 1)
-            self._store(obj, old, strict=strict)
-            counters = (self._pid_counter, self._handle_counter)
-            self._pid_counter = max(self._pid_counter, pid_number(obj.pid))
-            if obj.handle is not None:
-                self._absorb_handle(obj.handle)
-            if (self._pid_counter, self._handle_counter) != counters:
-                self._persist_counters()
-            return obj.pid
+            return self._store(obj, old, strict=strict).pid
 
     def get_object(self, pid: str) -> DigitalObject:
         obj = self._objects.get(pid)
@@ -222,9 +209,7 @@ class Repository:
             old = self.get_object(pid)
             if old.state == "deleted":
                 return
-            tomb = old.tombstone(self.clock())
-            self._write_record(tomb)
-            self._commit(tomb, old, [])
+            self._store(old.tombstone(self.clock()), old, strict=True)
 
     def export_object(self, pid: str) -> bytes:
         return canonical.export_object(self.get_object(pid))
@@ -301,8 +286,8 @@ class Repository:
             raise ObjectDeletedError(f"{pid} is deleted")
         if op is None:
             return self._profile(obj)
-        fn = self.registry.dispatch(expand_behaviors(obj.behaviors), op)
-        if fn is None:
+        type_name, fn = OPERATIONS.get(ALIASES.get(op, op), (None, None))
+        if fn is None or not satisfies_type(obj.behaviors, type_name):
             raise OperationNotSupportedError(f"{pid} does not support {op}")
         try:
             return fn(self, pid, params or {})
@@ -336,11 +321,9 @@ class Repository:
 
     def _store(self, obj: DigitalObject, old: DigitalObject | None,
                *, strict: bool) -> DigitalObject:
-        obj.validate()
-        if obj.state == "deleted":
-            self._write_record(obj)
-            self._commit(obj, old, [])
-            return obj
+        """The one write path: check obj, write its record, commit it, and
+        move the counters past its pid and handle. A rejection or a failed
+        record write leaves the store as it was."""
         obj, triples = _checked(obj)
         violations = self.graph.validate_fragment(
             obj.pid, triples, pending_behaviors=obj.behaviors)
@@ -361,20 +344,21 @@ class Repository:
                     f"{obj.pid}: handle {obj.handle} already registered to {owner}")
         self._write_record(obj)
         self._commit(obj, old, triples)
+        if self._absorb(obj):
+            self._persist_counters()
         return obj
 
     def _commit(self, obj: DigitalObject, old: DigitalObject | None,
-                triples: list[Triple] | None) -> None:
+                triples: list[Triple]) -> None:
         """Apply a written object to the object table, the graph and the
-        indexes; triples None leaves the object's assertions as they are."""
+        indexes."""
         if obj.pid not in self._objects:  # new pids mostly come last
             if self._pids and pid_number(obj.pid) < pid_number(self._pids[-1]):
                 bisect.insort(self._pids, obj.pid, key=pid_number)
             else:
                 self._pids.append(obj.pid)
         self._objects[obj.pid] = obj
-        if triples is not None:
-            self.graph.replace_triples(obj.pid, triples)
+        self.graph.replace_triples(obj.pid, triples)
         self._index(obj, old)
 
     def _index(self, obj: DigitalObject, old: DigitalObject | None) -> None:
@@ -395,13 +379,18 @@ class Repository:
             if source is not None:
                 self._sources.setdefault(source, obj.pid)
 
-    def _absorb_handle(self, handle: str) -> None:
-        """Advance the handle counter past imported handles we minted."""
-        prefix = f"hdl:{self.handle_prefix}/"
-        if handle.startswith(prefix):
-            suffix = handle_suffix(handle)
+    def _absorb(self, obj: DigitalObject) -> bool:
+        """Move the counters past obj's pid and any handle in this
+        repository's prefix, so neither is minted again; True when either
+        moved."""
+        counters = (self._pid_counter, self._handle_counter)
+        self._pid_counter = max(self._pid_counter, pid_number(obj.pid))
+        if obj.handle is not None and obj.handle.startswith(
+                f"hdl:{self.handle_prefix}/"):
+            suffix = handle_suffix(obj.handle)
             if suffix.isdigit():
                 self._handle_counter = max(self._handle_counter, int(suffix))
+        return (self._pid_counter, self._handle_counter) != counters
 
     # ------------------------------------------------------------------
     # persistence
@@ -424,9 +413,7 @@ class Repository:
                     canonical.import_object(path.read_bytes()))
             except ValidationError as exc:
                 raise StoreError(f"corrupt object record {path.name}: {exc}") from exc
-            self._pid_counter = max(self._pid_counter, pid_number(obj.pid))
-            if obj.handle is not None:
-                self._absorb_handle(obj.handle)
+            self._absorb(obj)
             self._commit(obj, None, triples)
 
     def _persist_counters(self) -> None:
@@ -450,11 +437,15 @@ class Repository:
 
 
 def _checked(obj: DigitalObject) -> tuple[DigitalObject, list[Triple]]:
-    """The one record check, on write and on open: obj with its RELS
-    fragment in canonical form (so exports are byte-stable however it
-    arrived), and the triples it asserts. Every REC.<format> stream must
-    be local and embeddable as it is (records.check_record), so the OAI
-    provider splices stored records into responses without parsing them."""
+    """The one record check, on write and on open: obj, validated, with
+    its RELS fragment in canonical form (so exports are byte-stable however
+    it arrived), and the triples it asserts. A tombstone must be empty.
+    Every REC.<format> stream must be local and embeddable as it is
+    (records.check_record), so the OAI provider splices stored records
+    into responses without parsing them."""
+    obj.validate()
+    if obj.state == "deleted" and (obj.datastreams or obj.behaviors):
+        raise ValidationError(f"{obj.pid}: tombstone documents must be empty")
     for ds in obj.datastreams:
         if ds.ds_id.startswith(RECORD_DS_PREFIX):
             if ds.kind != "local":

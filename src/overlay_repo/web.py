@@ -172,15 +172,18 @@ class GatewayApp:
     def _query(self, params, body):
         pattern = parse_query(body.decode("utf-8"))
         paged = "offset" in params or "limit" in params
-        rows = self.repo.graph.query(
-            pattern, row_cap=None if paged else self.query_row_cap,
-            max_candidates=CANDIDATES_PER_CAPPED_ROW * self.query_row_cap)
         if paged:
             try:
                 offset = int(params.get("offset", 0))
                 limit = int(params["limit"]) if "limit" in params else None
             except ValueError:
                 raise QueryParseError("offset and limit must be integers")
+            if offset < 0 or (limit is not None and limit < 0):
+                raise QueryParseError("offset and limit must be non-negative")
+        rows = self.repo.graph.query(
+            pattern, row_cap=None if paged else self.query_row_cap,
+            max_candidates=CANDIDATES_PER_CAPPED_ROW * self.query_row_cap)
+        if paged:
             end = None if limit is None else offset + limit
             rows = rows[offset:end]
         text = "".join("\t".join(row) + "\n" for row in rows)

@@ -17,7 +17,6 @@ from overlay_repo.harvest import (
     ProviderConfig,
     load_provider_configs,
     load_state,
-    next_attempt_delay,
     save_provider_configs,
     save_state,
 )
@@ -327,15 +326,6 @@ def test_set_scoped_harvest_between_instances(repo, clock):
         for o in repo.active_objects() if "Metadata" in o.behaviors
     }
     assert mirrored == {oai.oai_identifier(p) for p in inside}
-
-
-def test_backoff_schedule(cfg):
-    state = HarvestState()
-    assert next_attempt_delay(cfg, state) == 3600
-    state.consecutive_failures = 2
-    assert next_attempt_delay(cfg, state) == 14400
-    state.consecutive_failures = 10
-    assert next_attempt_delay(cfg, state) == 86400
 
 
 def test_extract_resource_key_prefers_first_absolute_url(repo, harvester, stub, cfg):

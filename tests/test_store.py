@@ -1,6 +1,7 @@
 """Object store behavior: minting, lifecycle, dissemination, round-trips."""
 
 import base64
+import shutil
 import string
 import threading
 from datetime import datetime, timezone
@@ -489,3 +490,92 @@ def test_restore_rewrites_counters_only_when_they_advance(tmp_path, clock,
     repo.restore_object(DigitalObject(pid="nsdl:2", behaviors=frozenset({"Content"})))
     assert atomic_writes.count(state) == 1
     assert Repository(tmp_path / "d", clock=clock).mint_pid() == "nsdl:6"
+
+
+def test_assign_handle_skips_handles_put_explicitly(repo):
+    first = put_object(repo, {"Content"}, handle="hdl:2200/00001")
+    second = put_object(repo, {"Content"})
+    assert repo.assign_handle(second) == "hdl:2200/00002"
+    assert repo.resolve_handle("hdl:2200/00001") == first
+    assert repo.resolve_handle("hdl:2200/00002") == second
+
+
+def test_tombstone_import_cannot_take_another_objects_handle(repo):
+    owner = put_object(repo, {"Content"}, handle="hdl:2200/00001")
+    tomb = DigitalObject(pid="nsdl:7", state="deleted", handle="hdl:2200/00001")
+    with pytest.raises(ValidationError, match="already registered to nsdl:1"):
+        repo.restore_object(tomb)
+    assert repo.resolve_handle("hdl:2200/00001") == owner
+    assert repo.pids() == [owner]
+
+
+def _snapshot(repo):
+    """Everything a write may change: the object table, the graph, the
+    handle table and both counters."""
+    return ({p: repo.export_object(p) for p in repo.pids()}, repo.graph.dump(),
+            dict(repo._handles), repo._pid_counter, repo._handle_counter)
+
+
+_WRITES = {
+    "put": lambda repo, pid: repo.put_object(repo.get_object(pid)),
+    "restore": lambda repo, pid: repo.restore_object(DigitalObject(
+        pid="nsdl:9", handle="hdl:2200/00005", behaviors=frozenset({"Content"}))),
+    "delete": lambda repo, pid: repo.delete_object(pid),
+    "assign_handle": lambda repo, pid: repo.assign_handle(pid),
+}
+
+
+@pytest.mark.parametrize("write", sorted(_WRITES))
+def test_failed_record_write_changes_nothing(tmp_path, clock, monkeypatch, write):
+    repo = Repository(tmp_path / "d", clock=clock)
+    resource = put_object(repo, {"Content"})
+    put_object(repo, {"Metadata"}, edges=[("metadataFor", resource)])
+    before = _snapshot(repo)
+    original = Repository._atomic_write
+
+    def failing(path, data):
+        if path.parent.name == "objects":
+            raise StoreError(f"write to {path} failed: disk full")
+        original(path, data)
+
+    monkeypatch.setattr(Repository, "_atomic_write", staticmethod(failing))
+    with pytest.raises(StoreError, match="disk full"):
+        _WRITES[write](repo, resource)
+    assert _snapshot(repo) == before
+    assert _snapshot(Repository(tmp_path / "d", clock=clock)) == before
+    monkeypatch.undo()
+    assert repo.assign_handle(resource) == "hdl:2200/00001"
+    assert repo.mint_pid() == "nsdl:3"
+
+
+def test_write_sequence_reopens_equal(tmp_path, clock):
+    repo = Repository(tmp_path / "d", clock=clock)
+    resource = put_object(repo, {"Content"})
+    explicit = put_object(repo, {"Content"}, handle="hdl:2200/00009")
+    metadata = put_object(repo, {"Metadata"}, edges=[("metadataFor", resource)])
+    repo.restore_object(DigitalObject(
+        pid="nsdl:8", handle="hdl:2200/00004", behaviors=frozenset({"Content"}),
+        datastreams=(rels_stream("nsdl:8", [("annotates", resource)]),)))
+    assigned = repo.assign_handle(resource)
+    repo.delete_object(metadata)
+    repo.put_object(repo.get_object(explicit))
+    repo.put_object(DigitalObject(
+        pid=metadata, behaviors=frozenset({"Metadata"}),
+        datastreams=(rels_stream(metadata, [("metadataFor", explicit)]),)))
+    repo.restore_object(DigitalObject(
+        pid="nsdl:15", state="deleted", handle="hdl:2200/00002", version=3))
+    handles = ["hdl:2200/00002", "hdl:2200/00004", "hdl:2200/00009", assigned]
+
+    copy = tmp_path / "copy"
+    shutil.copytree(tmp_path / "d", copy)
+    reopened = Repository(copy, clock=clock)
+    assert _snapshot(reopened) == _snapshot(repo)
+    assert [reopened.resolve_handle(h) for h in handles] \
+        == [repo.resolve_handle(h) for h in handles] \
+        == ["nsdl:15", "nsdl:8", explicit, resource]
+    dump = repo.graph.dump()
+    repo.rebuild_graph()
+    assert repo.graph.dump() == dump
+    for store in (repo, reopened):
+        pid = put_object(store, {"Content"})
+        assert (pid, store.assign_handle(pid)) == ("nsdl:16", "hdl:2200/00011")

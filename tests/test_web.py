@@ -8,6 +8,7 @@ import pytest
 from overlay_repo import canonical
 from overlay_repo.errors import ValidationError
 from overlay_repo.fixtures import build_aggregation, build_basic_pair
+from overlay_repo.model import DigitalObject
 from overlay_repo.oai import OaiProvider
 from overlay_repo.store import Repository
 from overlay_repo.web import (
@@ -213,6 +214,16 @@ def test_delete_then_get_410(repo, app):
     assert request(app, "GET", f"/objects/{pid}")[0] == 410
 
 
+def test_put_tombstone_with_another_objects_handle_422(repo, app):
+    owner = put_object(repo, {"Content"}, handle="hdl:2200/00001")
+    tomb = DigitalObject(pid="nsdl:7", state="deleted", handle="hdl:2200/00001")
+    status, _, body = request(app, "PUT", "/objects/nsdl:7",
+                              body=canonical.export_object(tomb))
+    assert status == 422 and b"already registered" in body
+    assert repo.resolve_handle("hdl:2200/00001") == owner
+    assert request(app, "GET", "/objects/nsdl:7")[0] == 404
+
+
 def test_malformed_body_422(repo, app):
     status, _, _ = request(app, "POST", "/objects", body=b"<junk")
     assert status == 422
@@ -259,6 +270,16 @@ def test_query_route_three_clause_join_matches_oracle(repo, app):
         ["m", "r"])
     got = {tuple(line.split("\t")) for line in out.decode().splitlines()}
     assert got == expected
+
+
+@pytest.mark.parametrize("query", [
+    "offset=-1", "limit=-1", "offset=-2&limit=1", "offset=x"])
+def test_query_paging_refuses_negative_or_non_integer_400(repo, app, lookups, query):
+    seed_metadata(repo, 3)
+    status, _, out = request(app, "POST", "/query", query=query,
+                             body=b"select ?m where (?m <rel:metadataFor> ?r)")
+    assert status == 400 and b"offset and limit" in out
+    assert lookups == []
 
 
 def test_query_row_cap_413(repo):
