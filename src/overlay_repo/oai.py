@@ -9,6 +9,13 @@ first request, so mid-harvest writes never cause omissions), the pid number
 of the last record served and an expiry. The provider keeps no token state,
 so tokens survive a restart, and each page resumes from its cursor.
 
+A page walks pid order past its cursor. With a `from`, it walks only the
+objects the store's datestamp index places in the window (for nsdl_agg,
+also the resources their metadata describes), so a small window costs
+O(window), not O(repository). Identify, ListSets and the global
+ListMetadataFormats read what the store keeps in its write path: the
+earliest datestamp, the active aggregations and the stored formats.
+
 A response is written as a list of byte chunks joined once. The envelope,
 headers, small verbs and the nsdl_agg wrapper come from escaped string
 templates; stored records and the gold record go in as their own bytes,
@@ -42,6 +49,7 @@ from .model import (
     DigitalObject,
     format_datestamp,
     is_pid,
+    make_pid,
     parse_datestamp,
     pid_number,
 )
@@ -183,8 +191,7 @@ class OaiProvider:
     # verbs
 
     def serve_identify(self) -> list[bytes]:
-        stamps = [o.last_modified for o in self.repo.objects()]
-        earliest = min(stamps) if stamps else EPOCH
+        earliest = self.repo.earliest_datestamp() or EPOCH
         fields = [
             ("repositoryName", self.repository_name),
             ("baseURL", self.base_url),
@@ -295,9 +302,13 @@ class OaiProvider:
         half-open window [from, until), pid order."""
         # an nsdl_agg datestamp may be newer than its object's own
         own_stamp = from_ if format_name != AGG_FORMAT else None
-        pids = self.repo.pids()
+        if from_ is None:
+            pids = self.repo.pids()
+            pids = pids[bisect.bisect_right(pids, cursor, key=pid_number):]
+        else:
+            pids = self._window_pids(format_name, from_, until, cursor)
         items = []
-        for pid in pids[bisect.bisect_right(pids, cursor, key=pid_number):]:
+        for pid in pids:
             obj = self.repo.get_object(pid)
             if obj.last_modified >= until or (
                     own_stamp is not None and obj.last_modified < own_stamp):
@@ -313,6 +324,22 @@ class OaiProvider:
             if len(items) > self.page_size:
                 break
         return items
+
+    def _window_pids(self, format_name: str, from_: datetime, until: datetime,
+                     cursor: int) -> list[str]:
+        """Pids past the cursor, pid order, of every object that can hold an
+        item in [from, until): those stamped in the window and, for
+        nsdl_agg, the resources described by metadata stamped in it (an
+        aggregation's datestamp is the newest of its resource's and its
+        active metadata's)."""
+        numbers = set(self.repo.stamped(from_, until))
+        if format_name == AGG_FORMAT:
+            for number in list(numbers):
+                numbers.update(
+                    pid_number(r) for r in self.repo.graph.objects_of(
+                        make_pid(number), "metadataFor")
+                    if self.repo.behaviors_of(r) is not None)
+        return [make_pid(n) for n in sorted(numbers) if n > cursor]
 
     def _classify(self, obj: DigitalObject, format_name: str) -> _Item | None:
         if obj.state == "deleted":
@@ -352,21 +379,16 @@ class OaiProvider:
 
     def _aggregation_sets(self) -> list[tuple[str, str]]:
         sets = []
-        for obj in self.repo.active_objects():
-            if "Aggregator" not in obj.behaviors:
-                continue
+        for pid in self.repo.aggregators():
             try:
-                name = behaviors.role_get_brand(self.repo, obj.pid).label
+                name = behaviors.role_get_brand(self.repo, pid).label
             except (BrandMissingError, RepositoryError):
-                name = obj.pid
-            sets.append((str(pid_number(obj.pid)), name))
+                name = pid
+            sets.append((str(pid_number(pid)), name))
         return sets
 
     def _global_formats(self) -> list[str]:
-        names = set(FORMATS) | {AGG_FORMAT}
-        for obj in self.repo.active_objects():
-            names.update(obj.record_formats())
-        return sorted(names)
+        return sorted({*FORMATS, AGG_FORMAT, *self.repo.stored_formats()})
 
     def _item_formats(self, obj: DigitalObject) -> list[str]:
         if obj.state == "deleted":

@@ -5,13 +5,21 @@ through one write path, Repository._store, serialized behind one lock: it
 checks the object, writes its record, commits the record, its graph
 assertions and the secondary indexes as a single unit, and moves the
 pid/handle counters past what it stored. Readers see immutable snapshots.
-Persistence is a directory of canonical XML records plus a counters file;
-the triple index and all lookup tables are rebuilt from those records on
+Persistence is a directory of canonical XML records plus state.json; the
+triple index and all lookup tables are rebuilt from those records on
 open. One record check, _checked, runs on write and on open: the object
 is validated, a RELS fragment is parsed and made canonical here only, and
 every REC.<format> payload must be embeddable as it is (one expat pass,
 no tree), so readers such as the OAI provider splice stored records into
 their output unparsed; exports emit both as stored.
+
+For the OAI provider the commit also keeps a sorted (datestamp, pid
+number) list over every object, tombstones included, so a datestamp
+window is two bisects, plus the active Aggregator pids and a count of the
+REC.<format> streams on active objects; open rebuilds them through the
+same commits. state.json holds the minted-pid mark, written by mint_pid
+only (a pid minted but never stored is never minted again); the counters
+a write moves past its own pid and handle come back from the records.
 """
 
 from __future__ import annotations
@@ -122,6 +130,9 @@ class Repository:
         self._handles: dict[str, str] = {}
         self._content_by_url: dict[str, str] = {}
         self._sources: dict[tuple[str, str], str] = {}
+        self._stamps: list[tuple[datetime, int]] = []  # (last_modified, pid number), sorted
+        self._aggregators: set[str] = set()  # active
+        self._format_counts: dict[str, int] = {}  # REC.<format> streams, active objects
         self.graph = TripleStore(type_oracle=self.behaviors_of)
         if self.data_dir is not None:
             self._open_data_dir()
@@ -134,7 +145,11 @@ class Repository:
         reused across deletions or restarts."""
         with self._lock:
             self._pid_counter += 1
-            self._persist_counters()
+            if self.data_dir is not None:
+                self._atomic_write(self.data_dir / "state.json", json.dumps({
+                    "pid_counter": self._pid_counter,
+                    "handle_counter": self._handle_counter,
+                }).encode("utf-8"))
             return make_pid(self._pid_counter)
 
     def resolve_handle(self, handle: str) -> str:
@@ -231,6 +246,28 @@ class Repository:
     def active_objects(self) -> Iterator[DigitalObject]:
         return (o for o in self.objects() if o.state == "active")
 
+    def stamped(self, start: datetime, end: datetime) -> list[int]:
+        """Pid numbers of the objects, tombstones included, last modified
+        in [start, end), datestamp order."""
+        with self._lock:
+            return [number for _, number in self._stamps[
+                bisect.bisect_left(self._stamps, (start,)):
+                bisect.bisect_left(self._stamps, (end,))]]
+
+    def earliest_datestamp(self) -> datetime | None:
+        with self._lock:
+            return self._stamps[0][0] if self._stamps else None
+
+    def aggregators(self) -> list[str]:
+        """Active Aggregator pids, pid order."""
+        with self._lock:
+            return sorted(self._aggregators, key=pid_number)
+
+    def stored_formats(self) -> set[str]:
+        """Formats stored as REC.<format> on some active object."""
+        with self._lock:
+            return set(self._format_counts)
+
     def behaviors_of(self, pid: str) -> frozenset[str] | None:
         """Type oracle: behavior set of an active object, else None."""
         obj = self._objects.get(pid)
@@ -323,7 +360,8 @@ class Repository:
                *, strict: bool) -> DigitalObject:
         """The one write path: check obj, write its record, commit it, and
         move the counters past its pid and handle. A rejection or a failed
-        record write leaves the store as it was."""
+        record write leaves the store as it was. The counters are not
+        written: the record just written carries them back on open."""
         obj, triples = _checked(obj)
         violations = self.graph.validate_fragment(
             obj.pid, triples, pending_behaviors=obj.behaviors)
@@ -344,8 +382,7 @@ class Repository:
                     f"{obj.pid}: handle {obj.handle} already registered to {owner}")
         self._write_record(obj)
         self._commit(obj, old, triples)
-        if self._absorb(obj):
-            self._persist_counters()
+        self._absorb(obj)
         return obj
 
     def _commit(self, obj: DigitalObject, old: DigitalObject | None,
@@ -365,13 +402,26 @@ class Repository:
         if obj.handle is not None:
             self._handles[obj.handle] = obj.pid
         if old is not None:
+            del self._stamps[bisect.bisect_left(
+                self._stamps, (old.last_modified, pid_number(old.pid)))]
+            if old.state == "active":
+                self._aggregators.discard(old.pid)
+                for name in old.record_formats():
+                    self._format_counts[name] -= 1
+                    if not self._format_counts[name]:
+                        del self._format_counts[name]
             url = _content_url(old)
             if url is not None and self._content_by_url.get(url) == old.pid:
                 del self._content_by_url[url]
             source = _source_key(old)
             if source is not None and self._sources.get(source) == old.pid:
                 del self._sources[source]
+        bisect.insort(self._stamps, (obj.last_modified, pid_number(obj.pid)))
         if obj.state == "active":
+            if "Aggregator" in obj.behaviors:
+                self._aggregators.add(obj.pid)
+            for name in obj.record_formats():
+                self._format_counts[name] = self._format_counts.get(name, 0) + 1
             url = _content_url(obj)
             if url is not None:
                 self._content_by_url.setdefault(url, obj.pid)
@@ -379,18 +429,15 @@ class Repository:
             if source is not None:
                 self._sources.setdefault(source, obj.pid)
 
-    def _absorb(self, obj: DigitalObject) -> bool:
+    def _absorb(self, obj: DigitalObject) -> None:
         """Move the counters past obj's pid and any handle in this
-        repository's prefix, so neither is minted again; True when either
-        moved."""
-        counters = (self._pid_counter, self._handle_counter)
+        repository's prefix, so neither is minted again."""
         self._pid_counter = max(self._pid_counter, pid_number(obj.pid))
         if obj.handle is not None and obj.handle.startswith(
                 f"hdl:{self.handle_prefix}/"):
             suffix = handle_suffix(obj.handle)
             if suffix.isdigit():
                 self._handle_counter = max(self._handle_counter, int(suffix))
-        return (self._pid_counter, self._handle_counter) != counters
 
     # ------------------------------------------------------------------
     # persistence
@@ -414,16 +461,7 @@ class Repository:
             except ValidationError as exc:
                 raise StoreError(f"corrupt object record {path.name}: {exc}") from exc
             self._absorb(obj)
-            self._commit(obj, None, triples)
-
-    def _persist_counters(self) -> None:
-        if self.data_dir is None:
-            return
-        payload = json.dumps({
-            "pid_counter": self._pid_counter,
-            "handle_counter": self._handle_counter,
-        })
-        self._atomic_write(self.data_dir / "state.json", payload.encode("utf-8"))
+            self._commit(obj, self._objects.get(obj.pid), triples)
 
     def _write_record(self, obj: DigitalObject) -> None:
         if self.data_dir is None:

@@ -3,6 +3,8 @@
 import base64
 import functools
 import json
+from collections import Counter
+from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
 from urllib.parse import urlencode
@@ -19,7 +21,8 @@ from overlay_repo.store import Repository
 from overlay_repo.web import GatewayApp
 
 from support import (
-    TickingClock, put_object, record_stream, rels_stream, seed_metadata)
+    START, TickingClock, oai_dc_record, put_object, record_stream, rels_stream,
+    seed_metadata)
 
 NS = {"o": "http://www.openarchives.org/OAI/2.0/"}
 
@@ -295,6 +298,145 @@ def test_resumption_page_classifies_only_its_page(repo, monkeypatch):
     response = call(provider, verb="ListRecords", resumptionToken=token)
     assert len(record_identifiers(response)) == 2
     assert len(classified) <= 10
+
+
+@pytest.mark.parametrize("prefix", ["oai_dc", "nsdl_agg"])
+def test_window_cost_does_not_grow_with_repository_size(monkeypatch, prefix):
+    """A 1-record from window reads as many objects over 500 objects as
+    over 2,000, and classifies at most page_size + 1 of them."""
+
+    def window_cost(size):
+        repo = Repository(clock=TickingClock())
+        newest = seed_metadata(repo, size // 2)[-1]
+        repo.put_object(repo.get_object(newest))
+        since = format_datestamp(repo.get_object(newest).last_modified)
+        provider = OaiProvider(repo, repository_id="test.local", page_size=2)
+        calls = Counter()
+        get_object, classify = Repository.get_object, OaiProvider._classify
+
+        def counting_get_object(self, pid):
+            calls["get_object"] += 1
+            return get_object(self, pid)
+
+        def counting_classify(self, obj, format_name):
+            calls["classify"] += 1
+            return classify(self, obj, format_name)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Repository, "get_object", counting_get_object)
+            patch.setattr(OaiProvider, "_classify", counting_classify)
+            response = call(provider, verb="ListRecords", metadataPrefix=prefix,
+                            **{"from": since})
+        assert len(record_identifiers(response)) == 1
+        return calls
+
+    small, large = window_cost(500), window_cost(2000)
+    assert small == large
+    assert large["classify"] <= 3
+
+
+# one write each: (op, *ints); ints pick among the objects written so far
+_WRITE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("aggregator")),
+    st.tuples(st.just("content"), st.integers(0, 40)),
+    st.tuples(st.just("metadata"), st.integers(0, 40)),
+    st.tuples(st.just("put"), st.integers(0, 40)),
+    st.tuples(st.just("delete"), st.integers(0, 40)),
+    st.tuples(st.just("restore"), st.integers(0, 40), st.integers(0, 60)),
+), min_size=1, max_size=30)
+
+
+def _apply_writes(repo, ops):
+    """Puts, deletes, restores with old datestamps, and metadataFor and
+    memberOf edges, all lenient so that edges to deleted objects stay; one
+    metadataFor in five names no object at all."""
+    aggregators, contents = [], []
+    for op, *picks in ops:
+        pids = repo.pids()
+        if op == "aggregator":
+            aggregators.append(put_object(repo, {"Aggregator"}))
+        elif op == "content":
+            edges = [("memberOf", aggregators[picks[0] % len(aggregators)])] \
+                if aggregators and picks[0] % 3 else []
+            contents.append(put_object(repo, {"Content"}, edges=edges, strict=False))
+        elif op == "metadata" and contents:
+            put_object(repo, {"Metadata"}, strict=False,
+                       streams=[record_stream("oai_dc", oai_dc_record(("title", "T")))],
+                       edges=[("metadataFor", contents[picks[0] % len(contents)]
+                               if picks[0] % 5 else "nsdl:999")])
+        elif op == "put" and pids:
+            repo.put_object(repo.get_object(pids[picks[0] % len(pids)]), strict=False)
+        elif op == "delete" and pids:
+            repo.delete_object(pids[picks[0] % len(pids)])
+        elif op == "restore" and pids:
+            obj = repo.get_object(pids[picks[0] % len(pids)])
+            repo.restore_object(replace(
+                obj, last_modified=START + timedelta(seconds=picks[1])), strict=False)
+
+
+def _item_header(item):
+    """Header fields of an item: identifier, datestamp, deleted flag and
+    set specs."""
+    return (f"oai:test.local:{item.pid}", format_datestamp(item.datestamp),
+            item.deleted, item.set_specs)
+
+
+def _served_header(header):
+    """The same fields of a served header element."""
+    return (header.findtext("o:identifier", namespaces=NS),
+            header.findtext("o:datestamp", namespaces=NS),
+            header.get("status") == "deleted",
+            tuple(s.text for s in header.findall("o:setSpec", NS)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_WRITE_OPS, st.data())
+def test_window_walks_match_brute_force(ops, data):
+    """Every page of a windowed walk at page size 2, and the walk its
+    resumption tokens give, equal a filter of _classify over every object."""
+    clock = TickingClock()
+    repo = Repository(clock=clock)
+    _apply_writes(repo, ops)
+    provider = OaiProvider(repo, repository_id="test.local", page_size=2)
+    span = int((clock.now - START).total_seconds()) + 2
+    stamps = st.one_of(st.none(), st.integers(0, span).map(
+        lambda s: START + timedelta(seconds=s)))
+    sets = [None] + [str(pid_number(o.pid)) for o in repo.active_objects()
+                     if "Aggregator" in o.behaviors]
+    for _ in range(3):
+        prefix = data.draw(st.sampled_from(["oai_dc", "nsdl_agg"]))
+        from_, until, set_spec = data.draw(stamps), data.draw(stamps), \
+            data.draw(st.sampled_from(sets))
+        # without until, the window ends at the clock's next reading
+        end = until or clock.now + timedelta(seconds=1)
+        expected = []
+        for pid in repo.pids():
+            item = provider._classify(repo.get_object(pid), prefix)
+            if item is None or (from_ is not None and item.datestamp < from_) \
+                    or item.datestamp >= end \
+                    or (set_spec is not None and not item.deleted
+                        and set_spec not in item.set_specs):
+                continue
+            expected.append(_item_header(item))
+        params = {"verb": "ListIdentifiers", "metadataPrefix": prefix}
+        for key, value in (("from", from_), ("until", until), ("set", set_spec)):
+            if value is not None:
+                params[key] = value if key == "set" else format_datestamp(value)
+        pages = []
+        while True:
+            response = call(provider, **params)
+            if error_code(response) == "noRecordsMatch" and not pages:
+                break
+            assert error_code(response) is None
+            pages.append([_served_header(h) for h in response.findall(
+                "o:ListIdentifiers/o:header", NS)])
+            token = response.findtext(
+                "o:ListIdentifiers/o:resumptionToken", namespaces=NS)
+            if not token:
+                break
+            params = {"verb": "ListIdentifiers", "resumptionToken": token}
+        assert pages == [expected[i:i + 2] for i in range(0, len(expected), 2)], \
+            (prefix, params)
 
 
 def test_token_is_exclusive_argument(repo, provider):

@@ -3,7 +3,9 @@
 import base64
 import shutil
 import string
+import sys
 import threading
+from collections import Counter
 from datetime import datetime, timezone
 
 import pytest
@@ -20,6 +22,7 @@ from overlay_repo.graph import parse_query
 from overlay_repo.model import (
     DigitalObject,
     local_stream,
+    pid_number,
     remote_stream,
 )
 from overlay_repo.store import Repository
@@ -485,10 +488,10 @@ def test_restore_rewrites_counters_only_when_they_advance(tmp_path, clock,
     state = tmp_path / "d" / "state.json"
     repo.restore_object(DigitalObject(pid="nsdl:5", handle="hdl:2200/00003",
                                       behaviors=frozenset({"Content"})))
-    assert atomic_writes.count(state) == 1
+    assert atomic_writes.count(state) == 0
     repo.restore_object(repo.get_object("nsdl:5"))
     repo.restore_object(DigitalObject(pid="nsdl:2", behaviors=frozenset({"Content"})))
-    assert atomic_writes.count(state) == 1
+    assert atomic_writes.count(state) == 0
     assert Repository(tmp_path / "d", clock=clock).mint_pid() == "nsdl:6"
 
 
@@ -548,11 +551,101 @@ def test_failed_record_write_changes_nothing(tmp_path, clock, monkeypatch, write
     assert repo.mint_pid() == "nsdl:3"
 
 
+def test_state_file_failure_does_not_fail_stored_writes(tmp_path, clock,
+                                                       monkeypatch):
+    """A write that moves the counters past its own pid or handle leaves
+    state.json alone: the record it wrote carries them back on open."""
+    repo = Repository(tmp_path / "d", clock=clock)
+    resource = put_object(repo, {"Content"})
+    minted = repo.mint_pid()
+    original = Repository._atomic_write
+
+    def failing(path, data):
+        if path.name == "state.json":
+            raise StoreError(f"write to {path} failed: disk full")
+        original(path, data)
+
+    monkeypatch.setattr(Repository, "_atomic_write", staticmethod(failing))
+    repo.restore_object(DigitalObject(pid="nsdl:9", behaviors=frozenset({"Content"})))
+    repo.put_object(DigitalObject(pid=minted, handle="hdl:2200/00005",
+                                  behaviors=frozenset({"Content"})))
+    assert repo.assign_handle(resource) == "hdl:2200/00006"
+    monkeypatch.undo()
+    reopened = Repository(tmp_path / "d", clock=clock)
+    assert _snapshot(reopened) == _snapshot(repo)
+    for store in (repo, reopened):
+        assert store.mint_pid() == "nsdl:10"
+
+
+def _kept_index(repo):
+    """The datestamp index, the active aggregations and the stored-format
+    counts as the store keeps them."""
+    return list(repo._stamps), set(repo._aggregators), dict(repo._format_counts)
+
+
+def _recomputed_index(repo):
+    """The same three, recomputed from the object table."""
+    objects = [repo.get_object(p) for p in repo.pids()]
+    active = [o for o in objects if o.state == "active"]
+    return (sorted((o.last_modified, pid_number(o.pid)) for o in objects),
+            {o.pid for o in active if "Aggregator" in o.behaviors},
+            dict(Counter(f for o in active for f in o.record_formats())))
+
+
+END = datetime(9999, 1, 1, tzinfo=timezone.utc)
+
+
+def test_index_holds_under_concurrent_writes(repo):
+    """Writers that create, re-put and delete while readers take windows
+    leave the kept index equal to one recomputed from the object table."""
+    resource = put_object(repo, {"Content"})
+    errors = []
+
+    def writer():
+        try:
+            for i in range(30):
+                pid = put_object(repo, {"Aggregator"} if i % 3 else {"Metadata"},
+                                 streams=[record_stream("marcxml", b"<r/>")])
+                repo.put_object(repo.get_object(resource))
+                if i % 2:
+                    repo.delete_object(pid)
+        except Exception as exc:  # pragma: no cover - failure reporting
+            errors.append(exc)
+
+    def reader():
+        try:
+            for _ in range(100):
+                aggregators, formats = repo.aggregators(), repo.stored_formats()
+                stamped = repo.stamped(repo.earliest_datestamp(), END)
+                assert len(aggregators) <= len(stamped) and formats <= {"marcxml"}
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer) for _ in range(4)]
+        threads += [threading.Thread(target=reader) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(repo.pids()) == 121
+    assert _kept_index(repo) == _recomputed_index(repo)
+
+
 def test_write_sequence_reopens_equal(tmp_path, clock):
     repo = Repository(tmp_path / "d", clock=clock)
     resource = put_object(repo, {"Content"})
     explicit = put_object(repo, {"Content"}, handle="hdl:2200/00009")
-    metadata = put_object(repo, {"Metadata"}, edges=[("metadataFor", resource)])
+    metadata = put_object(
+        repo, {"Metadata"}, edges=[("metadataFor", resource)],
+        streams=[record_stream("oai_dc", oai_dc_record(("title", "T")))])
+    repo.restore_object(DigitalObject(pid="nsdl:12", behaviors=frozenset({"Aggregator"})))
     repo.restore_object(DigitalObject(
         pid="nsdl:8", handle="hdl:2200/00004", behaviors=frozenset({"Content"}),
         datastreams=(rels_stream("nsdl:8", [("annotates", resource)]),)))
@@ -570,6 +663,9 @@ def test_write_sequence_reopens_equal(tmp_path, clock):
     shutil.copytree(tmp_path / "d", copy)
     reopened = Repository(copy, clock=clock)
     assert _snapshot(reopened) == _snapshot(repo)
+    assert _kept_index(reopened) == _kept_index(repo) == _recomputed_index(repo)
+    # the metadata's second put dropped its REC stream
+    assert _kept_index(repo)[1:] == ({"nsdl:12"}, {})
     assert [reopened.resolve_handle(h) for h in handles] \
         == [repo.resolve_handle(h) for h in handles] \
         == ["nsdl:15", "nsdl:8", explicit, resource]
