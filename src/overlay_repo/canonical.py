@@ -18,10 +18,11 @@ record layout and the bulk-fixture format.
     </digitalObject>
 
 Tombstones serialize as an empty root element with state="deleted". This
-module only converts: import parses, and the repository's one record
-check (store._checked) validates the object and makes the RELS fragment
-canonical, once, on write and on open; export emits the fragment as
-stored.
+module only converts: import parses the document once and hands the
+parsed rdf:RDF element over as it is, not written back to bytes; the
+repository's one record check (store._checked) validates the object and
+reads that element into triples and canonical RELS bytes, once, on write
+and on open; export emits the fragment as stored.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from xml.sax.saxutils import quoteattr
 from .errors import ValidationError
 from .model import (
     RELS_DS,
-    RELS_MEDIA_TYPE,
     Datastream,
     DigitalObject,
     format_datestamp,
@@ -81,12 +81,13 @@ def export_object(obj: DigitalObject) -> bytes:
     return (_XML_DECL + "\n".join(lines) + "\n").encode("utf-8")
 
 
-def import_object(doc: bytes) -> DigitalObject:
-    """Parse a canonical document back into a DigitalObject.
+def import_object(doc: bytes) -> tuple[DigitalObject, ET.Element | None]:
+    """Parse a canonical document into a DigitalObject without its RELS
+    stream, and the rdf:RDF element that <rels> wraps (None without one).
 
     Malformed documents are rejected with the offending element named.
-    The object is not validated and the RELS fragment is kept as found:
-    the repository's write and open paths check both.
+    Neither the object nor the element is checked: the repository's write
+    and open paths check both, and turn the element into the RELS stream.
     """
     try:
         root = ET.fromstring(doc)
@@ -102,22 +103,19 @@ def import_object(doc: bytes) -> DigitalObject:
         raise ValidationError(f"{pid}: version must be a decimal integer")
 
     datastreams: list[Datastream] = []
-    rels_seen = False
+    rels = None
     for child in root:
         if child.tag == "datastream":
             datastreams.append(_parse_datastream(pid, child))
         elif child.tag == "behavior":
             pass
         elif child.tag == "rels":
-            if rels_seen:
+            if rels is not None:
                 raise ValidationError(f"{pid}: multiple rels elements")
-            rels_seen = True
             rdf = list(child)
-            if len(rdf) != 1:
+            if len(rdf) != 1 or (rdf[0].tail or "").strip(" \t\r\n"):
                 raise ValidationError(f"{pid}: rels must wrap one rdf:RDF element")
-            fragment = ET.tostring(rdf[0], encoding="utf-8")
-            datastreams.append(
-                Datastream(RELS_DS, "local", RELS_MEDIA_TYPE, payload=fragment))
+            rels = rdf[0]
         else:
             raise ValidationError(f"{pid}: unexpected element {child.tag!r}")
 
@@ -131,7 +129,7 @@ def import_object(doc: bytes) -> DigitalObject:
         behaviors=behaviors,
         last_modified=parse_datestamp(last_modified),
         version=int(version),
-    )
+    ), rels
 
 
 def canonical_xml(data: bytes) -> bytes:

@@ -28,7 +28,7 @@ from xml.etree import ElementTree as ET
 from . import ontology
 from .errors import LimitExceededError, QueryParseError, ValidationError
 from .model import INFO_URI_PREFIX, is_pid, pid_sort_key, representation_uri
-from .ontology import BASE_NAMESPACE, Predicate, predicate_from_uri
+from .ontology import BASE_NAMESPACE, Predicate, predicate, predicate_from_uri
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 _RDF_ROOT = f"{{{RDF_NS}}}RDF"
@@ -89,17 +89,21 @@ class QueryPattern:
 # RELS fragment wire format
 
 
-def parse_rels(pid: str, fragment: bytes) -> list[Triple]:
-    """Parse an object's RELS fragment into triples.
+def parse_rels(pid: str, fragment: bytes | ET.Element) -> list[Triple]:
+    """Parse an object's RELS fragment, as bytes or as the rdf:RDF element
+    of an already parsed document, into triples.
 
     The fragment must be RDF/XML with at most one rdf:Description, about
     the owning object; every property needs an rdf:resource pointing at
     another object's info URI.
     """
-    try:
-        root = ET.fromstring(fragment)
-    except ET.ParseError as exc:
-        raise ValidationError(f"{pid}: RELS fragment is not well-formed XML: {exc}")
+    if isinstance(fragment, ET.Element):
+        root = fragment
+    else:
+        try:
+            root = ET.fromstring(fragment)
+        except ET.ParseError as exc:
+            raise ValidationError(f"{pid}: RELS fragment is not well-formed XML: {exc}")
     if root.tag != _RDF_ROOT:
         raise ValidationError(f"{pid}: RELS root must be rdf:RDF, got {root.tag}")
     descriptions = list(root)
@@ -131,7 +135,7 @@ def parse_rels(pid: str, fragment: bytes) -> list[Triple]:
             raise ValidationError(f"{pid}: RELS property {name} targets malformed pid {obj!r}")
         # Namespaces split by ElementTree lose their trailing separator.
         sep = "" if ns.endswith(("#", "/")) else "#"
-        triples.append(Triple(pid, Predicate(ns + sep, name), obj, provenance=pid))
+        triples.append(Triple(pid, predicate(ns + sep, name), obj, provenance=pid))
     return triples
 
 
@@ -507,6 +511,6 @@ def _parse_predicate_term(token: str):
         uri = token[1:-1]
         if uri.startswith("rel:"):
             name = uri[len("rel:"):]
-            return Predicate(BASE_NAMESPACE, name)
+            return predicate(BASE_NAMESPACE, name)
         return predicate_from_uri(uri)
     raise QueryParseError(f"malformed predicate {token!r}")

@@ -17,8 +17,9 @@ from xml.sax.saxutils import quoteattr
 
 from .errors import ValidationError
 
-PID_RE = re.compile(r"^nsdl:([0-9]+)$")
-HANDLE_RE = re.compile(r"^hdl:([^/]+)/(.+)$")
+# Matched whole (fullmatch): "$" would also match before a final newline.
+PID_RE = re.compile(r"nsdl:([0-9]+)")
+HANDLE_RE = re.compile(r"hdl:([^/]+)/(.+)")
 INFO_URI_PREFIX = "info:nsdl/"
 
 # Reserved datastream ids and naming conventions.
@@ -45,14 +46,14 @@ def make_pid(number: int) -> str:
 
 def pid_number(pid: str) -> int:
     """Numeric part of a pid; raises ValidationError on bad grammar."""
-    m = PID_RE.match(pid)
+    m = PID_RE.fullmatch(pid)
     if not m:
         raise ValidationError(f"malformed pid {pid!r} (expected nsdl:<decimal>)")
     return int(m.group(1))
 
 
 def is_pid(value: str) -> bool:
-    return bool(PID_RE.match(value))
+    return bool(PID_RE.fullmatch(value))
 
 
 def pid_sort_key(pid: str) -> int:
@@ -64,11 +65,11 @@ def make_handle(prefix: str, number: int) -> str:
 
 
 def is_handle(value: str) -> bool:
-    return bool(HANDLE_RE.match(value))
+    return bool(HANDLE_RE.fullmatch(value))
 
 
 def handle_suffix(handle: str) -> str:
-    m = HANDLE_RE.match(handle)
+    m = HANDLE_RE.fullmatch(handle)
     if not m:
         raise ValidationError(f"malformed handle {handle!r} (expected hdl:<prefix>/<suffix>)")
     return m.group(2)
@@ -115,8 +116,23 @@ def format_datestamp(dt: datetime) -> str:
     return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+# The two datestamp forms written zero-padded, as format_datestamp writes them.
+_DATESTAMP_RE = re.compile(
+    r"([0-9]{4})-([0-9]{2})-([0-9]{2})(?:T([0-9]{2}):([0-9]{2}):([0-9]{2})Z)?")
+
+
 def parse_datestamp(value: str) -> datetime:
-    """Parse a UTC datestamp, either date-only or full seconds granularity."""
+    """Parse a UTC datestamp, either date-only or full seconds granularity.
+
+    A zero-padded stamp is read from its digits; anything else, and a
+    padded stamp that names no real time, goes through strptime, so the
+    accepted strings and their values are exactly strptime's."""
+    m = _DATESTAMP_RE.fullmatch(value)
+    if m:
+        try:
+            return datetime(*map(int, filter(None, m.groups())), tzinfo=timezone.utc)
+        except ValueError:
+            pass
     for fmt in ("%Y-%m-%dT%H:%M:%SZ", "%Y-%m-%d"):
         try:
             return datetime.strptime(value, fmt).replace(tzinfo=timezone.utc)

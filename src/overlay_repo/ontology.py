@@ -13,6 +13,7 @@ can annotate the graph freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from weakref import WeakValueDictionary
 
 BASE_NAMESPACE = "http://ns.nsdl.org/ontologies/relationships#"
 
@@ -45,10 +46,23 @@ BASE_PREDICATES = frozenset(DOMAIN_RANGE)
 
 @dataclass(frozen=True, order=True)
 class Predicate:
-    """A relationship term: a base-ontology name or a namespaced extension."""
+    """A relationship term: a base-ontology name or a namespaced extension.
+
+    The graph and the query parser take theirs from predicate(), so the
+    index probes of a query meet the indexed predicate itself and match on
+    identity; the hash is computed once."""
 
     namespace: str
     name: str
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.namespace, self.name)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # the cached hash is only valid in this process
+        return predicate, (self.namespace, self.name)
 
     @property
     def is_base(self) -> bool:
@@ -64,10 +78,22 @@ class Predicate:
         return self.uri
 
 
+# (namespace, name) -> the shared Predicate, while one is referenced.
+_PREDICATES: WeakValueDictionary = WeakValueDictionary()
+
+
+def predicate(namespace: str, name: str) -> Predicate:
+    """The one live Predicate for (namespace, name)."""
+    found = _PREDICATES.get((namespace, name))
+    if found is None:
+        found = _PREDICATES.setdefault((namespace, name), Predicate(namespace, name))
+    return found
+
+
 def base_predicate(name: str) -> Predicate:
     if name not in BASE_PREDICATES:
         raise ValueError(f"{name!r} is not a base relationship term")
-    return Predicate(BASE_NAMESPACE, name)
+    return predicate(BASE_NAMESPACE, name)
 
 
 def predicate_from_uri(uri: str) -> Predicate:
@@ -75,8 +101,8 @@ def predicate_from_uri(uri: str) -> Predicate:
     for sep in ("#", "/"):
         if sep in uri:
             ns, _, name = uri.rpartition(sep)
-            return Predicate(ns + sep, name)
-    return Predicate("", uri)
+            return predicate(ns + sep, name)
+    return predicate("", uri)
 
 
 def satisfies_type(behaviors: frozenset[str] | None, type_name: str) -> bool:

@@ -7,11 +7,14 @@ assertions and the secondary indexes as a single unit, and moves the
 pid/handle counters past what it stored. Readers see immutable snapshots.
 Persistence is a directory of canonical XML records plus state.json; the
 triple index and all lookup tables are rebuilt from those records on
-open. One record check, _checked, runs on write and on open: the object
-is validated, a RELS fragment is parsed and made canonical here only, and
-every REC.<format> payload must be embeddable as it is (one expat pass,
-no tree), so readers such as the OAI provider splice stored records into
-their output unparsed; exports emit both as stored.
+open, where objects/<n>.xml must hold nsdl:<n>. One record check,
+_checked, runs on write and on open: the object is validated, a RELS
+fragment (bytes, or the rdf:RDF element of a parsed canonical document,
+so a record file goes through the XML parser once) is read and made
+canonical here only, and every REC.<format> payload must be embeddable as
+it is (one expat pass, no tree), so readers such as the OAI provider
+splice stored records into their output unparsed; exports emit both as
+stored.
 
 For the OAI provider the commit also keeps a sorted (datestamp, pid
 number) list over every object, tombstones included, so a datestamp
@@ -34,6 +37,7 @@ from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
 from typing import Callable, Iterator
+from xml.etree import ElementTree as ET
 from xml.sax.saxutils import quoteattr
 
 from . import canonical
@@ -200,16 +204,18 @@ class Repository:
             )
             return self._store(prepared, old, strict=strict).version
 
-    def restore_object(self, obj: DigitalObject, *, strict: bool = True) -> str:
+    def restore_object(self, obj: DigitalObject, *, strict: bool = True,
+                       _rels: ET.Element | None = None) -> str:
         """Import path: stores obj, tombstones included, as the document
         gives it, keeping its version and datestamp (bumping the version
         only when a replaced object is already past it). It passes the
-        same checks as put_object, handle ownership included."""
+        same checks as put_object, handle ownership included. _rels is
+        the rdf:RDF element canonical.import_object parsed with obj."""
         with self._lock:
             old = self._objects.get(obj.pid)
             if old is not None and old.version >= obj.version:
                 obj = replace(obj, version=old.version + 1)
-            return self._store(obj, old, strict=strict).pid
+            return self._store(obj, old, strict=strict, rels=_rels).pid
 
     def get_object(self, pid: str) -> DigitalObject:
         obj = self._objects.get(pid)
@@ -230,7 +236,8 @@ class Repository:
         return canonical.export_object(self.get_object(pid))
 
     def import_object(self, doc: bytes, *, strict: bool = True) -> str:
-        return self.restore_object(canonical.import_object(doc), strict=strict)
+        obj, rels = canonical.import_object(doc)
+        return self.restore_object(obj, strict=strict, _rels=rels)
 
     # ------------------------------------------------------------------
     # views
@@ -357,12 +364,12 @@ class Repository:
     # write path internals (lock held)
 
     def _store(self, obj: DigitalObject, old: DigitalObject | None,
-               *, strict: bool) -> DigitalObject:
+               *, strict: bool, rels: ET.Element | None = None) -> DigitalObject:
         """The one write path: check obj, write its record, commit it, and
         move the counters past its pid and handle. A rejection or a failed
         record write leaves the store as it was. The counters are not
         written: the record just written carries them back on open."""
-        obj, triples = _checked(obj)
+        obj, triples = _checked(obj, rels)
         violations = self.graph.validate_fragment(
             obj.pid, triples, pending_behaviors=obj.behaviors)
         if violations:
@@ -456,8 +463,10 @@ class Repository:
                          key=lambda p: int(p.stem) if p.stem.isdigit() else 0)
         for path in records:
             try:
-                obj, triples = _checked(
-                    canonical.import_object(path.read_bytes()))
+                obj, triples = _checked(*canonical.import_object(path.read_bytes()))
+                if path.name != _record_name(obj.pid):
+                    raise ValidationError(f"holds {obj.pid}, whose record is "
+                                          f"{_record_name(obj.pid)}")
             except ValidationError as exc:
                 raise StoreError(f"corrupt object record {path.name}: {exc}") from exc
             self._absorb(obj)
@@ -466,7 +475,7 @@ class Repository:
     def _write_record(self, obj: DigitalObject) -> None:
         if self.data_dir is None:
             return
-        path = self.data_dir / "objects" / f"{pid_number(obj.pid)}.xml"
+        path = self.data_dir / "objects" / _record_name(obj.pid)
         self._atomic_write(path, canonical.export_object(obj))
 
     # The harvest state files share the module's writer; the store's own
@@ -474,15 +483,19 @@ class Repository:
     _atomic_write = staticmethod(_atomic_write)
 
 
-def _checked(obj: DigitalObject) -> tuple[DigitalObject, list[Triple]]:
+def _checked(obj: DigitalObject, rels: ET.Element | None = None,
+             ) -> tuple[DigitalObject, list[Triple]]:
     """The one record check, on write and on open: obj, validated, with
     its RELS fragment in canonical form (so exports are byte-stable however
-    it arrived), and the triples it asserts. A tombstone must be empty.
-    Every REC.<format> stream must be local and embeddable as it is
+    it arrived), and the triples it asserts. The fragment is obj's RELS
+    stream, or rels, the rdf:RDF element of the document obj was imported
+    from (obj then has no RELS stream). A tombstone must be empty. Every
+    REC.<format> stream must be local and embeddable as it is
     (records.check_record), so the OAI provider splices stored records
     into responses without parsing them."""
     obj.validate()
-    if obj.state == "deleted" and (obj.datastreams or obj.behaviors):
+    if obj.state == "deleted" and (obj.datastreams or obj.behaviors
+                                   or rels is not None):
         raise ValidationError(f"{obj.pid}: tombstone documents must be empty")
     for ds in obj.datastreams:
         if ds.ds_id.startswith(RECORD_DS_PREFIX):
@@ -492,13 +505,18 @@ def _checked(obj: DigitalObject) -> tuple[DigitalObject, list[Triple]]:
                 check_record(ds.payload, ds.ds_id[len(RECORD_DS_PREFIX):])
             except ValidationError as exc:
                 raise ValidationError(f"{obj.pid}: {ds.ds_id} {exc}") from None
-    rels = obj.rels()
+    if rels is None:
+        rels = obj.rels()
     if rels is None:
         return obj, []
     triples = parse_rels(obj.pid, rels)
     return obj.with_datastream(Datastream(
         RELS_DS, "local", RELS_MEDIA_TYPE,
         payload=serialize_rels(obj.pid, triples))), triples
+
+
+def _record_name(pid: str) -> str:
+    return f"{pid_number(pid)}.xml"
 
 
 def _content_url(obj: DigitalObject) -> str | None:

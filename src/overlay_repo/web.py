@@ -24,6 +24,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from urllib.parse import parse_qsl
 
+from .canonical import import_object
 from .errors import (
     BrandMissingError,
     DisseminationError,
@@ -152,10 +153,7 @@ class GatewayApp:
             self.repo.delete_object(pid)
             return "204 No Content", "text/plain", b""
         if method == "PUT":
-            body = _read_body(environ)
-            from .canonical import import_object as parse_object
-
-            obj = parse_object(body)
+            obj, rels = import_object(_read_body(environ))
             if obj.pid != pid:
                 return ("409 Conflict", "text/plain",
                         f"body pid {obj.pid} does not match path pid {pid}\n".encode())
@@ -164,7 +162,7 @@ class GatewayApp:
                 self.repo.get_object(pid)
             except NotFoundError:
                 exists = False
-            self.repo.restore_object(obj)
+            self.repo.restore_object(obj, _rels=rels)
             status = "200 OK" if exists else "201 Created"
             return status, "text/plain", f"{pid}\n".encode()
         return "405 Method Not Allowed", "text/plain", b"unsupported method\n"

@@ -2,7 +2,9 @@
 repository's write path, validation, queries."""
 
 import itertools
+import pickle
 import random
+from xml.etree import ElementTree as ET
 
 import pytest
 
@@ -373,3 +375,45 @@ def test_reads_stay_consistent_under_churn(repo):
     for t in writers:
         t.join()
     assert not errors
+
+
+def test_rels_rejects_target_with_trailing_newline():
+    payload = (
+        b'<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"'
+        b' xmlns:rel="http://ns.nsdl.org/ontologies/relationships#">'
+        b'<rdf:Description rdf:about="info:nsdl/nsdl:4">'
+        b'<rel:metadataFor rdf:resource="info:nsdl/nsdl:1&#10;"/>'
+        b'</rdf:Description></rdf:RDF>')
+    with pytest.raises(ValidationError, match="malformed pid"):
+        parse_rels("nsdl:4", payload)
+
+
+def _shared_terms_payload():
+    return serialize_rels("nsdl:4", [
+        Triple("nsdl:4", base_predicate("metadataFor"), "nsdl:1", "nsdl:4"),
+        Triple("nsdl:4", Predicate("http://example.org/v#", "cites"), "nsdl:9", "nsdl:4"),
+    ])
+
+
+def test_parse_rels_reads_a_parsed_element_as_its_bytes():
+    payload = _shared_terms_payload()
+    assert parse_rels("nsdl:4", ET.fromstring(payload)) == parse_rels("nsdl:4", payload)
+
+
+def test_parses_share_one_predicate_per_term():
+    first = sorted(parse_rels("nsdl:4", _shared_terms_payload()))
+    second = sorted(parse_rels("nsdl:4", _shared_terms_payload()))
+    assert [t.predicate for t in first] == [t.predicate for t in second]
+    assert all(a.predicate is b.predicate for a, b in zip(first, second))
+    shared = {t.predicate.name: t.predicate for t in first}
+    query = parse_query("select ?x where (?x <http://example.org/v#cites> ?y)"
+                        " (?x <rel:metadataFor> ?y)")
+    assert query.clauses[0][1] is shared["cites"]
+    assert query.clauses[1][1] is shared["metadataFor"] is base_predicate("metadataFor")
+    # a Predicate made directly still compares, hashes, orders and prints the same
+    fresh = Predicate("http://example.org/v#", "cites")
+    assert fresh == shared["cites"] and hash(fresh) == hash(shared["cites"])
+    assert not fresh < shared["cites"] and fresh < Predicate("http://example.org/v#", "d")
+    assert str(fresh) == str(shared["cites"]) == "http://example.org/v#cites"
+    assert str(shared["metadataFor"]) == "metadataFor"
+    assert pickle.loads(pickle.dumps(fresh)) is shared["cites"]

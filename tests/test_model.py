@@ -1,0 +1,90 @@
+"""Identifier grammar and datestamp parsing."""
+
+from datetime import datetime, timezone
+
+import pytest
+from hypothesis import given, strategies as st
+
+from overlay_repo.errors import ValidationError
+from overlay_repo.model import (
+    format_datestamp,
+    handle_suffix,
+    is_handle,
+    is_pid,
+    parse_datestamp,
+    pid_number,
+)
+
+
+def _strptime_only(value: str) -> datetime:
+    """The reference: the strptime loop alone, as parse_datestamp read
+    every stamp before it read zero-padded ones from their digits."""
+    for fmt in ("%Y-%m-%dT%H:%M:%SZ", "%Y-%m-%d"):
+        try:
+            return datetime.strptime(value, fmt).replace(tzinfo=timezone.utc)
+        except ValueError:
+            continue
+    raise ValidationError(f"malformed UTC datestamp {value!r}")
+
+
+def _outcome(parse, value: str):
+    try:
+        return parse(value)
+    except ValidationError:
+        return "rejected"
+
+
+@pytest.mark.parametrize("value", [
+    "2005-03-05",
+    "2005-03-05T12:00:00Z",
+    "2005-3-5",                  # unpadded: strptime accepts it
+    "2005-03-05T1:2:3Z",
+    "2005-02-30",                # no such day
+    "2004-02-29",
+    "2005-02-29",
+    "0000-01-01",
+    "9999-12-31T23:59:59Z",
+    "2005-13-01",
+    "2005-03-05T24:00:00Z",
+    "2005-03-05T12:00:60Z",
+    "２００５-03-05",   # fullwidth digits
+    "٢٠٠٥-٠٣-٠٥",  # Arabic-Indic digits
+    "2005-03-05\n",
+    "2005-03-05T12:00:00Z\n",
+    "2005-03-05 ",
+    " 2005-03-05",
+    "2005-03-05T12:00:00",       # time without Z
+    "2005-03-05t12:00:00z",
+    "",
+])
+def test_parse_datestamp_agrees_with_strptime(value):
+    assert _outcome(parse_datestamp, value) == _outcome(_strptime_only, value)
+
+
+_near_stamps = st.from_regex(
+    r"[0-9]{1,5}-[0-9]{1,3}-[0-9]{1,3}(T[0-9]{1,3}:[0-9]{1,3}:[0-9]{1,3}Z?)?\s?",
+    fullmatch=True)
+_written_stamps = st.datetimes(
+    min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59),
+    timezones=st.just(timezone.utc)).map(format_datestamp)
+_stamp_alphabet = st.text(alphabet="0123456789-:TZtz \n٣５", max_size=24)
+
+
+@given(st.one_of(_near_stamps, _written_stamps, _written_stamps.map(lambda s: s[:10]),
+                 _stamp_alphabet))
+def test_parse_datestamp_agrees_with_strptime_on_any_string(value):
+    assert _outcome(parse_datestamp, value) == _outcome(_strptime_only, value)
+
+
+@pytest.mark.parametrize("pid", ["nsdl:1\n", "nsdl:1\r", " nsdl:1", "nsdl:", "nsdl:1a"])
+def test_pid_grammar_is_matched_whole(pid):
+    assert not is_pid(pid)
+    with pytest.raises(ValidationError, match="malformed pid"):
+        pid_number(pid)
+
+
+@pytest.mark.parametrize("handle", ["hdl:2200/00001\n", "hdl:2200/", "2200/00001"])
+def test_handle_grammar_is_matched_whole(handle):
+    assert not is_handle(handle)
+    with pytest.raises(ValidationError, match="malformed handle"):
+        handle_suffix(handle)

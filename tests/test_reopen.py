@@ -1,0 +1,110 @@
+"""Opening a data directory: what open reads, what it refuses, and what it
+costs in XML parses.
+
+``tests/golden/data_dir`` was written by the Repository of commit 5add9a0,
+before open read the RELS element of a record in place: the fixture
+figures (``fixtures.build_all``, handles and REC.oai_dc, REC.nsdl_dc and
+REC.marcxml payloads), two of them deleted (nsdl:25 and nsdl:42, whose
+RELS the tombstone dropped), a second version of nsdl:4, a remote Content
+object with a minted handle (nsdl:43) and a harvested-style Metadata
+object (nsdl:44) with a SOURCE doc and a RELS fragment that adds a
+dcterms extension predicate to its two base ones. ``objects/44.xml`` was
+then edited by hand: its namespaces are declared on <digitalObject> under
+other prefixes and its properties are reordered.
+``data_dir_44_canonical.xml`` is the record as written before the edit.
+"""
+
+import shutil
+from pathlib import Path
+
+import pytest
+
+from overlay_repo.errors import StoreError
+from overlay_repo.model import SOURCE_DS, pid_number
+from overlay_repo.ontology import Predicate
+from overlay_repo.store import Repository
+
+from support import put_object
+
+GOLDEN = Path(__file__).parent / "golden"
+HAND_EDITED = "nsdl:44"
+
+
+@pytest.fixture
+def written_before(tmp_path):
+    copy = tmp_path / "data"
+    shutil.copytree(GOLDEN / "data_dir", copy)
+    return copy
+
+
+def _record(data_dir: Path, pid: str) -> bytes:
+    return (data_dir / "objects" / f"{pid_number(pid)}.xml").read_bytes()
+
+
+def test_data_dir_written_before_reopens_unchanged(written_before):
+    repo = Repository(written_before)
+    pids = repo.pids()
+    assert len(pids) == 23
+    assert [p for p in pids if repo.get_object(p).state == "deleted"] \
+        == ["nsdl:25", "nsdl:42"]
+    assert repo.resolve_handle("hdl:2200/00443") == "nsdl:43"
+    assert repo.source_pid("alpha", "oai:alpha:tides") == HAND_EDITED
+    assert repo.stored_formats() == {"oai_dc", "nsdl_dc", "marcxml"}
+    for pid in pids:
+        exported = repo.export_object(pid)
+        if pid == HAND_EDITED:
+            assert _record(written_before, pid) != exported
+            assert exported == (GOLDEN / "data_dir_44_canonical.xml").read_bytes()
+        else:
+            assert exported == _record(written_before, pid), pid
+    assert repo.graph.objects_of(HAND_EDITED, "metadataFor") == ["nsdl:43"]
+    assert repo.graph.lookup(
+        HAND_EDITED, Predicate("http://purl.org/dc/terms/", "references"), "nsdl:1")
+    dump = repo.graph.dump()
+    repo.rebuild_graph()
+    assert repo.graph.dump() == dump
+    assert (repo.mint_pid(), repo.assign_handle(put_object(repo, {"Content"}))) \
+        == ("nsdl:45", "hdl:2200/00444")
+
+
+def test_open_parses_each_record_file_once(written_before, xml_work, rels_parses):
+    repo = Repository(written_before)
+    objects = list(repo.objects())
+    sources = sum(o.datastream(SOURCE_DS) is not None for o in objects)
+    rec_streams = sum(len(o.record_formats()) for o in objects)
+    assert (sources, rec_streams) == (1, 6)
+    assert xml_work["parsers"] == len(objects) + sources + rec_streams
+    assert xml_work["serializations"] == 0
+    assert rels_parses == [o.pid for o in objects if o.rels() is not None]
+
+
+def test_reopen_refuses_a_record_under_another_pids_name(tmp_path, clock):
+    repo = Repository(tmp_path / "d", clock=clock)
+    pid = put_object(repo, {"Content"})
+    objects = tmp_path / "d" / "objects"
+    shutil.copy(objects / "1.xml", objects / "7.xml")
+    repo.put_object(repo.get_object(pid))
+    with pytest.raises(StoreError, match=r"7\.xml: holds nsdl:1, whose record is 1\.xml"):
+        Repository(tmp_path / "d", clock=clock)
+
+
+def test_reopen_refuses_a_record_with_a_non_numeric_name(tmp_path, clock):
+    repo = Repository(tmp_path / "d", clock=clock)
+    put_object(repo, {"Content"})
+    objects = tmp_path / "d" / "objects"
+    (objects / "1.xml").rename(objects / "foo.xml")
+    with pytest.raises(StoreError, match=r"foo\.xml: holds nsdl:1"):
+        Repository(tmp_path / "d", clock=clock)
+
+
+@pytest.mark.parametrize("rels, reason", [
+    ("<r:RDF/>junk", "rels must wrap one rdf:RDF element"),
+    ("<r:RDF/><r:RDF/>", "rels must wrap one rdf:RDF element"),
+    ("<r:Description/>", "RELS root must be rdf:RDF"),
+])
+def test_reopen_names_record_with_malformed_rels(written_before, rels, reason):
+    path = written_before / "objects" / "44.xml"
+    head, _ = path.read_text("utf-8").split("<rels>")
+    path.write_text(head + f"<rels>{rels}</rels></digitalObject>\n", "utf-8")
+    with pytest.raises(StoreError, match=f"44.xml: .*{reason}"):
+        Repository(written_before)

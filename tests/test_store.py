@@ -18,7 +18,7 @@ from overlay_repo.errors import (
     StoreError,
     ValidationError,
 )
-from overlay_repo.graph import parse_query
+from overlay_repo.graph import parse_query, serialize_rels
 from overlay_repo.model import (
     DigitalObject,
     local_stream,
@@ -675,3 +675,23 @@ def test_write_sequence_reopens_equal(tmp_path, clock):
     for store in (repo, reopened):
         pid = put_object(store, {"Content"})
         assert (pid, store.assign_handle(pid)) == ("nsdl:16", "hdl:2200/00011")
+
+
+def test_pid_with_trailing_newline_is_refused(tmp_path, clock):
+    repo = Repository(tmp_path / "d", clock=clock)
+    pid = put_object(repo, {"Content"}, streams=[local_stream("CONTENT", "text/plain", b"one")])
+    with pytest.raises(ValidationError, match="malformed pid"):
+        put_object(repo, {"Content"}, pid=pid + "\n",
+                   streams=[local_stream("CONTENT", "text/plain", b"two")])
+    reopened = Repository(tmp_path / "d", clock=clock)
+    assert reopened.pids() == repo.pids() == [pid]
+    assert reopened.resolve(f"info:nsdl/{pid}/showContent").body == b"one"
+
+
+def test_tombstone_document_with_rels_is_refused(repo):
+    tomb = repo.export_object(repo.restore_object(
+        DigitalObject(pid="nsdl:5", state="deleted", version=1)))
+    rels = serialize_rels("nsdl:5", []).decode()
+    doc = tomb.replace(b"/>\n", f">\n  <rels>{rels}</rels>\n</digitalObject>\n".encode())
+    with pytest.raises(ValidationError, match="tombstone documents must be empty"):
+        repo.import_object(doc)

@@ -398,3 +398,13 @@ def test_default_config():
     config = load_config(None, env={})
     assert config == GatewayConfig()
     assert config.oai_base_url() == "http://127.0.0.1:8080/oai"
+
+
+def test_post_pid_with_trailing_newline_422(repo, app):
+    donor = Repository()
+    pid = put_object(donor, {"Content"})
+    body = donor.export_object(pid).replace(
+        f'pid="{pid}"'.encode(), f'pid="{pid}&#10;"'.encode())
+    status, _, out = request(app, "POST", "/objects", body=body)
+    assert status == 422 and b"malformed pid" in out
+    assert repo.pids() == []
