@@ -32,6 +32,7 @@ from .errors import (
 from .model import (
     BRAND_DS,
     CONTENT_DS,
+    INFO_URI_PREFIX,
     RECORD_DS_PREFIX,
     DigitalObject,
     Representation,
@@ -266,7 +267,8 @@ def mdprovider_list_provided(repo, pid: str, offset: int = 0,
 
 
 def _uri_list(pids: list[str]) -> Representation:
-    body = "".join(representation_uri(p) + "\n" for p in pids)
+    """A uri-list of graph pids, well-formed by the graph's own check."""
+    body = "".join([f"{INFO_URI_PREFIX}{p}\n" for p in pids])
     return Representation(URI_LIST_TYPE, body.encode("utf-8"))
 
 

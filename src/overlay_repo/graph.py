@@ -10,24 +10,29 @@ access-path choice of Selinger et al. (SIGMOD 1979): first a clause that
 shares a variable bound by an earlier clause (so no cross product is
 chosen while a connected clause remains), then the clause with the most
 bound positions, then the smallest index bucket for its constant terms,
-then the written order. The plan is walked depth first over one array of
-variable values, so no binding is copied, and distinct rows are collected
-as they complete. A caller may cap the rows and the triples the index
-lookups return; the walk stops with ``LimitExceededError`` as soon as a
-cap is passed, so refusing a query costs O(cap), not O(result).
+then the written order. A later clause with a constant whose variables
+are all bound runs as a semi-join (Bernstein and Chiu, JACM 1981) when
+its constants' bucket is no larger than the first clause's: that bucket
+is read once, and a binding costs one set membership test, not a probe.
+The plan is walked depth first over one array of values, so no binding is
+copied, and distinct rows are collected as they complete. A caller may cap
+the rows and the triples the steps scan (a lookup's whole bucket, even
+where a bound subject and object filter it); the walk stops with
+``LimitExceededError`` as soon as a cap is passed, so refusing a query
+costs O(cap), not O(result).
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Collection, Iterable
 from xml.etree import ElementTree as ET
 
 from . import ontology
 from .errors import LimitExceededError, QueryParseError, ValidationError
-from .model import INFO_URI_PREFIX, is_pid, pid_sort_key, representation_uri
+from .model import INFO_URI_PREFIX, is_pid, pid_sort_key, pid_sorted, representation_uri
 from .ontology import BASE_NAMESPACE, Predicate, predicate, predicate_from_uri
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -40,7 +45,8 @@ _RDF_RESOURCE = f"{{{RDF_NS}}}resource"
 TypeOracle = Callable[[str], "frozenset[str] | None"]
 
 _EMPTY: frozenset = frozenset()
-_FIELDS = (attrgetter("subject"), attrgetter("predicate"), attrgetter("object"))
+_FIELDS = ("subject", "predicate", "object")
+_PASS = (None,)  # what a binding that passes a semi-join matches
 
 
 @dataclass(frozen=True, order=True)
@@ -52,9 +58,7 @@ class Triple:
 
     def sort_key(self):
         return (
-            pid_sort_key(self.subject),
-            (self.predicate.namespace, self.predicate.name),
-            pid_sort_key(self.object),
+            pid_sort_key(self.subject), self.predicate, pid_sort_key(self.object),
         )
 
 
@@ -147,7 +151,7 @@ def serialize_rels(pid: str, triples: Iterable[Triple]) -> bytes:
     """
     ordered = sorted(
         triples,
-        key=lambda t: ((t.predicate.namespace, t.predicate.name), pid_sort_key(t.object)),
+        key=lambda t: (t.predicate, pid_sort_key(t.object)),
     )
     prefixes = {RDF_NS: "rdf", BASE_NAMESPACE: "rel"}
     for t in ordered:
@@ -189,8 +193,8 @@ class TripleStore:
     def __init__(self, type_oracle: TypeOracle | None = None):
         self._type_oracle = type_oracle or (lambda pid: None)
         self._mutex = threading.RLock()
+        # Also the subject index: a triple's subject is its asserting pid.
         self._by_provenance: dict[str, list[Triple]] = {}
-        self._by_s: dict[str, set[Triple]] = {}
         self._by_o: dict[str, set[Triple]] = {}
         self._by_p: dict[Predicate, set[Triple]] = {}
         self._by_sp: dict[tuple[str, Predicate], set[Triple]] = {}
@@ -225,10 +229,11 @@ class TripleStore:
     # -- mutation
 
     def replace_triples(self, pid: str, triples: list[Triple]) -> None:
+        """Make triples, each with subject pid, all that pid asserts."""
         with self._mutex:
             self.retract(pid)
             if triples:
-                self._by_provenance[pid] = list(triples)
+                self._by_provenance[pid] = list(dict.fromkeys(triples))
                 for t in triples:
                     self._insert(t)
 
@@ -260,7 +265,6 @@ class TripleStore:
 
     def _insert(self, t: Triple) -> None:
         self._all.add(t)
-        self._by_s.setdefault(t.subject, set()).add(t)
         self._by_o.setdefault(t.object, set()).add(t)
         self._by_p.setdefault(t.predicate, set()).add(t)
         self._by_sp.setdefault((t.subject, t.predicate), set()).add(t)
@@ -268,7 +272,6 @@ class TripleStore:
 
     def _remove(self, t: Triple) -> None:
         for index, key in (
-            (self._by_s, t.subject),
             (self._by_o, t.object),
             (self._by_p, t.predicate),
             (self._by_sp, (t.subject, t.predicate)),
@@ -310,7 +313,8 @@ class TripleStore:
         """The index bucket of the bound terms, leaving o unmatched when s
         is bound too."""
         if s is not None:
-            return self._by_s.get(s, _EMPTY) if p is None else self._by_sp.get((s, p), _EMPTY)
+            return (self._by_provenance.get(s, _EMPTY) if p is None
+                    else self._by_sp.get((s, p), _EMPTY))
         if o is not None:
             return self._by_o.get(o, _EMPTY) if p is None else self._by_po.get((p, o), _EMPTY)
         return self._all if p is None else self._by_p.get(p, _EMPTY)
@@ -320,14 +324,14 @@ class TripleStore:
         relation query behind listMembers-style operations."""
         pred = ontology.base_predicate(predicate_name)
         with self._mutex:
-            found = list(self._by_po.get((pred, obj), ()))
-        return sorted({t.subject for t in found}, key=pid_sort_key)
+            found = [t.subject for t in self._by_po.get((pred, obj), ())]
+        return pid_sorted(found)
 
     def objects_of(self, subj: str, predicate_name: str) -> list[str]:
         pred = ontology.base_predicate(predicate_name)
         with self._mutex:
-            found = list(self._by_sp.get((subj, pred), ()))
-        return sorted({t.object for t in found}, key=pid_sort_key)
+            found = [t.object for t in self._by_sp.get((subj, pred), ())]
+        return pid_sorted(found)
 
     def query(self, pattern: QueryPattern, row_cap: int | None = None,
               max_candidates: int | None = None) -> list[tuple[str, ...]]:
@@ -335,79 +339,102 @@ class TripleStore:
         deterministically ordered. Conjunctive semantics, no inference.
 
         Raises LimitExceededError as soon as more than ``row_cap`` distinct
-        rows are found, or once the index lookups have returned more than
+        rows are found, or once the steps have scanned more than
         ``max_candidates`` triples in all (each one a candidate binding at
         its clause); None leaves a bound off.
         """
         pattern.validate()
         with self._mutex:
             rows = self._evaluate(pattern, row_cap, max_candidates)
-        rendered = {tuple(map(_render, row)) for row in rows}
-        return sorted(rendered, key=lambda row: tuple(_row_key(v) for v in row))
+        return [tuple(map(_render, row)) for row in sorted(rows, key=_row_key)]
 
-    def _plan(self, clauses) -> tuple[list[tuple], dict[str, int]]:
-        """Clauses in evaluation order, each compiled into a step, and the
-        slot of each variable. A step is (probe, bound, new, same): the
-        clause's constants with None for its variables; (position, slot)
-        of the variables bound before it; (field, slot) of the variables
-        it binds; (field, slot) of their repeats within the clause."""
-        slots: dict[str, int] = {}
+    def _plan(self, clauses) -> tuple[list[tuple], list, dict[str, int]]:
+        """Clauses in evaluation order, each compiled into a step over one
+        list of values, and the slot of each variable in it. values[0] is
+        None, a probe's wildcard; the variables follow in the order steps
+        bind them, then the constants, indexed from the end. A step is
+        (probe, get, slot, same, semi, wide): probe picks its (s, p, o) from
+        the values; values[slot] takes get(t), the variables it binds from a
+        match t (get is empty when it binds none); same holds (getter, slot)
+        of a variable repeated in the clause; a semi-join's semi is (key,
+        fields), and a binding passes if key(values) is fields(t) of some t
+        matching the constants; wide marks a bound subject and object."""
+        names: dict[str, int] = {}
+        constants: list = []
         remaining = list(clauses)
         steps = []
 
         def cost(clause):
-            names = {t.name for t in clause if isinstance(t, Var)}
-            bound = sum(1 for t in clause if not isinstance(t, Var) or t.name in slots)
-            constants = [None if isinstance(t, Var) else t for t in clause]
-            return (bool(names) and not names & slots.keys(), -bound,
-                    len(self._bucket(*constants)))
+            vars_ = {t.name for t in clause if isinstance(t, Var)}
+            bound = sum(1 for t in clause if not isinstance(t, Var) or t.name in names)
+            return (bool(vars_) and not vars_ & names.keys(), -bound,
+                    len(self._bucket(*(None if isinstance(t, Var) else t for t in clause))))
+
+        def fields(positions):
+            return attrgetter(*(_FIELDS[pos] for pos in positions))
 
         while remaining:
-            clause = min(remaining, key=cost)
-            remaining.remove(clause)
-            before = set(slots)
-            probe, bound, new, same = [None, None, None], [], [], []
+            (*_, size), at = min((cost(c), n) for n, c in enumerate(remaining))
+            clause = remaining.pop(at)
+            first = len(names) + 1
+            probe, bound, new, same = [], [], [], []
             for pos, term in enumerate(clause):
                 if not isinstance(term, Var):
-                    probe[pos] = term
-                elif term.name in before:
-                    bound.append((pos, slots[term.name]))
-                elif term.name in slots:
-                    same.append((_FIELDS[pos], slots[term.name]))
+                    constants.append(term)
+                    probe.append(-len(constants))
+                elif term.name not in names:
+                    names[term.name] = len(names) + 1
+                    probe.append(0)
+                    new.append(pos)
+                elif names[term.name] >= first:
+                    probe.append(0)
+                    same.append((fields([pos]), names[term.name]))
                 else:
-                    slots[term.name] = len(slots)
-                    new.append((_FIELDS[pos], slots[term.name]))
-            steps.append((probe, bound, new, same))
-        return steps, slots
+                    probe.append(names[term.name])
+                    bound.append(pos)
+            if not steps:
+                drive = size
+            semi = None
+            if bound and not new and len(bound) < 3 and size <= drive:
+                semi = itemgetter(*(probe[pos] for pos in bound)), fields(bound)
+                for pos in bound:
+                    probe[pos] = 0
+            steps.append((
+                itemgetter(*probe), new and fields(new),
+                first if len(new) == 1 else slice(first, first + len(new)),
+                same, semi, bool(probe[0] and probe[2])))
+        return steps, [None] * (len(names) + 1) + constants[::-1], names
 
     def _evaluate(self, pattern: QueryPattern, row_cap: int | None,
                   max_candidates: int | None) -> set[tuple]:
-        steps, slots = self._plan(pattern.clauses)
-        select = [slots[name] for name in pattern.select]
-        values: list[object] = [None] * len(slots)
+        steps, values, names = self._plan(pattern.clauses)
+        select = [names[name] for name in pattern.select]
         rows: set[tuple] = set()
         row_cap = float("inf") if row_cap is None else row_cap
         budget = float("inf") if max_candidates is None else max_candidates
-        lookup = self.lookup
-        last = len(steps) - 1
+        lookup, bucket, last = self.lookup, self._bucket, len(steps) - 1
+        members: list[set | None] = [None] * len(steps)  # of each semi-join
 
         def walk(depth: int) -> None:
             nonlocal budget
-            probe, bound, new, same = steps[depth]
-            if bound:
-                probe = probe.copy()
-                for pos, slot in bound:
-                    probe[pos] = values[slot]
-            matches = lookup(*probe)
-            budget -= len(matches)
-            if budget < 0:
-                raise LimitExceededError(
-                    f"query examines more than {max_candidates} candidate "
-                    f"bindings; narrow it")
+            probe, get, slot, same, semi, wide = steps[depth]
+            if semi and members[depth] is not None:
+                matches = _PASS if semi[0](values) in members[depth] else ()
+            else:
+                args = probe(values)
+                matches = lookup(*args)
+                budget -= len(bucket(*args) if wide else matches)
+                if budget < 0:
+                    raise LimitExceededError(
+                        f"query examines more than {max_candidates} candidate "
+                        f"bindings; narrow it")
+                if semi:  # first use: look the constants up once
+                    members[depth] = set(map(semi[1], matches))
+                    return walk(depth)
             for t in matches:
-                for get, slot in new:
+                if get:
                     values[slot] = get(t)
-                if same and any(get(t) != values[slot] for get, slot in same):
+                if same and any(field(t) != values[i] for field, i in same):
                     continue
                 if depth < last:
                     walk(depth + 1)
@@ -428,10 +455,8 @@ def _render(value) -> str:
     return value
 
 
-def _row_key(value: str):
-    if is_pid(value):
-        return (0, pid_sort_key(value), "")
-    return (1, 0, value)
+def _row_key(row: tuple) -> list:
+    return [v.uri if isinstance(v, Predicate) else pid_sort_key(v) for v in row]
 
 
 # --------------------------------------------------------------------------

@@ -11,14 +11,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 from xml.etree import ElementTree as ET
 from xml.sax.saxutils import quoteattr
 
 from .errors import ValidationError
 
 # Matched whole (fullmatch): "$" would also match before a final newline.
-PID_RE = re.compile(r"nsdl:([0-9]+)")
+# No leading zeros: each number has one pid, and so one record file.
+PID_RE = re.compile(r"nsdl:(0|[1-9][0-9]*)")
 HANDLE_RE = re.compile(r"hdl:([^/]+)/(.+)")
 INFO_URI_PREFIX = "info:nsdl/"
 
@@ -56,8 +57,16 @@ def is_pid(value: str) -> bool:
     return bool(PID_RE.fullmatch(value))
 
 
-def pid_sort_key(pid: str) -> int:
-    return pid_number(pid)
+def pid_sort_key(pid: str) -> tuple[int, str]:
+    """Numeric order of well-formed pids, without parsing them: as pids
+    have no leading zeros, the longer has the larger number, and pids of
+    one length order as text."""
+    return len(pid), pid
+
+
+def pid_sorted(pids: Iterable[str]) -> list[str]:
+    """pids in pid_sort_key order, by two C-level sorts."""
+    return sorted(sorted(pids), key=len)
 
 
 def make_handle(prefix: str, number: int) -> str:

@@ -12,7 +12,6 @@ can annotate the graph freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from weakref import WeakValueDictionary
 
 BASE_NAMESPACE = "http://ns.nsdl.org/ontologies/relationships#"
@@ -44,33 +43,31 @@ DOMAIN_RANGE: dict[str, tuple[str, str]] = {
 
 BASE_PREDICATES = frozenset(DOMAIN_RANGE)
 
-@dataclass(frozen=True, order=True)
-class Predicate:
+class Predicate(str):
     """A relationship term: a base-ontology name or a namespaced extension.
 
+    Its str value is namespace, NUL, name. No RELS namespace or name holds
+    a NUL, so it equals, hashes and orders as (namespace, name) does, by
+    str's own C-level methods: every index probe keyed by one hashes it.
     The graph and the query parser take theirs from predicate(), so the
-    index probes of a query meet the indexed predicate itself and match on
-    identity; the hash is computed once."""
+    index probes of a query meet the indexed predicate itself."""
 
-    namespace: str
-    name: str
+    __slots__ = ("namespace", "name", "uri", "__weakref__")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.namespace, self.name)))
+    def __new__(cls, namespace: str, name: str) -> "Predicate":
+        self = super().__new__(cls, f"{namespace}\0{name}")
+        self.namespace, self.name, self.uri = namespace, name, namespace + name
+        return self
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):  # the cached hash is only valid in this process
+    def __reduce__(self):  # an unpickled term is the interned one
         return predicate, (self.namespace, self.name)
+
+    def __repr__(self) -> str:
+        return f"Predicate(namespace={self.namespace!r}, name={self.name!r})"
 
     @property
     def is_base(self) -> bool:
         return self.namespace == BASE_NAMESPACE
-
-    @property
-    def uri(self) -> str:
-        return self.namespace + self.name
 
     def __str__(self) -> str:
         if self.is_base:

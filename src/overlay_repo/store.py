@@ -67,6 +67,8 @@ from .model import (
     parse_representation_uri,
     parse_source_doc,
     pid_number,
+    pid_sort_key,
+    pid_sorted,
     utcnow_seconds,
 )
 from .behaviors import ALIASES, OPERATIONS
@@ -268,7 +270,7 @@ class Repository:
     def aggregators(self) -> list[str]:
         """Active Aggregator pids, pid order."""
         with self._lock:
-            return sorted(self._aggregators, key=pid_number)
+            return pid_sorted(self._aggregators)
 
     def stored_formats(self) -> set[str]:
         """Formats stored as REC.<format> on some active object."""
@@ -387,30 +389,31 @@ class Repository:
             if owner is not None and owner != obj.pid:
                 raise ValidationError(
                     f"{obj.pid}: handle {obj.handle} already registered to {owner}")
-        self._write_record(obj)
-        self._commit(obj, old, triples)
-        self._absorb(obj)
+        number = pid_number(obj.pid)
+        self._write_record(obj, number)
+        self._commit(obj, old, triples, number)
+        self._absorb(obj, number)
         return obj
 
     def _commit(self, obj: DigitalObject, old: DigitalObject | None,
-                triples: list[Triple]) -> None:
-        """Apply a written object to the object table, the graph and the
-        indexes."""
+                triples: list[Triple], number: int) -> None:
+        """Apply a written object, whose pid has the given number, to the
+        object table, the graph and the indexes."""
         if obj.pid not in self._objects:  # new pids mostly come last
-            if self._pids and pid_number(obj.pid) < pid_number(self._pids[-1]):
-                bisect.insort(self._pids, obj.pid, key=pid_number)
+            if self._pids and pid_sort_key(obj.pid) < pid_sort_key(self._pids[-1]):
+                bisect.insort(self._pids, obj.pid, key=pid_sort_key)
             else:
                 self._pids.append(obj.pid)
         self._objects[obj.pid] = obj
         self.graph.replace_triples(obj.pid, triples)
-        self._index(obj, old)
+        self._index(obj, old, number)
 
-    def _index(self, obj: DigitalObject, old: DigitalObject | None) -> None:
+    def _index(self, obj: DigitalObject, old: DigitalObject | None, number: int) -> None:
         if obj.handle is not None:
             self._handles[obj.handle] = obj.pid
         if old is not None:
             del self._stamps[bisect.bisect_left(
-                self._stamps, (old.last_modified, pid_number(old.pid)))]
+                self._stamps, (old.last_modified, number))]
             if old.state == "active":
                 self._aggregators.discard(old.pid)
                 for name in old.record_formats():
@@ -423,7 +426,7 @@ class Repository:
             source = _source_key(old)
             if source is not None and self._sources.get(source) == old.pid:
                 del self._sources[source]
-        bisect.insort(self._stamps, (obj.last_modified, pid_number(obj.pid)))
+        bisect.insort(self._stamps, (obj.last_modified, number))
         if obj.state == "active":
             if "Aggregator" in obj.behaviors:
                 self._aggregators.add(obj.pid)
@@ -436,10 +439,10 @@ class Repository:
             if source is not None:
                 self._sources.setdefault(source, obj.pid)
 
-    def _absorb(self, obj: DigitalObject) -> None:
-        """Move the counters past obj's pid and any handle in this
-        repository's prefix, so neither is minted again."""
-        self._pid_counter = max(self._pid_counter, pid_number(obj.pid))
+    def _absorb(self, obj: DigitalObject, number: int) -> None:
+        """Move the counters past obj's pid, whose number is given, and any
+        handle in this repository's prefix, so neither is minted again."""
+        self._pid_counter = max(self._pid_counter, number)
         if obj.handle is not None and obj.handle.startswith(
                 f"hdl:{self.handle_prefix}/"):
             suffix = handle_suffix(obj.handle)
@@ -464,18 +467,19 @@ class Repository:
         for path in records:
             try:
                 obj, triples = _checked(*canonical.import_object(path.read_bytes()))
-                if path.name != _record_name(obj.pid):
+                number = pid_number(obj.pid)
+                if path.name != f"{number}.xml":
                     raise ValidationError(f"holds {obj.pid}, whose record is "
-                                          f"{_record_name(obj.pid)}")
+                                          f"{number}.xml")
             except ValidationError as exc:
                 raise StoreError(f"corrupt object record {path.name}: {exc}") from exc
-            self._absorb(obj)
-            self._commit(obj, self._objects.get(obj.pid), triples)
+            self._absorb(obj, number)
+            self._commit(obj, self._objects.get(obj.pid), triples, number)
 
-    def _write_record(self, obj: DigitalObject) -> None:
+    def _write_record(self, obj: DigitalObject, number: int) -> None:
         if self.data_dir is None:
             return
-        path = self.data_dir / "objects" / _record_name(obj.pid)
+        path = self.data_dir / "objects" / f"{number}.xml"
         self._atomic_write(path, canonical.export_object(obj))
 
     # The harvest state files share the module's writer; the store's own
@@ -513,10 +517,6 @@ def _checked(obj: DigitalObject, rels: ET.Element | None = None,
     return obj.with_datastream(Datastream(
         RELS_DS, "local", RELS_MEDIA_TYPE,
         payload=serialize_rels(obj.pid, triples))), triples
-
-
-def _record_name(pid: str) -> str:
-    return f"{pid_number(pid)}.xml"
 
 
 def _content_url(obj: DigitalObject) -> str | None:

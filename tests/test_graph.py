@@ -22,6 +22,7 @@ from overlay_repo.ontology import BASE_NAMESPACE, Predicate, base_predicate
 
 from support import (
     EXT_NS,
+    EXT_TERMS,
     brute_force_query,
     load_plain_triples,
     put_object,
@@ -171,6 +172,99 @@ def test_random_graphs_match_brute_force():
             expected = brute_force_query(triples, to_oracle_pattern(clauses), select)
             assert set(got) == expected
             assert len(got) == len(set(got))
+
+
+def _filter_kinds(store, pattern):
+    """How the plan runs each step that binds no variable after the first:
+    as a semi-join or by a probe per binding."""
+    steps, _, _ = store._plan(pattern.clauses)
+    return {"semi" if semi else "probe" for _, get, _, _, semi, _ in steps[1:] if not get}
+
+
+def test_random_filter_joins_match_brute_force():
+    """Three clauses, the last fully bound by the first two plus a constant:
+    the planner runs it as a semi-join or probes it per binding, and both
+    must agree with the oracle."""
+    rng = random.Random(4321)
+    kinds = set()
+    for _ in range(60):
+        _, triples = random_graph(rng, max_triples=80)
+        store = load_plain_triples(TripleStore(), triples)
+        pids = sorted({t[0] for t in triples} | {t[2] for t in triples}) or ["nsdl:1"]
+        for _ in range(10):
+            clauses, select = random_pattern(rng, pids, 2)
+            used = sorted({t[1] for clause in clauses for t in clause if t[0] == "var"})
+            terms = [("var", rng.choice(used)), ("pred", EXT_NS + rng.choice(EXT_TERMS)),
+                     ("var", rng.choice(used))]
+            const = rng.choice([0, 2, 2])  # which variable becomes a constant pid
+            terms[const] = ("pid", rng.choice(pids))
+            clauses.append(tuple(terms))
+            pattern = to_engine_pattern(clauses, select)
+            got = store.query(pattern)
+            assert set(got) == brute_force_query(triples, to_oracle_pattern(clauses), select)
+            assert len(got) == len(set(got))
+            kinds |= _filter_kinds(store, pattern)
+    assert kinds == {"semi", "probe"}
+
+
+def _join3_store(n):
+    """?m follows nsdl:1, ?m cites ?r and ?r likes nsdl:2, for n of each."""
+    return load_plain_triples(TripleStore(), [
+        triple for m in range(100, 100 + n) for triple in (
+            (f"nsdl:{m}", EXT_NS + "follows", "nsdl:1"),
+            (f"nsdl:{m}", EXT_NS + "cites", f"nsdl:{m + n}"),
+            (f"nsdl:{m + n}", EXT_NS + "likes", "nsdl:2"))])
+
+
+JOIN3 = (f"select ?r where (?m <{EXT_NS}follows> <info:nsdl/nsdl:1>)"
+         f" (?m <{EXT_NS}cites> ?r) (?r <{EXT_NS}likes> <info:nsdl/nsdl:2>)")
+
+
+def test_filter_reached_by_many_bindings_looks_its_constants_up_once(lookups):
+    rows = _join3_store(50).query(parse_query(JOIN3))
+    assert rows == [(f"nsdl:{r}",) for r in range(150, 200)]
+    assert len(lookups) == 1 + 50 + 1
+
+
+def test_filter_reached_by_one_binding_probes(lookups):
+    store = load_plain_triples(TripleStore(), [
+        (f"nsdl:{i}", EXT_NS + "likes", "nsdl:1") for i in range(2, 502)]
+        + [("nsdl:600", EXT_NS + "links", "nsdl:7")])
+    rows = store.query(parse_query(
+        f"select ?x where (<info:nsdl/nsdl:600> <{EXT_NS}links> ?x)"
+        f" (?x <{EXT_NS}likes> <info:nsdl/nsdl:1>)"))
+    assert rows == [("nsdl:7",)]
+    assert len(lookups) == 2
+    assert sum(call.taken for call in lookups) <= 2
+
+
+def test_candidate_budget_counts_the_bucket_a_probe_filters():
+    store = load_plain_triples(TripleStore(), [("nsdl:1", EXT_NS + "links", "nsdl:2")] + [
+        ("nsdl:1", EXT_NS + "cites", f"nsdl:{i}") for i in range(3, 202)])
+    query = parse_query("select ?p where (<info:nsdl/nsdl:1> ?p <info:nsdl/nsdl:2>)")
+    with pytest.raises(LimitExceededError):
+        store.query(query, max_candidates=199)
+    assert store.query(query, max_candidates=200) == [(EXT_NS + "links",)]
+    with pytest.raises(LimitExceededError):  # 50 + 50 probed + 50 for the semi-join
+        _join3_store(50).query(parse_query(JOIN3), max_candidates=149)
+    assert len(_join3_store(50).query(parse_query(JOIN3), max_candidates=150)) == 50
+
+
+def test_listings_and_rows_order_pids_numerically(repo):
+    aggregator = put_object(repo, {"Aggregator"})
+    members = [put_object(repo, {"Content"}, edges=[("memberOf", aggregator)])
+               for _ in range(11)]
+    assert members[7:9] == ["nsdl:9", "nsdl:10"]
+    assert repo.graph.subjects_of("memberOf", aggregator) == members
+    listed = repo.resolve(f"info:nsdl/{aggregator}/listMembers").body.decode()
+    assert listed.split() == [f"info:nsdl/{m}" for m in members]
+    rows = repo.graph.query(parse_query("select ?r ?a where (?r <rel:memberOf> ?a)"))
+    assert rows == [(m, aggregator) for m in members]
+    store = load_plain_triples(TripleStore(), [
+        ("nsdl:3", EXT_NS + "links", f"nsdl:{n}") for n in (100, 9, 10, 11, 2)])
+    assert [row[0] for row in store.query(parse_query(
+        "select ?o where (<info:nsdl/nsdl:3> ?p ?o)"))] == \
+        ["nsdl:2", "nsdl:9", "nsdl:10", "nsdl:11", "nsdl:100"]
 
 
 def chain_store(n):

@@ -11,8 +11,11 @@ from overlay_repo.model import (
     handle_suffix,
     is_handle,
     is_pid,
+    make_pid,
     parse_datestamp,
     pid_number,
+    pid_sort_key,
+    pid_sorted,
 )
 
 
@@ -76,11 +79,19 @@ def test_parse_datestamp_agrees_with_strptime_on_any_string(value):
     assert _outcome(parse_datestamp, value) == _outcome(_strptime_only, value)
 
 
-@pytest.mark.parametrize("pid", ["nsdl:1\n", "nsdl:1\r", " nsdl:1", "nsdl:", "nsdl:1a"])
+@pytest.mark.parametrize("pid", ["nsdl:1\n", "nsdl:1\r", " nsdl:1", "nsdl:", "nsdl:1a",
+                                 "nsdl:01", "nsdl:00"])
 def test_pid_grammar_is_matched_whole(pid):
     assert not is_pid(pid)
     with pytest.raises(ValidationError, match="malformed pid"):
         pid_number(pid)
+
+
+def test_pids_sort_in_numeric_order():
+    pids = [make_pid(n) for n in (100, 9, 0, 10, 11, 2, 99)]
+    want = sorted(pids, key=pid_number)
+    assert pid_sorted(pids) == sorted(pids, key=pid_sort_key) == want
+    assert want[2:4] == ["nsdl:9", "nsdl:10"]
 
 
 @pytest.mark.parametrize("handle", ["hdl:2200/00001\n", "hdl:2200/", "2200/00001"])

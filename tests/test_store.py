@@ -688,6 +688,26 @@ def test_pid_with_trailing_newline_is_refused(tmp_path, clock):
     assert reopened.resolve(f"info:nsdl/{pid}/showContent").body == b"one"
 
 
+def test_pid_with_leading_zero_is_refused(tmp_path, clock):
+    repo = Repository(tmp_path / "d", clock=clock)
+    pid = put_object(repo, {"Content"}, streams=[local_stream("CONTENT", "text/plain", b"one")])
+    with pytest.raises(ValidationError, match="malformed pid"):
+        put_object(repo, {"Content"}, pid="nsdl:01",
+                   streams=[local_stream("CONTENT", "text/plain", b"two")])
+    reopened = Repository(tmp_path / "d", clock=clock)
+    assert reopened.pids() == repo.pids() == [pid]
+    assert reopened.resolve(f"info:nsdl/{pid}/showContent").body == b"one"
+
+
+def test_reopen_names_record_holding_pid_with_leading_zero(tmp_path, clock):
+    repo = Repository(tmp_path / "d", clock=clock)
+    put_object(repo, {"Content"})
+    path = tmp_path / "d" / "objects" / "1.xml"
+    path.write_bytes(path.read_bytes().replace(b'pid="nsdl:1"', b'pid="nsdl:01"'))
+    with pytest.raises(StoreError, match="1.xml.*malformed pid 'nsdl:01'"):
+        Repository(tmp_path / "d", clock=clock)
+
+
 def test_tombstone_document_with_rels_is_refused(repo):
     tomb = repo.export_object(repo.restore_object(
         DigitalObject(pid="nsdl:5", state="deleted", version=1)))
