@@ -132,11 +132,6 @@ def import_object(doc: bytes) -> tuple[DigitalObject, ET.Element | None]:
     ), rels
 
 
-def canonical_xml(data: bytes) -> bytes:
-    """C14N form of an arbitrary XML document, for byte comparisons."""
-    return ET.canonicalize(xml_data=data).encode("utf-8")
-
-
 def _render_attrs(attrs) -> str:
     return "".join(f" {name}={quoteattr(value)}" for name, value in attrs)
 

@@ -7,6 +7,7 @@ switches list output to one machine-readable record per line.
 
 from __future__ import annotations
 
+import logging
 import sys
 from pathlib import Path
 
@@ -14,11 +15,12 @@ import click
 
 from . import harvest as harvest_mod
 from .errors import RepositoryError, StoreError
-from .fixtures import load_fixture_dir
 from .graph import parse_query
 from .oai import OaiProvider
 from .store import Repository
 from .web import GatewayApp, GatewayConfig, load_config, make_server
+
+log = logging.getLogger(__name__)
 
 
 class Context:
@@ -188,6 +190,27 @@ def load_fixture(app_ctx: Context, directory, porcelain):
             click.echo(pid)
     else:
         click.echo(f"imported {len(pids)} objects from {directory}")
+
+
+def load_fixture_dir(repo: Repository, directory: str | Path) -> list[str]:
+    """Bulk-import every canonical XML file under a directory tree.
+
+    File order is arbitrary, so objects stage in the lenient mode with
+    forward references silenced; once everything has landed the whole
+    graph is validated and only the violations that remain are logged.
+    """
+    paths = sorted(Path(directory).rglob("*.xml"))
+    staging_log = logging.getLogger("overlay_repo.store")
+    level = staging_log.level
+    staging_log.setLevel(logging.ERROR)
+    try:
+        pids = [repo.import_object(path.read_bytes(), strict=False)
+                for path in paths]
+    finally:
+        staging_log.setLevel(level)
+    for violation in repo.validate_graph():
+        log.warning("fixture graph violation: %s", violation)
+    return pids
 
 
 def run() -> int:

@@ -2,8 +2,9 @@
 
 Each object asserts relationships about itself in its RELS datastream
 (RDF/XML, one rdf:Description about the object's info URI). Fragments are
-merged into one graph keyed by provenance, validated against the base
-ontology, and queried with conjunctive triple patterns.
+merged into one graph keyed by provenance and queried with conjunctive
+triple patterns. The graph holds what it is given: the repository checks
+each fragment against the base ontology before it lands.
 
 A query is planned before it runs. The clauses are ordered greedily, the
 access-path choice of Selinger et al. (SIGMOD 1979): first a clause that
@@ -27,7 +28,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
-from typing import Callable, Collection, Iterable
+from typing import Collection, Iterable
 from xml.etree import ElementTree as ET
 
 from . import ontology
@@ -40,9 +41,6 @@ _RDF_ROOT = f"{{{RDF_NS}}}RDF"
 _RDF_DESCRIPTION = f"{{{RDF_NS}}}Description"
 _RDF_ABOUT = f"{{{RDF_NS}}}about"
 _RDF_RESOURCE = f"{{{RDF_NS}}}resource"
-
-# pid -> behavior set of an active object, or None when absent/deleted.
-TypeOracle = Callable[[str], "frozenset[str] | None"]
 
 _EMPTY: frozenset = frozenset()
 _FIELDS = ("subject", "predicate", "object")
@@ -190,8 +188,7 @@ class TripleStore:
     keeps every read a consistent point-in-time view of the graph.
     """
 
-    def __init__(self, type_oracle: TypeOracle | None = None):
-        self._type_oracle = type_oracle or (lambda pid: None)
+    def __init__(self):
         self._mutex = threading.RLock()
         # Also the subject index: a triple's subject is its asserting pid.
         self._by_provenance: dict[str, list[Triple]] = {}
@@ -203,28 +200,6 @@ class TripleStore:
 
     def __len__(self) -> int:
         return len(self._all)
-
-    # -- validation
-
-    def validate_fragment(self, pid: str, triples: list[Triple],
-                          pending_behaviors: "frozenset[str] | None" = None) -> list[str]:
-        """All domain/range violations for a candidate assertion set.
-
-        ``pending_behaviors`` is the behavior set the subject object will
-        have once the surrounding write commits (the subject may not be in
-        the store yet, or may be changing its bindings in the same write).
-        """
-        violations = []
-        for t in triples:
-            if t.subject != pid:
-                violations.append(
-                    f"triple subject {t.subject} differs from asserting object {pid}")
-                continue
-            subject_b = pending_behaviors
-            object_b = pending_behaviors if t.object == pid else self._type_oracle(t.object)
-            for problem in ontology.check_triple(t.predicate, subject_b, object_b):
-                violations.append(f"({t.subject}, {t.predicate}, {t.object}): {problem}")
-        return violations
 
     # -- mutation
 
@@ -249,7 +224,7 @@ class TripleStore:
         Aborts (leaving the current graph untouched) if any fragment fails
         to parse, naming the offending object.
         """
-        rebuilt = TripleStore(self._type_oracle)
+        rebuilt = TripleStore()
         for pid, fragment in fragments:
             if fragment is None:
                 continue

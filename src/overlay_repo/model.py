@@ -84,12 +84,9 @@ def handle_suffix(handle: str) -> str:
     return m.group(2)
 
 
-def representation_uri(pid: str, op: str | None = None) -> str:
-    """info-scheme URI for an object or one of its representations."""
-    pid_number(pid)
-    if op is None:
-        return INFO_URI_PREFIX + pid
-    return f"{INFO_URI_PREFIX}{pid}/{op}"
+def representation_uri(pid: str) -> str:
+    """info-scheme URI of an object, whose pid the caller has checked."""
+    return INFO_URI_PREFIX + pid
 
 
 def parse_representation_uri(uri: str) -> tuple[str, str | None, dict[str, str]]:

@@ -137,14 +137,33 @@ def check_record(xml: bytes, format_name: str) -> None:
         raise ValidationError(f"root element {tag} does not match format {format_name}")
 
 
+_PREFIXED_ROOT = re.compile(rb"<[^\s/>:]+:")
+_ROOT_NAME = re.compile(rb"<[^\s/>]+")
+_ATTRIBUTE = re.compile(rb"""\s+([^\s=]+)\s*=\s*(?:"[^"]*"|'[^']*')""")
+
+
 def embeddable(xml: bytes) -> bytes:
     """A checked payload's root element alone, as bytes to splice into
     another document: byte order mark, XML declaration and surrounding
-    whitespace removed."""
+    whitespace removed. An unprefixed root that declares no default
+    namespace gains xmlns="", so that it stays in no namespace inside the
+    document it is spliced into; stored bytes are left as they are."""
     xml = xml.removeprefix(codecs.BOM_UTF8)
     if xml.startswith(b"<?xml") and xml[5:6].isspace():
         xml = xml[xml.index(b"?>") + 2:]
-    return xml.strip()
+    xml = xml.strip()
+    start = 0
+    while xml[start + 1] in b"!?":  # a comment or PI before the root
+        end = b"-->" if xml[start + 1] == ord("!") else b"?>"
+        start = xml.index(b"<", xml.index(end, start + 2) + len(end))
+    if _PREFIXED_ROOT.match(xml, start):
+        return xml
+    pos = name_end = _ROOT_NAME.match(xml, start).end()
+    while attribute := _ATTRIBUTE.match(xml, pos):
+        if attribute[1] == b"xmlns":
+            return xml
+        pos = attribute.end()
+    return xml[:name_end] + b' xmlns=""' + xml[name_end:]
 
 
 def parse_dc_entries(xml: bytes, format_name: str) -> list[DcEntry]:

@@ -2,9 +2,11 @@
 
 Every object change (put, restore, delete, handle assignment) goes
 through one write path, Repository._store, serialized behind one lock: it
-checks the object, writes its record, commits the record, its graph
-assertions and the secondary indexes as a single unit, and moves the
-pid/handle counters past what it stored. Readers see immutable snapshots.
+checks the object and its graph assertions, writes its record, commits
+the record, its graph assertions and the secondary indexes as a single
+unit, and moves the pid/handle counters past what it stored. Readers see
+immutable snapshots. Repository._violations is the one ontology check;
+validate_graph runs it too.
 Persistence is a directory of canonical XML records plus state.json; the
 triple index and all lookup tables are rebuilt from those records on
 open, where objects/<n>.xml must hold nsdl:<n>. One record check,
@@ -72,7 +74,7 @@ from .model import (
     utcnow_seconds,
 )
 from .behaviors import ALIASES, OPERATIONS
-from .ontology import satisfies_type
+from .ontology import check_triple, satisfies_type
 from .records import check_record
 
 log = logging.getLogger(__name__)
@@ -139,7 +141,7 @@ class Repository:
         self._stamps: list[tuple[datetime, int]] = []  # (last_modified, pid number), sorted
         self._aggregators: set[str] = set()  # active
         self._format_counts: dict[str, int] = {}  # REC.<format> streams, active objects
-        self.graph = TripleStore(type_oracle=self.behaviors_of)
+        self.graph = TripleStore()
         if self.data_dir is not None:
             self._open_data_dir()
 
@@ -278,7 +280,8 @@ class Repository:
             return set(self._format_counts)
 
     def behaviors_of(self, pid: str) -> frozenset[str] | None:
-        """Type oracle: behavior set of an active object, else None."""
+        """Behavior set of an active object, else None: the type the
+        ontology check gives a pid."""
         obj = self._objects.get(pid)
         if obj is None or obj.state == "deleted":
             return None
@@ -306,12 +309,8 @@ class Repository:
         """Domain/range violations across the whole joined graph; the
         post-staging check behind lenient bulk imports."""
         with self._lock:
-            violations = []
-            for obj in self.active_objects():
-                violations.extend(self.graph.validate_fragment(
-                    obj.pid, self.graph.triples_asserted_by(obj.pid),
-                    pending_behaviors=obj.behaviors))
-            return violations
+            return [v for obj in self.active_objects() for v in self._violations(
+                obj, self.graph.triples_asserted_by(obj.pid))]
 
     # ------------------------------------------------------------------
     # dissemination
@@ -372,8 +371,7 @@ class Repository:
         record write leaves the store as it was. The counters are not
         written: the record just written carries them back on open."""
         obj, triples = _checked(obj, rels)
-        violations = self.graph.validate_fragment(
-            obj.pid, triples, pending_behaviors=obj.behaviors)
+        violations = self._violations(obj, triples)
         if violations:
             if strict:
                 raise ValidationError(
@@ -394,6 +392,18 @@ class Repository:
         self._commit(obj, old, triples, number)
         self._absorb(obj, number)
         return obj
+
+    def _violations(self, obj: DigitalObject, triples: list[Triple]) -> list[str]:
+        """The one ontology check: the domain/range violations of the
+        triples obj asserts. obj is typed by its own behaviors, which it
+        has once its write commits; every other pid by behaviors_of."""
+        violations = []
+        for t in triples:
+            object_b = (obj.behaviors if t.object == obj.pid
+                        else self.behaviors_of(t.object))
+            for problem in check_triple(t.predicate, obj.behaviors, object_b):
+                violations.append(f"({t.subject}, {t.predicate}, {t.object}): {problem}")
+        return violations
 
     def _commit(self, obj: DigitalObject, old: DigitalObject | None,
                 triples: list[Triple], number: int) -> None:

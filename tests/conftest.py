@@ -7,7 +7,7 @@ from xml.parsers import expat
 import pytest
 
 import overlay_repo
-from overlay_repo import graph, records
+from overlay_repo import graph, model, records
 from overlay_repo.graph import TripleStore
 from overlay_repo.harvest import Harvester
 from overlay_repo.store import Repository
@@ -45,6 +45,21 @@ def rels_parses(monkeypatch):
         return original(pid, fragment)
 
     _patch_everywhere(monkeypatch, "parse_rels", original, counting)
+    return calls
+
+
+@pytest.fixture
+def pid_numbers(monkeypatch):
+    """pid of every model.pid_number call, in whichever overlay_repo module
+    it was imported."""
+    calls = []
+    original = model.pid_number
+
+    def counting(pid):
+        calls.append(pid)
+        return original(pid)
+
+    _patch_everywhere(monkeypatch, "pid_number", original, counting)
     return calls
 
 

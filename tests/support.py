@@ -9,7 +9,10 @@ implementations they check.
 from __future__ import annotations
 
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
+from xml.etree import ElementTree as ET
 
+from overlay_repo.cli import load_fixture_dir
 from overlay_repo.graph import Triple, serialize_rels
 from overlay_repo.model import (
     RELS_DS,
@@ -22,6 +25,39 @@ from overlay_repo.ontology import BASE_NAMESPACE, base_predicate
 from overlay_repo.records import DcEntry, serialize_dc
 
 START = datetime(2010, 6, 1, 0, 0, 0, tzinfo=timezone.utc)
+
+# The canned topologies, one directory of canonical records each, and the
+# pid of every role in them.
+FIGURES = Path(__file__).resolve().parents[1] / "fixtures" / "figures"
+TOPOLOGIES = {
+    "basic_pair": {"resource": "nsdl:1", "metadata": "nsdl:4"},
+    "branding": {
+        "provider_agent": "nsdl:11", "provider_role": "nsdl:12",
+        "aggregator_agent": "nsdl:13", "aggregator_role": "nsdl:14",
+        "metadata": "nsdl:15", "resource": "nsdl:16",
+    },
+    "augmented_metadata": {
+        "resource": "nsdl:21", "base_record": "nsdl:5",
+        "augmenting_record": "nsdl:8", "provider_role_one": "nsdl:23",
+        "provider_role_two": "nsdl:25",
+    },
+    "aggregation": {
+        "aggregator": "nsdl:31", "member_one": "nsdl:32",
+        "member_two": "nsdl:33", "surrogate": "nsdl:34",
+    },
+    "annotation": {"primary": "nsdl:41", "review": "nsdl:42"},
+}
+
+
+def load_topology(repo, name: str) -> dict[str, str]:
+    """Load one canned topology into repo; its role labels and pids."""
+    load_fixture_dir(repo, FIGURES / name)
+    return dict(TOPOLOGIES[name])
+
+
+def canonical_xml(data: bytes) -> bytes:
+    """C14N form of an XML document, for byte comparisons."""
+    return ET.canonicalize(xml_data=data).encode("utf-8")
 
 
 class TickingClock:

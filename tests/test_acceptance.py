@@ -6,14 +6,13 @@ import random
 import time
 from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
-from pathlib import Path
 from xml.etree import ElementTree as ET
 
 import pytest
 
 from overlay_repo import behaviors, canonical
 from overlay_repo.errors import ModelIntegrityError, ValidationError
-from overlay_repo.fixtures import load_fixture_dir
+from overlay_repo.cli import load_fixture_dir
 from overlay_repo.harvest import Harvester, ProviderConfig
 from overlay_repo.model import DigitalObject, local_stream
 from overlay_repo.oai import OaiProvider
@@ -22,10 +21,12 @@ from overlay_repo.store import Repository
 from overlay_repo.web import GatewayApp
 
 from support import (
+    FIGURES,
     START,
     StubOaiProvider,
     TickingClock,
     brute_force_query,
+    canonical_xml,
     nsdl_dc_record,
     oracle_triple_allowed,
     provider_transport,
@@ -38,7 +39,6 @@ from support import (
     to_oracle_pattern,
 )
 
-FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "figures"
 OAI_NS = {"o": "http://www.openarchives.org/OAI/2.0/"}
 SEED_BASE = START - timedelta(days=2)
 
@@ -61,7 +61,7 @@ def test_criterion_1_fixture_suite():
     with criterion(1, "fixture-suite"):
         started = time.monotonic()
         repo = Repository()
-        load_fixture_dir(repo, FIXTURES)
+        load_fixture_dir(repo, FIGURES)
 
         # basic pair: the metadata edge and both objects' disseminations
         dump = [(t.subject, str(t.predicate), t.object) for t in repo.graph.dump()]
@@ -167,8 +167,8 @@ def test_criterion_2_self_federation():
 
         assert set(a_records) == set(b_records)
         for identifier, payload in a_records.items():
-            assert canonical.canonical_xml(payload) \
-                == canonical.canonical_xml(b_records[identifier]), identifier
+            assert canonical_xml(payload) \
+                == canonical_xml(b_records[identifier]), identifier
 
         second, _ = harvester.harvest(cfg, state)
         assert second.harvested == 0

@@ -12,43 +12,42 @@ from overlay_repo.errors import (
     NotRepresentedError,
     OperationNotSupportedError,
 )
-from overlay_repo.fixtures import (
-    build_aggregation,
-    build_annotation,
-    build_augmented_metadata,
-    build_basic_pair,
-    build_branding,
-)
 from overlay_repo.model import local_stream
 from overlay_repo.records import parse_dc_entries
 from overlay_repo.store import Repository
 
-from support import nsdl_dc_record, oai_dc_record, put_object, record_stream
+from support import (
+    load_topology,
+    nsdl_dc_record,
+    oai_dc_record,
+    put_object,
+    record_stream,
+)
 
 
 @pytest.fixture
 def basic(repo):
-    return build_basic_pair(repo)
+    return load_topology(repo, "basic_pair")
 
 
 @pytest.fixture
 def branded(repo):
-    return build_branding(repo)
+    return load_topology(repo, "branding")
 
 
 @pytest.fixture
 def augmented(repo):
-    return build_augmented_metadata(repo)
+    return load_topology(repo, "augmented_metadata")
 
 
 @pytest.fixture
 def aggregated(repo):
-    return build_aggregation(repo)
+    return load_topology(repo, "aggregation")
 
 
 @pytest.fixture
 def annotated(repo):
-    return build_annotation(repo)
+    return load_topology(repo, "annotation")
 
 
 # -- metadata operations

@@ -3,20 +3,16 @@
 import subprocess
 import sys
 import threading
-from pathlib import Path
 
 import pytest
 
-from overlay_repo.cli import run
-from overlay_repo.fixtures import build_all
+from overlay_repo.cli import load_fixture_dir, run
+from overlay_repo.graph import Triple
 from overlay_repo.oai import OaiProvider
 from overlay_repo.store import Repository
 from overlay_repo.web import GatewayApp, make_server
 
-from support import TickingClock, seed_metadata
-
-FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "figures"
-
+from support import FIGURES, TOPOLOGIES, TickingClock, load_topology, seed_metadata
 
 def cli(*args, cwd=None):
     return subprocess.run(
@@ -26,7 +22,7 @@ def cli(*args, cwd=None):
 
 def test_load_fixture_then_query(tmp_path):
     data = tmp_path / "data"
-    loaded = cli("--data-dir", str(data), "load-fixture", str(FIXTURES),
+    loaded = cli("--data-dir", str(data), "load-fixture", str(FIGURES),
                  "--porcelain")
     assert loaded.returncode == 0, loaded.stderr
     assert "nsdl:4" in loaded.stdout.splitlines()
@@ -39,7 +35,7 @@ def test_load_fixture_then_query(tmp_path):
 
 def test_export_round_trip(tmp_path):
     data = tmp_path / "data"
-    cli("--data-dir", str(data), "load-fixture", str(FIXTURES))
+    cli("--data-dir", str(data), "load-fixture", str(FIGURES))
     result = cli("--data-dir", str(data), "export", "--pid", "nsdl:4")
     assert result.returncode == 0
     assert result.stdout.startswith('<?xml version="1.0"')
@@ -142,44 +138,28 @@ def test_harvest_unknown_provider(tmp_path):
     assert result.returncode == 1
 
 
-def test_shipped_fixture_files_match_builders(tmp_path):
-    """The committed fixture directory is exactly what the builders
-    produce; no drift between code and files."""
-    from overlay_repo.fixtures import write_fixture_files
-
-    regenerated = write_fixture_files(tmp_path / "figures")
-    for path in regenerated:
-        shipped = FIXTURES / path.relative_to(tmp_path / "figures")
-        assert shipped.exists(), f"missing shipped fixture {shipped}"
-        assert shipped.read_bytes() == path.read_bytes(), shipped
-
-    shipped_all = {p.relative_to(FIXTURES) for p in FIXTURES.rglob("*.xml")}
-    fresh_all = {p.relative_to(tmp_path / "figures")
-                 for p in (tmp_path / "figures").rglob("*.xml")}
-    assert shipped_all == fresh_all
-
-
 def test_fixture_files_load_into_one_repository():
     repo = Repository()
-    from overlay_repo.fixtures import load_fixture_dir
-
-    pids = load_fixture_dir(repo, FIXTURES)
+    pids = load_fixture_dir(repo, FIGURES)
     assert len(pids) == 21
-    fresh = Repository()
-    labels = build_all(fresh)
-    assert set(repo.pids()) == set(fresh.pids())
-    assert repo.graph.dump() == fresh.graph.dump()
-    assert labels["aggregation"]["aggregator"] in repo.pids()
+    exports, triples = {}, set()
+    for name in TOPOLOGIES:
+        alone = Repository()
+        labels = load_topology(alone, name)
+        assert set(labels.values()) <= set(alone.pids())
+        exports.update((pid, alone.export_object(pid)) for pid in alone.pids())
+        triples.update(alone.graph.dump())
+    assert sorted(pids) == sorted(exports)
+    assert {pid: repo.export_object(pid) for pid in pids} == exports
+    assert repo.graph.dump() == sorted(triples, key=Triple.sort_key)
 
 
 def test_fixture_load_is_quiet_when_graph_is_sound(caplog):
     import logging
 
     repo = Repository()
-    from overlay_repo.fixtures import load_fixture_dir
-
     with caplog.at_level(logging.WARNING):
-        load_fixture_dir(repo, FIXTURES)
+        load_fixture_dir(repo, FIGURES)
     assert caplog.records == []
     assert repo.validate_graph() == []
 
@@ -187,7 +167,6 @@ def test_fixture_load_is_quiet_when_graph_is_sound(caplog):
 def test_fixture_load_reports_residual_violations(tmp_path, caplog):
     import logging
 
-    from overlay_repo.fixtures import load_fixture_dir
     from support import put_object
 
     donor = Repository()

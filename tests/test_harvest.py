@@ -113,7 +113,7 @@ def test_incremental_harvest_picks_up_only_changes(repo, harvester, stub, cfg, c
 
 def test_stored_record_is_lossless_modulo_canonicalization(repo, harvester,
                                                            stub, cfg):
-    from overlay_repo.canonical import canonical_xml
+    from support import canonical_xml
 
     original = stub_record("alpha", 0)
     stub.add("oai:alpha:0", SEED_BASE, original)

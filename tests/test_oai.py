@@ -13,7 +13,7 @@ from xml.etree import ElementTree as ET
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from overlay_repo.fixtures import build_augmented_metadata, load_fixture_dir
+from overlay_repo.cli import load_fixture_dir
 from overlay_repo.model import format_datestamp, local_stream, pid_number
 from overlay_repo.oai import OaiProvider
 from overlay_repo.behaviors import build_brand_doc
@@ -21,8 +21,8 @@ from overlay_repo.store import Repository
 from overlay_repo.web import GatewayApp
 
 from support import (
-    START, TickingClock, oai_dc_record, put_object, record_stream, rels_stream,
-    seed_metadata)
+    FIGURES, START, TickingClock, load_topology, oai_dc_record, put_object,
+    record_stream, rels_stream, seed_metadata)
 
 NS = {"o": "http://www.openarchives.org/OAI/2.0/"}
 
@@ -505,6 +505,18 @@ def test_get_record_unavailable_format(repo, provider):
     assert error_code(response) == "cannotDisseminateFormat"
 
 
+def test_get_record_keeps_unqualified_root_in_no_namespace(repo, provider):
+    stored = b"<record><leader>00000nam</leader></record>"
+    pid = put_object(repo, {"Metadata"}, streams=[record_stream("marcxml", stored)])
+    response = call(provider, verb="GetRecord",
+                    identifier=provider.oai_identifier(pid),
+                    metadataPrefix="marcxml")
+    payload = response.find("o:GetRecord/o:record/o:metadata/*", NS)
+    assert payload.tag == "record"
+    assert [child.tag for child in payload] == ["leader"]
+    assert repo.get_object(pid).datastream("REC.marcxml").payload == stored
+
+
 # -- ListSets
 
 
@@ -573,7 +585,7 @@ AGG = {"a": "http://ns.nsdl.org/nsdl_agg_v1.00/"}
 
 
 def test_aggregation_record_bundles_sources_and_gold(repo, provider):
-    labels = build_augmented_metadata(repo)
+    labels = load_topology(repo, "augmented_metadata")
     payload = ET.fromstring(provider.emit_aggregation_record(labels["resource"]))
     assert payload.tag == "{%s}nsdl_agg" % AGG["a"]
     resource_el = payload.find("a:resource", AGG)
@@ -586,14 +598,14 @@ def test_aggregation_record_bundles_sources_and_gold(repo, provider):
 
 
 def test_aggregation_records_via_list(repo, provider):
-    labels = build_augmented_metadata(repo)
+    labels = load_topology(repo, "augmented_metadata")
     response = call(provider, verb="ListRecords", metadataPrefix="nsdl_agg")
     assert record_identifiers(response) == [
         provider.oai_identifier(labels["resource"])]
 
 
 def test_aggregation_get_record_by_resource_identifier(repo, provider):
-    labels = build_augmented_metadata(repo)
+    labels = load_topology(repo, "augmented_metadata")
     response = call(provider, verb="GetRecord",
                     identifier=provider.oai_identifier(labels["resource"]),
                     metadataPrefix="nsdl_agg")
@@ -602,8 +614,25 @@ def test_aggregation_get_record_by_resource_identifier(repo, provider):
     assert len(payload.findall("a:sourceRecord", AGG)) == 2
 
 
+def test_aggregation_source_record_keeps_unqualified_root_in_no_namespace(
+        repo, provider):
+    resource = put_object(repo, {"Content"})
+    put_object(repo, {"Metadata"}, streams=[
+        record_stream("oai_dc", oai_dc_record(("identifier", "http://x/1"))),
+        record_stream("marcxml", b"<record><leader/></record>")],
+        edges=[("metadataFor", resource)])
+    response = call(provider, verb="GetRecord",
+                    identifier=provider.oai_identifier(resource),
+                    metadataPrefix="nsdl_agg")
+    sources = response.findall(
+        "o:GetRecord/o:record/o:metadata/a:nsdl_agg/a:sourceRecord", {**NS, **AGG})
+    assert {s.get("format"): s[0].tag for s in sources} == {
+        "oai_dc": "{http://www.openarchives.org/OAI/2.0/oai_dc/}dc",
+        "marcxml": "record"}
+
+
 def test_content_item_formats_offer_aggregation(repo, provider):
-    labels = build_augmented_metadata(repo)
+    labels = load_topology(repo, "augmented_metadata")
     response = call(provider, verb="ListMetadataFormats",
                     identifier=provider.oai_identifier(labels["resource"]))
     prefixes = [el.text for el in response.findall(
@@ -655,7 +684,7 @@ def test_aggregation_record_when_provider_is_not_a_role(repo, provider):
 def test_aggregation_answers_despite_augmentation_cycle(repo, provider):
     from support import wsgi_transport
 
-    labels = build_augmented_metadata(repo)
+    labels = load_topology(repo, "augmented_metadata")
     base, resource = labels["base_record"], labels["resource"]
     repo.put_object(repo.get_object(base).with_datastream(rels_stream(base, [
         ("metadataFor", resource), ("providedBy", labels["provider_role_one"]),
@@ -676,7 +705,7 @@ def test_rendering_parses_and_serializes_no_xml(repo, xml_work):
     """An oai_dc page splices stored records unparsed; an nsdl_agg page
     parses only for the gold fold, once per contributing record."""
     seed_metadata(repo, 5)
-    labels = build_augmented_metadata(repo)  # a resource with 2 contributors
+    labels = load_topology(repo, "augmented_metadata")  # a resource with 2 contributors
     provider = OaiProvider(repo, repository_id="test.local", page_size=3)
     cases = [
         ({"verb": "ListRecords", "metadataPrefix": "oai_dc"}, 0),
@@ -796,7 +825,6 @@ def test_wsgi_errors_served_with_http_200(repo, provider):
 
 # -- byte stability
 
-FIGURES = Path(__file__).resolve().parents[1] / "fixtures" / "figures"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "oai_figures.txt"
 
 

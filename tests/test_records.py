@@ -253,6 +253,27 @@ def test_checked_record_embeds_as_its_root_element(payload):
     assert ET.tostring(wrapped[0]) == ET.tostring(ET.fromstring(_GOOD))
 
 
+@pytest.mark.parametrize("payload,embedded", [
+    (b"<record/>", b'<record xmlns=""/>'),
+    (b"<record note=' xmlns=x'>a:b</record>",
+     b"<record xmlns=\"\" note=' xmlns=x'>a:b</record>"),
+    (b'<?xml version="1.0"?>\n<!-- a?> --><?pi x?>\n<r xmlns:p="u"/>',
+     b'<!-- a?> --><?pi x?>\n<r xmlns="" xmlns:p="u"/>'),
+    (b"<r\n  xmlns = 'u'/>", b"<r\n  xmlns = 'u'/>"),
+    (b'<r a:b="1" xmlns:a="u"/>', b'<r xmlns="" a:b="1" xmlns:a="u"/>'),
+    (b'<p:r xmlns:p="u"><x/></p:r>', b'<p:r xmlns:p="u"><x/></p:r>'),
+])
+def test_embedded_root_keeps_its_namespace(payload, embedded):
+    """Spliced under a default namespace, a root keeps the namespace it has
+    in its own document: an unprefixed root without a default namespace
+    declaration gains xmlns=\"\"."""
+    check_record(payload, "marcxml")
+    assert embeddable(payload) == embedded
+    wrapped = ET.fromstring(
+        b'<w xmlns="http://www.openarchives.org/OAI/2.0/">' + embedded + b"</w>")
+    assert wrapped[0].tag == ET.fromstring(payload).tag
+
+
 # --------------------------------------------------------------------------
 # gold fold
 

@@ -3,7 +3,7 @@ costs in XML parses.
 
 ``tests/golden/data_dir`` was written by the Repository of commit 5add9a0,
 before open read the RELS element of a record in place: the fixture
-figures (``fixtures.build_all``, handles and REC.oai_dc, REC.nsdl_dc and
+figures (``fixtures/figures/``, handles and REC.oai_dc, REC.nsdl_dc and
 REC.marcxml payloads), two of them deleted (nsdl:25 and nsdl:42, whose
 RELS the tombstone dropped), a second version of nsdl:4, a remote Content
 object with a minted handle (nsdl:43) and a harvested-style Metadata
@@ -76,6 +76,14 @@ def test_open_parses_each_record_file_once(written_before, xml_work, rels_parses
     assert xml_work["parsers"] == len(objects) + sources + rec_streams
     assert xml_work["serializations"] == 0
     assert rels_parses == [o.pid for o in objects if o.rels() is not None]
+
+
+def test_open_reads_each_pid_number_twice(written_before, pid_numbers):
+    """Once in the record check (DigitalObject.validate), once for the
+    object's file name and indexes; a pid is never parsed again."""
+    repo = Repository(written_before)
+    pids = repo.pids()
+    assert sorted(pid_numbers) == sorted(pids * 2)
 
 
 def test_reopen_refuses_a_record_under_another_pids_name(tmp_path, clock):

@@ -7,7 +7,6 @@ import pytest
 
 from overlay_repo import canonical
 from overlay_repo.errors import ValidationError
-from overlay_repo.fixtures import build_aggregation, build_basic_pair
 from overlay_repo.model import DigitalObject
 from overlay_repo.oai import OaiProvider
 from overlay_repo.store import Repository
@@ -20,7 +19,8 @@ from overlay_repo.web import (
 )
 
 from support import (
-    brute_force_query, oai_dc_record, put_object, record_stream, seed_metadata)
+    brute_force_query, load_topology, oai_dc_record, put_object, record_stream,
+    seed_metadata)
 
 
 @pytest.fixture
@@ -51,8 +51,8 @@ def request(app, method, path, body=b"", query="", content_length=None,
 
 
 def test_dissemination_matches_resolve_for_all_fixture_operations(repo, app):
-    build_basic_pair(repo)
-    build_aggregation(repo)
+    load_topology(repo, "basic_pair")
+    load_topology(repo, "aggregation")
     cases = [
         ("nsdl:1", "showContent", {}),
         ("nsdl:1", "getMetadata", {}),
@@ -76,7 +76,7 @@ def test_dissemination_matches_resolve_for_all_fixture_operations(repo, app):
 
 
 def test_object_profile_route(repo, app):
-    labels = build_basic_pair(repo)
+    labels = load_topology(repo, "basic_pair")
     status, _, body = request(app, "GET", f"/objects/{labels['resource']}")
     assert status == 200
     assert repo.disseminate(labels["resource"], None).body == body
@@ -105,7 +105,7 @@ def test_unbound_operation_501(repo, app):
 
 def test_put_objects_then_disseminations_behave(repo, app):
     donor = Repository()
-    build_basic_pair(donor)
+    load_topology(donor, "basic_pair")
     for pid in donor.pids():  # resource first, so strict validation holds
         status, _, body = request(
             app, "PUT", f"/objects/{pid}", body=donor.export_object(pid))
@@ -119,7 +119,7 @@ def test_put_objects_then_disseminations_behave(repo, app):
 
 def test_put_round_trip_is_canonical_equal(repo, app):
     donor = Repository()
-    labels = build_basic_pair(donor)
+    labels = load_topology(donor, "basic_pair")
     doc = donor.export_object(labels["resource"])
     request(app, "PUT", f"/objects/{labels['resource']}", body=doc)
     assert repo.export_object(labels["resource"]) == doc
@@ -233,7 +233,7 @@ def test_malformed_body_422(repo, app):
 
 
 def test_query_route_membership(repo, app):
-    labels = build_aggregation(repo)
+    labels = load_topology(repo, "aggregation")
     body = (f"select ?r where (?r <rel:memberOf> "
             f"<info:nsdl/{labels['aggregator']}>)").encode()
     status, headers, out = request(app, "POST", "/query", body=body)
