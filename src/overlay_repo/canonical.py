@@ -28,11 +28,14 @@ and on open; export emits the fragment as stored.
 from __future__ import annotations
 
 import base64
+import sys
+from itertools import combinations
 from xml.etree import ElementTree as ET
 from xml.sax.saxutils import quoteattr
 
 from .errors import ValidationError
 from .model import (
+    BEHAVIOR_NAMES,
     RELS_DS,
     Datastream,
     DigitalObject,
@@ -41,6 +44,9 @@ from .model import (
 )
 
 _XML_DECL = '<?xml version="1.0" encoding="UTF-8"?>\n'
+# The one frozenset of each set of known behaviors, shared by its objects.
+_BEHAVIOR_SETS = {s: s for n in range(len(BEHAVIOR_NAMES) + 1)
+                  for s in map(frozenset, combinations(BEHAVIOR_NAMES, n))}
 
 
 def export_object(obj: DigitalObject) -> bytes:
@@ -121,9 +127,10 @@ def import_object(doc: bytes) -> tuple[DigitalObject, ET.Element | None]:
 
     behaviors = frozenset(
         _require(el, "name") for el in root if el.tag == "behavior")
+    behaviors = _BEHAVIOR_SETS.get(behaviors, behaviors)
     return DigitalObject(
         pid=pid,
-        state=state,
+        state=sys.intern(state),
         handle=root.get("handle"),
         datastreams=tuple(datastreams),
         behaviors=behaviors,
@@ -144,9 +151,9 @@ def _require(el: ET.Element, name: str) -> str:
 
 
 def _parse_datastream(pid: str, el: ET.Element) -> Datastream:
-    ds_id = _require(el, "dsId")
+    ds_id = sys.intern(_require(el, "dsId"))
     kind = _require(el, "kind")
-    media_type = _require(el, "mediaType")
+    media_type = sys.intern(_require(el, "mediaType"))
     if ds_id == RELS_DS:
         raise ValidationError(f"{pid}: the relationship stream belongs in <rels>")
     if kind == "remote":

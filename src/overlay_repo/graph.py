@@ -2,9 +2,11 @@
 
 Each object asserts relationships about itself in its RELS datastream
 (RDF/XML, one rdf:Description about the object's info URI). Fragments are
-merged into one graph keyed by provenance and queried with conjunctive
-triple patterns. The graph holds what it is given: the repository checks
-each fragment against the base ontology before it lands.
+merged into one graph keyed by provenance, indexed by object, predicate,
+(subject, predicate) and (predicate, object) only (the orderings that the
+queries probe; cf. Weiss et al., "Hexastore", VLDB 2008), and queried
+with conjunctive triple patterns. The graph holds what it is given: the
+repository checks each fragment against the base ontology before it lands.
 
 A query is planned before it runs. The clauses are ordered greedily, the
 access-path choice of Selinger et al. (SIGMOD 1979): first a clause that
@@ -25,10 +27,12 @@ costs O(cap), not O(result).
 
 from __future__ import annotations
 
+import sys
 import threading
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter, itemgetter
-from typing import Collection, Iterable
 from xml.etree import ElementTree as ET
 
 from . import ontology
@@ -47,7 +51,7 @@ _FIELDS = ("subject", "predicate", "object")
 _PASS = (None,)  # what a binding that passes a semi-join matches
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Triple:
     subject: str
     predicate: Predicate
@@ -132,7 +136,7 @@ def parse_rels(pid: str, fragment: bytes | ET.Element) -> list[Triple]:
         if not target.startswith(INFO_URI_PREFIX):
             raise ValidationError(
                 f"{pid}: RELS property {name} points outside the repository: {target!r}")
-        obj = target[len(INFO_URI_PREFIX):]
+        obj = sys.intern(target[len(INFO_URI_PREFIX):])
         if not is_pid(obj):
             raise ValidationError(f"{pid}: RELS property {name} targets malformed pid {obj!r}")
         # Namespaces split by ElementTree lose their trailing separator.
@@ -186,20 +190,25 @@ class TripleStore:
     it is never persisted on its own. Mutations arrive only through the
     repository's serialized write path; an internal lock additionally
     keeps every read a consistent point-in-time view of the graph.
+
+    A bucket of one triple, as most are, is a 1-tuple, a set from two on;
+    the store itself, its _by_p buckets read in turn, is the bucket of all.
     """
 
     def __init__(self):
         self._mutex = threading.RLock()
         # Also the subject index: a triple's subject is its asserting pid.
-        self._by_provenance: dict[str, list[Triple]] = {}
-        self._by_o: dict[str, set[Triple]] = {}
-        self._by_p: dict[Predicate, set[Triple]] = {}
-        self._by_sp: dict[tuple[str, Predicate], set[Triple]] = {}
-        self._by_po: dict[tuple[Predicate, str], set[Triple]] = {}
-        self._all: set[Triple] = set()
+        self._by_provenance: dict[str, tuple[Triple, ...]] = {}
+        self._by_o: dict[str, Collection[Triple]] = {}
+        self._by_p: dict[Predicate, Collection[Triple]] = {}
+        self._by_sp: dict[tuple[str, Predicate], Collection[Triple]] = {}
+        self._by_po: dict[tuple[Predicate, str], Collection[Triple]] = {}
 
     def __len__(self) -> int:
-        return len(self._all)
+        return sum(map(len, self._by_p.values()))
+
+    def __iter__(self):
+        return chain.from_iterable(self._by_p.values())
 
     # -- mutation
 
@@ -208,8 +217,8 @@ class TripleStore:
         with self._mutex:
             self.retract(pid)
             if triples:
-                self._by_provenance[pid] = list(dict.fromkeys(triples))
-                for t in triples:
+                self._by_provenance[pid] = unique = tuple(dict.fromkeys(triples))
+                for t in unique:
                     self._insert(t)
 
     def retract(self, pid: str) -> None:
@@ -238,33 +247,37 @@ class TripleStore:
             state["_mutex"] = self._mutex
             self.__dict__.update(state)
 
+    def _keys(self, t: Triple):
+        return ((self._by_o, t.object), (self._by_p, t.predicate),
+                (self._by_sp, (t.subject, t.predicate)),
+                (self._by_po, (t.predicate, t.object)))
+
     def _insert(self, t: Triple) -> None:
-        self._all.add(t)
-        self._by_o.setdefault(t.object, set()).add(t)
-        self._by_p.setdefault(t.predicate, set()).add(t)
-        self._by_sp.setdefault((t.subject, t.predicate), set()).add(t)
-        self._by_po.setdefault((t.predicate, t.object), set()).add(t)
+        for index, key in self._keys(t):
+            bucket = index.get(key)
+            if bucket is None:
+                index[key] = (t,)
+            elif type(bucket) is set:
+                bucket.add(t)
+            elif bucket[0] != t:
+                index[key] = {bucket[0], t}
 
     def _remove(self, t: Triple) -> None:
-        for index, key in (
-            (self._by_o, t.object),
-            (self._by_p, t.predicate),
-            (self._by_sp, (t.subject, t.predicate)),
-            (self._by_po, (t.predicate, t.object)),
-        ):
+        for index, key in self._keys(t):
             bucket = index.get(key)
-            if bucket is not None:
+            if type(bucket) is set:
                 bucket.discard(t)
-                if not bucket:
-                    del index[key]
-        self._all.discard(t)
+                if len(bucket) == 1:
+                    index[key] = tuple(bucket)
+            elif bucket == (t,):
+                del index[key]
 
     # -- reads
 
     def dump(self) -> list[Triple]:
         """Every triple, totally ordered by (subject, predicate, object)."""
         with self._mutex:
-            snapshot = list(self._all)
+            snapshot = list(self)
         return sorted(snapshot, key=Triple.sort_key)
 
     def triples_asserted_by(self, pid: str) -> list[Triple]:
@@ -292,7 +305,7 @@ class TripleStore:
                     else self._by_sp.get((s, p), _EMPTY))
         if o is not None:
             return self._by_o.get(o, _EMPTY) if p is None else self._by_po.get((p, o), _EMPTY)
-        return self._all if p is None else self._by_p.get(p, _EMPTY)
+        return self if p is None else self._by_p.get(p, _EMPTY)
 
     def subjects_of(self, predicate_name: str, obj: str) -> list[str]:
         """Sorted subjects s with (s, base:predicate, obj); the inverse-

@@ -181,7 +181,7 @@ def parse_source_doc(payload: bytes) -> tuple[str, str, datetime]:
     return provider, oai_id, parse_datestamp(stamp)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Datastream:
     """A named component of an object: inline bytes or a URL reference."""
 
@@ -215,7 +215,7 @@ def remote_stream(ds_id: str, media_type: str, url: str) -> Datastream:
     return Datastream(ds_id, "remote", media_type, url=url)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DigitalObject:
     """A uniquely identified aggregation of datastreams, bound behaviors,
     and a relationship fragment; the node of the overlay network."""

@@ -3,7 +3,9 @@
 Every stored or crosswalkable metadata format is exposed, plus the
 resource-centric "nsdl_agg" format bundling everything known about one
 resource. Sets map one-to-one onto aggregations. Selective harvest
-windows are half-open [from, until) over object datestamps. A resumption
+windows are half-open [from, until) over object datestamps; without
+`until` the window ends one second past the clock, so a record stamped
+in the current second is listed, as GetRecord serves it. A resumption
 token carries its harvest: verb, format, set, window (the end frozen at the
 first request, so mid-harvest writes never cause omissions), the pid number
 of the last record served and an expiry. The provider keeps no token state,
@@ -12,7 +14,9 @@ so tokens survive a restart, and each page resumes from its cursor.
 A page walks pid order past its cursor. With a `from`, it walks only the
 objects the store's datestamp index places in the window (for nsdl_agg,
 also the resources their metadata describes), so a small window costs
-O(window), not O(repository). Identify, ListSets and the global
+O(window), not O(repository); with only an `until`, it does so when the
+index holds fewer objects before `until` than there are pids past the
+cursor. Identify, ListSets and the global
 ListMetadataFormats read what the store keeps in its write path: the
 earliest datestamp, the active aggregations and the stored formats.
 
@@ -264,7 +268,9 @@ class OaiProvider:
             format_name = params["metadataPrefix"]
             set_spec = params.get("set")
             from_ = self._parse_stamp(params.get("from"))
-            until = self._parse_stamp(params.get("until")) or self.repo.clock()
+            # without until, the window takes in the current second
+            until = self._parse_stamp(params.get("until")) \
+                or self.repo.clock() + timedelta(seconds=1)
             cursor = -1
             self._check_format_known(format_name)
             # a set is named by its active aggregation's unpadded pid number
@@ -305,6 +311,9 @@ class OaiProvider:
         if from_ is None:
             pids = self.repo.pids()
             pids = pids[bisect.bisect_right(pids, cursor, key=pid_number):]
+            if self.repo.count_stamped(until) < len(pids):
+                pids = self._window_pids(
+                    format_name, self.repo.earliest_datestamp(), until, cursor)
         else:
             pids = self._window_pids(format_name, from_, until, cursor)
         items = []

@@ -265,6 +265,11 @@ class Repository:
                 bisect.bisect_left(self._stamps, (start,)):
                 bisect.bisect_left(self._stamps, (end,))]]
 
+    def count_stamped(self, end: datetime) -> int:
+        """Number of objects, tombstones included, last modified before end."""
+        with self._lock:
+            return bisect.bisect_left(self._stamps, (end,))
+
     def earliest_datestamp(self) -> datetime | None:
         with self._lock:
             return self._stamps[0][0] if self._stamps else None

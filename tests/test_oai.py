@@ -5,7 +5,7 @@ import functools
 import json
 from collections import Counter
 from dataclasses import replace
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from urllib.parse import urlencode
 from xml.etree import ElementTree as ET
@@ -300,6 +300,26 @@ def test_resumption_page_classifies_only_its_page(repo, monkeypatch):
     assert len(classified) <= 10
 
 
+def _page_cost(monkeypatch, provider, **params):
+    """The response to one request and its get_object and _classify calls."""
+    calls = Counter()
+    get_object, classify = Repository.get_object, OaiProvider._classify
+
+    def counting_get_object(self, pid):
+        calls["get_object"] += 1
+        return get_object(self, pid)
+
+    def counting_classify(self, obj, format_name):
+        calls["classify"] += 1
+        return classify(self, obj, format_name)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Repository, "get_object", counting_get_object)
+        patch.setattr(OaiProvider, "_classify", counting_classify)
+        response = call(provider, **params)
+    return response, calls
+
+
 @pytest.mark.parametrize("prefix", ["oai_dc", "nsdl_agg"])
 def test_window_cost_does_not_grow_with_repository_size(monkeypatch, prefix):
     """A 1-record from window reads as many objects over 500 objects as
@@ -311,28 +331,60 @@ def test_window_cost_does_not_grow_with_repository_size(monkeypatch, prefix):
         repo.put_object(repo.get_object(newest))
         since = format_datestamp(repo.get_object(newest).last_modified)
         provider = OaiProvider(repo, repository_id="test.local", page_size=2)
-        calls = Counter()
-        get_object, classify = Repository.get_object, OaiProvider._classify
-
-        def counting_get_object(self, pid):
-            calls["get_object"] += 1
-            return get_object(self, pid)
-
-        def counting_classify(self, obj, format_name):
-            calls["classify"] += 1
-            return classify(self, obj, format_name)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(Repository, "get_object", counting_get_object)
-            patch.setattr(OaiProvider, "_classify", counting_classify)
-            response = call(provider, verb="ListRecords", metadataPrefix=prefix,
-                            **{"from": since})
+        response, calls = _page_cost(monkeypatch, provider, verb="ListRecords",
+                                     metadataPrefix=prefix, **{"from": since})
         assert len(record_identifiers(response)) == 1
         return calls
 
     small, large = window_cost(500), window_cost(2000)
     assert small == large
     assert large["classify"] <= 3
+
+
+@pytest.mark.parametrize("prefix", ["oai_dc", "nsdl_agg"])
+def test_until_window_cost_does_not_grow_with_repository_size(monkeypatch, prefix):
+    """A 1-record until-only window, over the oldest objects, reads as
+    many objects over 500 objects as over 2,000, and classifies only the
+    three stamped before until."""
+
+    def window_cost(size):
+        repo = Repository(clock=TickingClock())
+        oldest = seed_metadata(repo, size // 2)[0]
+        until = repo.get_object(oldest).last_modified + timedelta(seconds=1)
+        provider = OaiProvider(repo, repository_id="test.local", page_size=2)
+        response, calls = _page_cost(monkeypatch, provider, verb="ListRecords",
+                                     metadataPrefix=prefix,
+                                     until=format_datestamp(until))
+        assert len(record_identifiers(response)) == 1
+        return calls
+
+    small, large = window_cost(500), window_cost(2000)
+    assert small == large
+    assert large["classify"] <= 3
+
+
+def test_until_window_lists_records_stamped_before_1970():
+    repo = Repository(clock=TickingClock())
+    pids = seed_metadata(repo, 3)
+    old = datetime(1969, 7, 20, tzinfo=timezone.utc)
+    repo.restore_object(replace(repo.get_object(pids[1]), last_modified=old))
+    provider = OaiProvider(repo, repository_id="test.local")
+    response = call(provider, verb="ListIdentifiers", metadataPrefix="oai_dc",
+                    until="1970-01-01T00:00:00Z")
+    assert record_identifiers(response, "ListIdentifiers") == [
+        provider.oai_identifier(pids[1])]
+
+
+def test_list_without_until_serves_a_record_put_this_second():
+    """An absent until takes in the current second, as GetRecord does."""
+    repo = Repository(clock=lambda: START)
+    pid = seed_metadata(repo, 1)[0]
+    provider = OaiProvider(repo, repository_id="test.local")
+    listed = call(provider, verb="ListRecords", metadataPrefix="oai_dc")
+    assert record_identifiers(listed) == [provider.oai_identifier(pid)]
+    got = call(provider, verb="GetRecord", metadataPrefix="oai_dc",
+               identifier=provider.oai_identifier(pid))
+    assert record_identifiers(got, "GetRecord") == record_identifiers(listed)
 
 
 # one write each: (op, *ints); ints pick among the objects written so far
@@ -399,16 +451,18 @@ def test_window_walks_match_brute_force(ops, data):
     _apply_writes(repo, ops)
     provider = OaiProvider(repo, repository_id="test.local", page_size=2)
     span = int((clock.now - START).total_seconds()) + 2
-    stamps = st.one_of(st.none(), st.integers(0, span).map(
-        lambda s: START + timedelta(seconds=s)))
+    instants = st.integers(0, span).map(lambda s: START + timedelta(seconds=s))
+    stamps = st.one_of(st.none(), instants)
     sets = [None] + [str(pid_number(o.pid)) for o in repo.active_objects()
                      if "Aggregator" in o.behaviors]
-    for _ in range(3):
+    # three walks over any window, then one over an until-only window
+    for until_only in (False, False, False, True):
         prefix = data.draw(st.sampled_from(["oai_dc", "nsdl_agg"]))
-        from_, until, set_spec = data.draw(stamps), data.draw(stamps), \
-            data.draw(st.sampled_from(sets))
-        # without until, the window ends at the clock's next reading
-        end = until or clock.now + timedelta(seconds=1)
+        from_ = None if until_only else data.draw(stamps)
+        until = data.draw(instants if until_only else stamps)
+        set_spec = data.draw(st.sampled_from(sets))
+        # without until, the window ends a second past the clock's next reading
+        end = until or clock.now + timedelta(seconds=2)
         expected = []
         for pid in repo.pids():
             item = provider._classify(repo.get_object(pid), prefix)
