@@ -28,7 +28,6 @@ and on open; export emits the fragment as stored.
 from __future__ import annotations
 
 import base64
-import sys
 from itertools import combinations
 from xml.etree import ElementTree as ET
 from xml.sax.saxutils import quoteattr
@@ -87,9 +86,12 @@ def export_object(obj: DigitalObject) -> bytes:
     return (_XML_DECL + "\n".join(lines) + "\n").encode("utf-8")
 
 
-def import_object(doc: bytes) -> tuple[DigitalObject, ET.Element | None]:
+def import_object(doc: bytes, shared: dict[str, str] | None = None,
+                  ) -> tuple[DigitalObject, ET.Element | None]:
     """Parse a canonical document into a DigitalObject without its RELS
     stream, and the rdf:RDF element that <rels> wraps (None without one).
+    The pid, state, stream ids and media types come from shared, a table
+    of the strings read so far that a caller opening many documents keeps.
 
     Malformed documents are rejected with the offending element named.
     Neither the object nor the element is checked: the repository's write
@@ -101,8 +103,8 @@ def import_object(doc: bytes) -> tuple[DigitalObject, ET.Element | None]:
         raise ValidationError(f"canonical document is not well-formed XML: {exc}")
     if root.tag != "digitalObject":
         raise ValidationError(f"root element must be digitalObject, got {root.tag!r}")
-    pid = _require(root, "pid")
-    state = _require(root, "state")
+    pid = _require(root, "pid", shared)
+    state = _require(root, "state", shared)
     version = _require(root, "version")
     last_modified = _require(root, "lastModified")
     if not version.isdigit():
@@ -112,7 +114,7 @@ def import_object(doc: bytes) -> tuple[DigitalObject, ET.Element | None]:
     rels = None
     for child in root:
         if child.tag == "datastream":
-            datastreams.append(_parse_datastream(pid, child))
+            datastreams.append(_parse_datastream(pid, child, shared))
         elif child.tag == "behavior":
             pass
         elif child.tag == "rels":
@@ -130,7 +132,7 @@ def import_object(doc: bytes) -> tuple[DigitalObject, ET.Element | None]:
     behaviors = _BEHAVIOR_SETS.get(behaviors, behaviors)
     return DigitalObject(
         pid=pid,
-        state=sys.intern(state),
+        state=state,
         handle=root.get("handle"),
         datastreams=tuple(datastreams),
         behaviors=behaviors,
@@ -143,17 +145,17 @@ def _render_attrs(attrs) -> str:
     return "".join(f" {name}={quoteattr(value)}" for name, value in attrs)
 
 
-def _require(el: ET.Element, name: str) -> str:
+def _require(el: ET.Element, name: str, shared: dict[str, str] | None = None) -> str:
     value = el.get(name)
     if value is None:
         raise ValidationError(f"element {el.tag!r} is missing attribute {name!r}")
-    return value
+    return value if shared is None else shared.setdefault(value, value)
 
 
-def _parse_datastream(pid: str, el: ET.Element) -> Datastream:
-    ds_id = sys.intern(_require(el, "dsId"))
+def _parse_datastream(pid: str, el: ET.Element, shared: dict[str, str] | None) -> Datastream:
+    ds_id = _require(el, "dsId", shared)
     kind = _require(el, "kind")
-    media_type = sys.intern(_require(el, "mediaType"))
+    media_type = _require(el, "mediaType", shared)
     if ds_id == RELS_DS:
         raise ValidationError(f"{pid}: the relationship stream belongs in <rels>")
     if kind == "remote":

@@ -27,7 +27,6 @@ costs O(cap), not O(result).
 
 from __future__ import annotations
 
-import sys
 import threading
 from collections.abc import Collection, Iterable
 from dataclasses import dataclass
@@ -95,9 +94,11 @@ class QueryPattern:
 # RELS fragment wire format
 
 
-def parse_rels(pid: str, fragment: bytes | ET.Element) -> list[Triple]:
+def parse_rels(pid: str, fragment: bytes | ET.Element,
+               shared: dict[str, str] | None = None) -> list[Triple]:
     """Parse an object's RELS fragment, as bytes or as the rdf:RDF element
-    of an already parsed document, into triples.
+    of an already parsed document, into triples. Target pids come from
+    shared, a table of the pids read so far that pid joins.
 
     The fragment must be RDF/XML with at most one rdf:Description, about
     the owning object; every property needs an rdf:resource pointing at
@@ -124,6 +125,8 @@ def parse_rels(pid: str, fragment: bytes | ET.Element) -> list[Triple]:
         raise ValidationError(
             f"{pid}: RELS rdf:Description is about {about!r}, "
             f"not the owning object")
+    shared = {} if shared is None else shared
+    shared.setdefault(pid, pid)
     triples = []
     for prop in desc:
         if not prop.tag.startswith("{"):
@@ -136,9 +139,10 @@ def parse_rels(pid: str, fragment: bytes | ET.Element) -> list[Triple]:
         if not target.startswith(INFO_URI_PREFIX):
             raise ValidationError(
                 f"{pid}: RELS property {name} points outside the repository: {target!r}")
-        obj = sys.intern(target[len(INFO_URI_PREFIX):])
+        obj = target[len(INFO_URI_PREFIX):]
         if not is_pid(obj):
             raise ValidationError(f"{pid}: RELS property {name} targets malformed pid {obj!r}")
+        obj = shared.setdefault(obj, obj)
         # Namespaces split by ElementTree lose their trailing separator.
         sep = "" if ns.endswith(("#", "/")) else "#"
         triples.append(Triple(pid, predicate(ns + sep, name), obj, provenance=pid))
@@ -205,7 +209,8 @@ class TripleStore:
         self._by_po: dict[tuple[Predicate, str], Collection[Triple]] = {}
 
     def __len__(self) -> int:
-        return sum(map(len, self._by_p.values()))
+        with self._mutex:
+            return sum(map(len, self._by_p.values()))
 
     def __iter__(self):
         return chain.from_iterable(self._by_p.values())
@@ -233,12 +238,12 @@ class TripleStore:
         Aborts (leaving the current graph untouched) if any fragment fails
         to parse, naming the offending object.
         """
-        rebuilt = TripleStore()
+        rebuilt, shared = TripleStore(), {}
         for pid, fragment in fragments:
             if fragment is None:
                 continue
             try:
-                triples = parse_rels(pid, fragment)
+                triples = parse_rels(pid, fragment, shared)
             except ValidationError as exc:
                 raise ValidationError(f"rebuild aborted at {pid}: {exc}")
             rebuilt.replace_triples(pid, triples)

@@ -14,9 +14,9 @@ so tokens survive a restart, and each page resumes from its cursor.
 A page walks pid order past its cursor. With a `from`, it walks only the
 objects the store's datestamp index places in the window (for nsdl_agg,
 also the resources their metadata describes), so a small window costs
-O(window), not O(repository); with only an `until`, it does so when the
-index holds fewer objects before `until` than there are pids past the
-cursor. Identify, ListSets and the global
+O(window), not O(repository). With only an `until`, it walks the pids as
+far as the index counts objects before `until`, then goes on over the
+index. Identify, ListSets and the global
 ListMetadataFormats read what the store keeps in its write path: the
 earliest datestamp, the active aggregations and the stored formats.
 
@@ -34,6 +34,7 @@ import base64
 import bisect
 import json
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from xml.sax.saxutils import escape
@@ -309,11 +310,7 @@ class OaiProvider:
         # an nsdl_agg datestamp may be newer than its object's own
         own_stamp = from_ if format_name != AGG_FORMAT else None
         if from_ is None:
-            pids = self.repo.pids()
-            pids = pids[bisect.bisect_right(pids, cursor, key=pid_number):]
-            if self.repo.count_stamped(until) < len(pids):
-                pids = self._window_pids(
-                    format_name, self.repo.earliest_datestamp(), until, cursor)
+            pids = self._until_pids(format_name, until, cursor)
         else:
             pids = self._window_pids(format_name, from_, until, cursor)
         items = []
@@ -333,6 +330,22 @@ class OaiProvider:
             if len(items) > self.page_size:
                 break
         return items
+
+    def _until_pids(self, format_name: str, until: datetime,
+                    cursor: int) -> Iterator[str]:
+        """Pids past the cursor, pid order, that can hold an item before
+        until: those of a lazy walk over as many pids as the datestamp
+        index counts before until, then the index's past them. A broad
+        window fills its page early in the walk, a narrow one reads the
+        index, so a page costs O(min(pids past the cursor, window))."""
+        pids = self.repo.pids()
+        start = bisect.bisect_right(pids, cursor, key=pid_number)
+        stop = start + self.repo.count_stamped(until)
+        yield from pids[start:stop]
+        if stop < len(pids):
+            yield from self._window_pids(
+                format_name, self.repo.earliest_datestamp(), until,
+                pid_number(pids[stop - 1]) if stop > start else cursor)
 
     def _window_pids(self, format_name: str, from_: datetime, until: datetime,
                      cursor: int) -> list[str]:

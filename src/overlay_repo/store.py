@@ -479,9 +479,11 @@ class Repository:
                 int((state or {}).get(key, 0)) for key in ("pid_counter", "handle_counter")])
         records = sorted(objects_dir.glob("*.xml"),
                          key=lambda p: int(p.stem) if p.stem.isdigit() else 0)
+        shared: dict[str, str] = {}  # one string per pid and repeated value
         for path in records:
             try:
-                obj, triples = _checked(*canonical.import_object(path.read_bytes()))
+                obj, triples = _checked(
+                    *canonical.import_object(path.read_bytes(), shared), shared)
                 number = pid_number(obj.pid)
                 if path.name != f"{number}.xml":
                     raise ValidationError(f"holds {obj.pid}, whose record is "
@@ -503,6 +505,7 @@ class Repository:
 
 
 def _checked(obj: DigitalObject, rels: ET.Element | None = None,
+             shared: dict[str, str] | None = None,
              ) -> tuple[DigitalObject, list[Triple]]:
     """The one record check, on write and on open: obj, validated, with
     its RELS fragment in canonical form (so exports are byte-stable however
@@ -528,7 +531,7 @@ def _checked(obj: DigitalObject, rels: ET.Element | None = None,
         rels = obj.rels()
     if rels is None:
         return obj, []
-    triples = parse_rels(obj.pid, rels)
+    triples = parse_rels(obj.pid, rels, shared)
     return obj.with_datastream(Datastream(
         RELS_DS, "local", RELS_MEDIA_TYPE,
         payload=serialize_rels(obj.pid, triples))), triples

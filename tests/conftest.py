@@ -40,9 +40,9 @@ def rels_parses(monkeypatch):
     calls = []
     original = graph.parse_rels
 
-    def counting(pid, fragment):
+    def counting(pid, *args):
         calls.append(pid)
-        return original(pid, fragment)
+        return original(pid, *args)
 
     _patch_everywhere(monkeypatch, "parse_rels", original, counting)
     return calls

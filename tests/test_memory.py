@@ -19,7 +19,7 @@ from support import EXT_NS, START, TickingClock, put_object, record_stream
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "data_dir"
 INDEXES = ("_by_provenance", "_by_o", "_by_p", "_by_sp", "_by_po")
-# Measured at 511 B per triple on CPython 3.11.7, 968 B when every bucket
+# Measured at 512 B per triple on CPython 3.11.7, 968 B when every bucket
 # was a set and a set of all triples was kept besides.
 BYTES_PER_TRIPLE_BOUND = 560
 
@@ -54,11 +54,7 @@ def corpus_fragments(resources=1830):
 
 def test_rebuild_bytes_per_triple():
     fragments = corpus_fragments()
-    # A first graph keeps every target pid interned, as the open
-    # repository's graph does, so the traced rebuild allocates none; the
-    # collection empties the free lists, so every tuple counts.
-    warm = TripleStore()
-    warm.rebuild(fragments)
+    # The collection empties the free lists, so every tuple counts.
     gc.collect()
     tracemalloc.start()
     try:
@@ -67,7 +63,7 @@ def test_rebuild_bytes_per_triple():
         traced = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(store) == len(warm) == 5855
+    assert len(store) == 5855
     assert traced / len(store) <= BYTES_PER_TRIPLE_BOUND
 
 

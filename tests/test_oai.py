@@ -363,6 +363,26 @@ def test_until_window_cost_does_not_grow_with_repository_size(monkeypatch, prefi
     assert large["classify"] <= 3
 
 
+@pytest.mark.parametrize("prefix", ["oai_dc", "nsdl_agg"])
+def test_broad_until_window_fills_its_page_from_the_pid_walk(monkeypatch, prefix):
+    """An until-only window holding all but the newest object fills its
+    first page from the first pids walked and never lists the window from
+    the datestamp index, which would cost O(repository)."""
+    repo = Repository(clock=TickingClock())
+    newest = seed_metadata(repo, 1000)[-1]
+    until = format_datestamp(repo.get_object(newest).last_modified)
+    provider = OaiProvider(repo, repository_id="test.local", page_size=2)
+    listed = []
+    stamped = Repository.stamped
+    monkeypatch.setattr(Repository, "stamped",
+                        lambda self, *window: listed.append(window) or stamped(self, *window))
+    response, calls = _page_cost(monkeypatch, provider, verb="ListIdentifiers",
+                                 metadataPrefix=prefix, until=until)
+    assert len(record_identifiers(response, "ListIdentifiers")) == 2
+    assert listed == []
+    assert calls["get_object"] <= 12
+
+
 def test_until_window_lists_records_stamped_before_1970():
     repo = Repository(clock=TickingClock())
     pids = seed_metadata(repo, 3)
