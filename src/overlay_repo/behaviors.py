@@ -25,7 +25,6 @@ from .errors import (
     NoMetadataError,
     NotFoundError,
     NotRepresentedError,
-    ObjectDeletedError,
     OperationNotSupportedError,
     ValidationError,
 )
@@ -84,17 +83,11 @@ def parse_brand_doc(holder: str, payload: bytes) -> Brand:
 # operation implementations (direct-call API)
 
 
-def _active(repo, pid: str) -> DigitalObject:
-    obj = repo.get_object(pid)
-    if obj.state == "deleted":
-        raise ObjectDeletedError(f"{pid} is deleted")
-    return obj
-
-
-def _require(obj: DigitalObject, *any_of: str) -> None:
+def _require(obj: DigitalObject, *any_of: str) -> DigitalObject:
     if not obj.behaviors & set(any_of):
         raise OperationNotSupportedError(
             f"{obj.pid} binds none of {sorted(any_of)}")
+    return obj
 
 
 def metadata_get_record(repo, pid: str, format_name: str) -> MetadataRecord:
@@ -106,8 +99,7 @@ def metadata_get_record(repo, pid: str, format_name: str) -> MetadataRecord:
 def _record_source(repo, pid: str, format_name: str) -> MetadataRecord:
     """The stored record in format_name, else the stored record a
     registered crosswalk derives it from."""
-    obj = _active(repo, pid)
-    _require(obj, "Metadata")
+    obj = _require(repo.active_object(pid), "Metadata")
     ds = obj.datastream(RECORD_DS_PREFIX + format_name)
     if ds is not None:
         return MetadataRecord(format_name, ds.payload)
@@ -120,16 +112,14 @@ def _record_source(repo, pid: str, format_name: str) -> MetadataRecord:
 
 def available_formats(repo, pid: str) -> list[str]:
     """Stored formats plus everything reachable through crosswalks."""
-    obj = _active(repo, pid)
-    found = set(obj.record_formats())
+    found = set(repo.active_object(pid).record_formats())
     for stored in list(found):
         found.update(records.crosswalk_targets(stored))
     return sorted(found)
 
 
 def metadata_get_provider(repo, pid: str) -> str:
-    obj = _active(repo, pid)
-    _require(obj, "Metadata")
+    _require(repo.active_object(pid), "Metadata")
     providers = repo.graph.objects_of(pid, "providedBy")
     if len(providers) != 1:
         raise ModelIntegrityError(
@@ -138,8 +128,7 @@ def metadata_get_provider(repo, pid: str) -> str:
 
 
 def metadata_get_resource(repo, pid: str) -> str:
-    obj = _active(repo, pid)
-    _require(obj, "Metadata")
+    _require(repo.active_object(pid), "Metadata")
     targets = repo.graph.objects_of(pid, "metadataFor")
     if len(targets) != 1:
         raise ModelIntegrityError(
@@ -152,28 +141,24 @@ def resource_get_handle(repo, pid: str) -> str:
 
 
 def resource_get_metadata(repo, pid: str) -> list[str]:
-    obj = _active(repo, pid)
-    _require(obj, "Agent", "Content")
+    _require(repo.active_object(pid), "Agent", "Content")
     return repo.graph.subjects_of("metadataFor", pid)
 
 
 def resource_memberships(repo, pid: str) -> list[str]:
-    obj = _active(repo, pid)
-    _require(obj, "Agent", "Content")
+    _require(repo.active_object(pid), "Agent", "Content")
     return repo.graph.objects_of(pid, "memberOf")
 
 
 def annotations_for(repo, pid: str) -> list[str]:
     """Content objects commenting on this resource; one hop, never
     transitive."""
-    obj = _active(repo, pid)
-    _require(obj, "Agent", "Content")
+    _require(repo.active_object(pid), "Agent", "Content")
     return repo.graph.subjects_of("annotates", pid)
 
 
 def role_get_brand(repo, pid: str) -> Brand:
-    obj = _active(repo, pid)
-    _require(obj, "Role", "Aggregator", "MetadataProvider")
+    obj = _require(repo.active_object(pid), "Role", "Aggregator", "MetadataProvider")
     ds = obj.datastream(BRAND_DS)
     if ds is None:
         raise BrandMissingError(f"role {pid} has no BRAND stream")
@@ -184,7 +169,7 @@ def show_brand(repo, pid: str) -> list[Brand]:
     """Brands projected onto an information object. Metadata takes its
     provider's brand; resources take the brand of every aggregation they
     are a member of."""
-    obj = _active(repo, pid)
+    obj = repo.active_object(pid)
     if "Metadata" in obj.behaviors:
         return [role_get_brand(repo, metadata_get_provider(repo, pid))]
     _require(obj, "Agent", "Content")
@@ -193,8 +178,7 @@ def show_brand(repo, pid: str) -> list[Brand]:
 
 
 def content_show_content(repo, pid: str) -> Representation:
-    obj = _active(repo, pid)
-    _require(obj, "Content")
+    obj = _require(repo.active_object(pid), "Content")
     ds = obj.datastream(CONTENT_DS)
     if ds is None:
         raise NotFoundError(f"{pid} has no CONTENT stream")
@@ -207,8 +191,7 @@ def content_get_gold(repo, pid: str) -> GoldRecord:
     """Computed merged record for a resource, folding every describing
     record along the augmentation order. Contributors that cannot produce
     nsdl_dc (directly or by crosswalk) are left out."""
-    obj = _active(repo, pid)
-    _require(obj, "Content")
+    _require(repo.active_object(pid), "Content")
     describing = resource_get_metadata(repo, pid)
     if not describing:
         raise NoMetadataError(f"no metadata describes {pid}")
@@ -237,16 +220,14 @@ def aggregator_list_members(repo, pid: str, offset: int = 0,
                             limit: int | None = None) -> list[str]:
     """Members of an aggregation, answered from the joined graph (a stored
     member list would not scale), in pid order with offset/limit paging."""
-    obj = _active(repo, pid)
-    _require(obj, "Aggregator")
+    _require(repo.active_object(pid), "Aggregator")
     members = repo.graph.subjects_of("memberOf", pid)
     end = None if limit is None else offset + limit
     return members[offset:end]
 
 
 def aggregator_get_representation(repo, pid: str) -> str:
-    obj = _active(repo, pid)
-    _require(obj, "Aggregator")
+    _require(repo.active_object(pid), "Aggregator")
     surrogates = repo.graph.objects_of(pid, "representedBy")
     if not surrogates:
         raise NotRepresentedError(f"aggregation {pid} has no surrogate resource")
@@ -255,8 +236,7 @@ def aggregator_get_representation(repo, pid: str) -> str:
 
 def mdprovider_list_provided(repo, pid: str, offset: int = 0,
                              limit: int | None = None) -> list[str]:
-    obj = _active(repo, pid)
-    _require(obj, "MetadataProvider")
+    _require(repo.active_object(pid), "MetadataProvider")
     provided = repo.graph.subjects_of("providedBy", pid)
     end = None if limit is None else offset + limit
     return provided[offset:end]

@@ -48,7 +48,9 @@ _BEHAVIOR_SETS = {s: s for n in range(len(BEHAVIOR_NAMES) + 1)
                   for s in map(frozenset, combinations(BEHAVIOR_NAMES, n))}
 
 
-def export_object(obj: DigitalObject) -> bytes:
+def start_tag(name: str, obj: DigitalObject) -> str:
+    """The start of element name's tag, unclosed, with obj's identifying
+    attributes: pid, state, version, lastModified and any handle."""
     attrs = [
         ("pid", obj.pid),
         ("state", obj.state),
@@ -57,7 +59,11 @@ def export_object(obj: DigitalObject) -> bytes:
     ]
     if obj.handle is not None:
         attrs.append(("handle", obj.handle))
-    head = "<digitalObject" + _render_attrs(attrs)
+    return "<" + name + _render_attrs(attrs)
+
+
+def export_object(obj: DigitalObject) -> bytes:
+    head = start_tag("digitalObject", obj)
     if obj.state == "deleted":
         return (_XML_DECL + head + "/>\n").encode("utf-8")
 

@@ -36,7 +36,9 @@ from xml.etree import ElementTree as ET
 
 from . import ontology
 from .errors import LimitExceededError, QueryParseError, ValidationError
-from .model import INFO_URI_PREFIX, is_pid, pid_sort_key, pid_sorted, representation_uri
+from .model import (
+    INFO_URI_PREFIX, RELS_DS, RELS_MEDIA_TYPE, Datastream, is_pid, pid_sort_key,
+    pid_sorted, representation_uri)
 from .ontology import BASE_NAMESPACE, Predicate, predicate, predicate_from_uri
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -181,6 +183,12 @@ def serialize_rels(pid: str, triples: Iterable[Triple]) -> bytes:
         lines.append("  </rdf:Description>")
     lines.append("</rdf:RDF>")
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def rels_stream(pid: str, triples: Iterable[Triple]) -> Datastream:
+    """The RELS datastream asserting triples about pid."""
+    return Datastream(RELS_DS, "local", RELS_MEDIA_TYPE,
+                      payload=serialize_rels(pid, triples))
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import logging
-import urllib.request
 from dataclasses import dataclass, field, replace
 from datetime import datetime
 from pathlib import Path
@@ -26,14 +25,11 @@ from xml.sax.saxutils import quoteattr
 from . import records
 from .behaviors import build_brand_doc
 from .errors import HarvestProtocolError, NotFoundError, ValidationError
-from .graph import Triple, serialize_rels
+from .graph import Triple, rels_stream
 from .model import (
     BRAND_DS,
     CONTENT_DS,
-    RELS_DS,
-    RELS_MEDIA_TYPE,
     SOURCE_DS,
-    Datastream,
     DigitalObject,
     build_source_doc,
     format_datestamp,
@@ -41,23 +37,19 @@ from .model import (
     parse_datestamp,
     remote_stream,
 )
+from .oai import OAI_NS
 from .ontology import base_predicate
-from .store import _atomic_write, _read_json
+from .store import _atomic_write, _default_fetcher, _read_json
 
 log = logging.getLogger(__name__)
 
-OAI_NS = "http://www.openarchives.org/OAI/2.0/"
 DC_IDENTIFIER = f"{{{records.DC_NS}}}identifier"
 XSI_TYPE = f"{{{records.XSI_NS}}}type"
 
 # Transport seam: url -> response body. The default speaks HTTP; tests and
 # in-process federation substitute direct calls.
 Transport = Callable[[str], bytes]
-
-
-def http_transport(url: str, timeout: float = 30.0) -> bytes:
-    with urllib.request.urlopen(url, timeout=timeout) as response:
-        return response.read()
+PAGE_TIMEOUT = 30.0  # seconds one page request may take over HTTP
 
 
 @dataclass
@@ -147,7 +139,7 @@ class _Page:
 class Harvester:
     def __init__(self, repo, transport: Transport | None = None):
         self.repo = repo
-        self.transport = transport or http_transport
+        self.transport = transport or (lambda url: _default_fetcher(url, PAGE_TIMEOUT))
 
     # ------------------------------------------------------------------
     # provisioning
@@ -170,13 +162,11 @@ class Harvester:
             pid=aggregator_role, behaviors=frozenset({"Aggregator"}),
             datastreams=(brand,)))
         agent = self.repo.mint_pid()
-        rels = serialize_rels(agent, [
-            Triple(agent, base_predicate("hasRole"), provider_role, agent),
-            Triple(agent, base_predicate("hasRole"), aggregator_role, agent),
-        ])
         self.repo.put_object(DigitalObject(
-            pid=agent, behaviors=frozenset({"Agent"}),
-            datastreams=(Datastream(RELS_DS, "local", RELS_MEDIA_TYPE, payload=rels),)))
+            pid=agent, behaviors=frozenset({"Agent"}), datastreams=(rels_stream(agent, [
+                Triple(agent, base_predicate("hasRole"), provider_role, agent),
+                Triple(agent, base_predicate("hasRole"), aggregator_role, agent),
+            ]),)))
         self.repo.assign_handle(agent)
         return replace(cfg, agent_pid=agent, provider_role_pid=provider_role,
                        aggregator_role_pid=aggregator_role)
@@ -336,13 +326,12 @@ class Harvester:
             streams.append(local_stream(
                 "REC.nsdl_dc", records.RECORD_MEDIA_TYPE,
                 records.serialize_dc("nsdl_dc", entries)))
-        rels = serialize_rels(metadata_pid, [
+        streams.append(rels_stream(metadata_pid, [
             Triple(metadata_pid, base_predicate("metadataFor"), resource_pid,
                    metadata_pid),
             Triple(metadata_pid, base_predicate("providedBy"),
                    cfg.provider_role_pid, metadata_pid),
-        ])
-        streams.append(Datastream(RELS_DS, "local", RELS_MEDIA_TYPE, payload=rels))
+        ]))
         self.repo.put_object(DigitalObject(
             pid=metadata_pid, behaviors=frozenset({"Metadata"}),
             datastreams=tuple(streams)))
@@ -360,13 +349,12 @@ class Harvester:
                     existing, memberships + [cfg.aggregator_role_pid])
             return existing
         pid = self.repo.mint_pid()
-        rels = serialize_rels(pid, [
-            Triple(pid, base_predicate("memberOf"), cfg.aggregator_role_pid, pid)])
         self.repo.put_object(DigitalObject(
             pid=pid, behaviors=frozenset({"Content"}),
             datastreams=(
                 remote_stream(CONTENT_DS, "text/html", url),
-                Datastream(RELS_DS, "local", RELS_MEDIA_TYPE, payload=rels),
+                rels_stream(pid, [Triple(pid, base_predicate("memberOf"),
+                                         cfg.aggregator_role_pid, pid)]),
             )))
         self.repo.assign_handle(pid)
         return pid
@@ -377,9 +365,7 @@ class Harvester:
                 if str(t.predicate) != "memberOf"]
         triples = keep + [
             Triple(pid, base_predicate("memberOf"), a, pid) for a in aggregations]
-        self.repo.put_object(obj.with_datastream(Datastream(
-            RELS_DS, "local", RELS_MEDIA_TYPE,
-            payload=serialize_rels(pid, triples))))
+        self.repo.put_object(obj.with_datastream(rels_stream(pid, triples)))
 
     def handle_deleted(self, oai_identifier: str, cfg: ProviderConfig) -> None:
         """Tombstone the metadata object for a deleted upstream record.

@@ -58,16 +58,16 @@ from .model import (
     parse_datestamp,
     pid_number,
 )
-from .records import FORMATS, embeddable
+from .records import FORMATS, XSI_NS, embeddable
 
 OAI_NS = "http://www.openarchives.org/OAI/2.0/"
-XSI_NS = "http://www.w3.org/2001/XMLSchema-instance"
 OAI_SCHEMA = "http://www.openarchives.org/OAI/2.0/OAI-PMH.xsd"
 AGG_FORMAT = "nsdl_agg"
 # The aggregation format needs its own namespace: an unqualified payload
 # would be captured by the envelope's default namespace when embedded.
 AGG_NS = "http://ns.nsdl.org/nsdl_agg_v1.00/"
 AGG_SCHEMA = "http://ns.nsdl.org/schemas/nsdl_agg/nsdl_agg_v1.00.xsd"
+TOKEN_TTL = timedelta(hours=1)  # how long a resumption token stays valid
 
 _ROOT_START = (
     "<?xml version='1.0' encoding='utf-8'?>\n"
@@ -123,14 +123,13 @@ class OaiProvider:
                  repository_name: str = "Overlay Repository",
                  base_url: str = "http://localhost:8080/oai",
                  admin_email: str = "admin@localhost",
-                 page_size: int = 250, token_ttl: int = 3600):
+                 page_size: int = 250):
         self.repo = repo
         self.repository_id = repository_id
         self.repository_name = repository_name
         self.base_url = base_url
         self.admin_email = admin_email
         self.page_size = page_size
-        self.token_ttl = token_ttl
 
     # ------------------------------------------------------------------
     # identifiers
@@ -138,14 +137,18 @@ class OaiProvider:
     def oai_identifier(self, pid: str) -> str:
         return f"oai:{self.repository_id}:{pid}"
 
-    def pid_from_identifier(self, identifier: str) -> str:
+    def _identified(self, identifier: str) -> DigitalObject:
+        """The object an identifier names, tombstones included, else idDoesNotExist."""
         prefix = f"oai:{self.repository_id}:"
         if not identifier.startswith(prefix):
             raise ProtocolError("idDoesNotExist", f"unknown identifier {identifier}")
         pid = identifier[len(prefix):]
         if not is_pid(pid):
             raise ProtocolError("idDoesNotExist", f"malformed identifier {identifier}")
-        return pid
+        try:
+            return self.repo.get_object(pid)
+        except RepositoryError:
+            raise ProtocolError("idDoesNotExist", identifier)
 
     # ------------------------------------------------------------------
     # request entry points
@@ -221,12 +224,7 @@ class OaiProvider:
         if identifier is None:
             names = self._global_formats()
         else:
-            pid = self.pid_from_identifier(identifier)
-            try:
-                obj = self.repo.get_object(pid)
-            except RepositoryError:
-                raise ProtocolError("idDoesNotExist", identifier)
-            names = self._item_formats(obj)
+            names = self._item_formats(self._identified(identifier))
             if not names:
                 raise ProtocolError(
                     "noMetadataFormats", f"{identifier} has no available formats")
@@ -247,11 +245,7 @@ class OaiProvider:
         return ["".join(out).encode("utf-8")]
 
     def serve_get_record(self, identifier: str, format_name: str) -> list[bytes]:
-        pid = self.pid_from_identifier(identifier)
-        try:
-            obj = self.repo.get_object(pid)
-        except RepositoryError:
-            raise ProtocolError("idDoesNotExist", identifier)
+        obj = self._identified(identifier)
         item = self._classify(obj, format_name)
         if item is None:
             if format_name != AGG_FORMAT and "Metadata" in obj.behaviors:
@@ -287,8 +281,7 @@ class OaiProvider:
         for item in page:
             out += self._record_element(item, format_name, headers_only)
         if len(items) > len(page):
-            expiry = format_datestamp(
-                self.repo.clock() + timedelta(seconds=self.token_ttl))
+            expiry = format_datestamp(self.repo.clock() + TOKEN_TTL)
             state = [verb, format_name, set_spec,
                      None if from_ is None else format_datestamp(from_),
                      format_datestamp(until), pid_number(page[-1].pid), expiry]

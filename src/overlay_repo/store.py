@@ -52,17 +52,13 @@ from .errors import (
     StoreError,
     ValidationError,
 )
-from .graph import Triple, TripleStore, parse_rels, serialize_rels
+from .graph import Triple, TripleStore, parse_rels, rels_stream
 from .model import (
     CONTENT_DS,
     RECORD_DS_PREFIX,
-    RELS_DS,
-    RELS_MEDIA_TYPE,
     SOURCE_DS,
-    Datastream,
     DigitalObject,
     Representation,
-    format_datestamp,
     handle_suffix,
     make_handle,
     make_pid,
@@ -81,6 +77,7 @@ log = logging.getLogger(__name__)
 
 Clock = Callable[[], datetime]
 UrlFetcher = Callable[[str, float], bytes]
+FETCH_TIMEOUT = 10.0  # seconds a remote CONTENT fetch may take
 
 
 def _default_fetcher(url: str, timeout: float) -> bytes:
@@ -122,12 +119,10 @@ class Repository:
         clock: Clock | None = None,
         handle_prefix: str = "2200",
         url_fetcher: UrlFetcher | None = None,
-        fetch_timeout: float = 10.0,
     ):
         self.data_dir = Path(data_dir) if data_dir is not None else None
         self.clock = clock or utcnow_seconds
         self.handle_prefix = handle_prefix
-        self.fetch_timeout = fetch_timeout
         self._fetch = url_fetcher or _default_fetcher
 
         self._lock = threading.RLock()
@@ -136,8 +131,9 @@ class Repository:
         self._pid_counter = 0
         self._handle_counter = 0
         self._handles: dict[str, str] = {}
-        self._content_by_url: dict[str, str] = {}
-        self._sources: dict[tuple[str, str], str] = {}
+        # key -> its one active holder, or several as a pid-ordered tuple
+        self._content_by_url: dict[str, str | tuple[str, ...]] = {}
+        self._sources: dict[tuple[str, str], str | tuple[str, ...]] = {}
         self._stamps: list[tuple[datetime, int]] = []  # (last_modified, pid number), sorted
         self._aggregators: set[str] = set()  # active
         self._format_counts: dict[str, int] = {}  # REC.<format> streams, active objects
@@ -171,9 +167,7 @@ class Repository:
         """Handle of a resource object, minting and persisting one on
         first request."""
         with self._lock:
-            obj = self.get_object(pid)
-            if obj.state == "deleted":
-                raise ObjectDeletedError(f"{pid} is deleted")
+            obj = self.active_object(pid)
             if obj.handle is not None:
                 return obj.handle
             if not obj.is_resource:
@@ -225,6 +219,13 @@ class Repository:
         obj = self._objects.get(pid)
         if obj is None:
             raise NotFoundError(f"unknown pid {pid}")
+        return obj
+
+    def active_object(self, pid: str) -> DigitalObject:
+        """The object, unless it is a tombstone (ObjectDeletedError)."""
+        obj = self.get_object(pid)
+        if obj.state == "deleted":
+            raise ObjectDeletedError(f"{pid} is deleted")
         return obj
 
     def delete_object(self, pid: str) -> None:
@@ -293,14 +294,18 @@ class Repository:
         return obj.behaviors
 
     def content_pid_for_url(self, url: str) -> str | None:
-        return self._content_by_url.get(url)
+        """Lowest active Content pid whose remote CONTENT stream is url."""
+        with self._lock:
+            return _first(self._content_by_url.get(url))
 
     def source_pid(self, provider: str, oai_identifier: str) -> str | None:
-        return self._sources.get((provider, oai_identifier))
+        """Lowest active pid whose SOURCE names this upstream record."""
+        with self._lock:
+            return _first(self._sources.get((provider, oai_identifier)))
 
     def fetch_remote(self, url: str) -> bytes:
         try:
-            return self._fetch(url, self.fetch_timeout)
+            return self._fetch(url, FETCH_TIMEOUT)
         except Exception as exc:
             raise DisseminationError(f"remote fetch of {url} failed: {exc}") from exc
 
@@ -331,9 +336,7 @@ class Repository:
 
     def disseminate(self, pid: str, op: str | None,
                     params: dict[str, str] | None = None) -> Representation:
-        obj = self.get_object(pid)
-        if obj.state == "deleted":
-            raise ObjectDeletedError(f"{pid} is deleted")
+        obj = self.active_object(pid)
         if op is None:
             return self._profile(obj)
         type_name, fn = OPERATIONS.get(ALIASES.get(op, op), (None, None))
@@ -347,20 +350,10 @@ class Repository:
             raise DisseminationError(f"{pid}/{op} failed: {exc}") from exc
 
     def _profile(self, obj: DigitalObject) -> Representation:
-        attrs = [
-            ("pid", obj.pid),
-            ("state", obj.state),
-            ("version", str(obj.version)),
-            ("lastModified", format_datestamp(obj.last_modified)),
-        ]
-        if obj.handle is not None:
-            attrs.append(("handle", obj.handle))
-        lines = ["<objectProfile" + "".join(
-            f" {k}={quoteattr(v)}" for k, v in attrs) + ">"]
+        lines = [canonical.start_tag("objectProfile", obj) + ">"]
         for ds in sorted(obj.datastreams, key=lambda d: d.ds_id):
-            ds_attrs = f' dsId={quoteattr(ds.ds_id)} kind={quoteattr(ds.kind)}' \
-                       f' mediaType={quoteattr(ds.media_type)}'
-            lines.append(f"  <datastream{ds_attrs}/>")
+            lines.append(f"  <datastream dsId={quoteattr(ds.ds_id)} kind={quoteattr(ds.kind)}"
+                         f" mediaType={quoteattr(ds.media_type)}/>")
         for name in sorted(obj.behaviors):
             lines.append(f"  <behavior name={quoteattr(name)}/>")
         lines.append("</objectProfile>")
@@ -435,24 +428,19 @@ class Repository:
                     self._format_counts[name] -= 1
                     if not self._format_counts[name]:
                         del self._format_counts[name]
-            url = _content_url(old)
-            if url is not None and self._content_by_url.get(url) == old.pid:
-                del self._content_by_url[url]
-            source = _source_key(old)
-            if source is not None and self._sources.get(source) == old.pid:
-                del self._sources[source]
         bisect.insort(self._stamps, (obj.last_modified, number))
         if obj.state == "active":
             if "Aggregator" in obj.behaviors:
                 self._aggregators.add(obj.pid)
             for name in obj.record_formats():
                 self._format_counts[name] = self._format_counts.get(name, 0) + 1
-            url = _content_url(obj)
-            if url is not None:
-                self._content_by_url.setdefault(url, obj.pid)
-            source = _source_key(obj)
-            if source is not None:
-                self._sources.setdefault(source, obj.pid)
+        # a tombstone holds no key: it has no streams
+        for index, key_of in ((self._content_by_url, _content_url),
+                              (self._sources, _source_key)):
+            if old is not None and (key := key_of(old)) is not None:
+                _hold(index, key, old.pid, False)
+            if (key := key_of(obj)) is not None:
+                _hold(index, key, obj.pid, True)
 
     def _absorb(self, obj: DigitalObject, number: int) -> None:
         """Move the counters past obj's pid, whose number is given, and any
@@ -532,9 +520,23 @@ def _checked(obj: DigitalObject, rels: ET.Element | None = None,
     if rels is None:
         return obj, []
     triples = parse_rels(obj.pid, rels, shared)
-    return obj.with_datastream(Datastream(
-        RELS_DS, "local", RELS_MEDIA_TYPE,
-        payload=serialize_rels(obj.pid, triples))), triples
+    return obj.with_datastream(rels_stream(obj.pid, triples)), triples
+
+
+def _hold(index: dict, key, pid: str, holds: bool) -> None:
+    """Add pid to, or drop it from, the holders of key in index."""
+    held = index.get(key, ())
+    holders = [h for h in ((held,) if isinstance(held, str) else held) if h != pid]
+    if holds:
+        holders = pid_sorted(holders + [pid])
+    if not holders:
+        index.pop(key, None)
+    else:
+        index[key] = holders[0] if len(holders) == 1 else tuple(holders)
+
+
+def _first(held: str | tuple[str, ...] | None) -> str | None:
+    return held[0] if isinstance(held, tuple) else held
 
 
 def _content_url(obj: DigitalObject) -> str | None:

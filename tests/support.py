@@ -12,11 +12,10 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
+from overlay_repo import graph
 from overlay_repo.cli import load_fixture_dir
-from overlay_repo.graph import Triple, serialize_rels
+from overlay_repo.graph import Triple
 from overlay_repo.model import (
-    RELS_DS,
-    RELS_MEDIA_TYPE,
     Datastream,
     DigitalObject,
     local_stream,
@@ -84,8 +83,7 @@ def rels_stream(pid: str, edges) -> Datastream:
             from overlay_repo.ontology import Predicate
 
             triples.append(Triple(pid, Predicate(ns, name), target, provenance=pid))
-    return Datastream(RELS_DS, "local", RELS_MEDIA_TYPE,
-                      payload=serialize_rels(pid, triples))
+    return graph.rels_stream(pid, triples)
 
 
 def put_object(repo, behaviors, streams=(), edges=(), pid=None, handle=None,

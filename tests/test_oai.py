@@ -207,8 +207,7 @@ def test_token_bound_to_its_verb(repo):
 
 def test_expired_resumption_token(repo, clock):
     seed_metadata(repo, 5)
-    provider = OaiProvider(repo, repository_id="test.local", page_size=2,
-                           token_ttl=10)
+    provider = OaiProvider(repo, repository_id="test.local", page_size=2)
     response = call(provider, verb="ListRecords", metadataPrefix="oai_dc")
     token = response.findtext("o:ListRecords/o:resumptionToken", namespaces=NS)
     clock.now += timedelta(hours=2)

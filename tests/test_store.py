@@ -20,14 +20,18 @@ from overlay_repo.errors import (
 )
 from overlay_repo.graph import parse_query, serialize_rels
 from overlay_repo.model import (
+    CONTENT_DS,
+    SOURCE_DS,
     DigitalObject,
+    build_source_doc,
     local_stream,
+    parse_source_doc,
     pid_number,
     remote_stream,
 )
 from overlay_repo.store import Repository
 
-from support import oai_dc_record, put_object, record_stream, rels_stream
+from support import START, oai_dc_record, put_object, record_stream, rels_stream
 
 
 def test_fresh_store_mints_first_pid(repo):
@@ -592,6 +596,35 @@ def _recomputed_index(repo):
             dict(Counter(f for o in active for f in o.record_formats())))
 
 
+def _kept_owners(repo):
+    """The pid answering for each CONTENT URL and each SOURCE key the
+    store keeps."""
+    return ({url: repo.content_pid_for_url(url) for url in repo._content_by_url},
+            {key: repo.source_pid(*key) for key in repo._sources})
+
+
+def _recomputed_owners(repo):
+    """The first holder in pid order of each URL (a Content object's
+    remote CONTENT stream) and each SOURCE (provider, identifier),
+    recomputed from the object table."""
+    urls, sources = {}, {}
+    for obj in (repo.get_object(p) for p in repo.pids()):
+        if obj.state != "active":
+            continue
+        content, source = obj.datastream(CONTENT_DS), obj.datastream(SOURCE_DS)
+        if content is not None and content.kind == "remote" \
+                and "Content" in obj.behaviors:
+            urls.setdefault(content.url, obj.pid)
+        if source is not None:
+            sources.setdefault(parse_source_doc(source.payload)[:2], obj.pid)
+    return urls, sources
+
+
+def _source_stream(oai_id):
+    return local_stream(SOURCE_DS, "application/xml",
+                        build_source_doc("p", oai_id, START))
+
+
 END = datetime(9999, 1, 1, tzinfo=timezone.utc)
 
 
@@ -605,7 +638,8 @@ def test_index_holds_under_concurrent_writes(repo):
         try:
             for i in range(30):
                 pid = put_object(repo, {"Aggregator"} if i % 3 else {"Metadata"},
-                                 streams=[record_stream("marcxml", b"<r/>")])
+                                 streams=[record_stream("marcxml", b"<r/>"),
+                                          _source_stream(f"oai:{i % 3}")])
                 repo.put_object(repo.get_object(resource))
                 if i % 2:
                     repo.delete_object(pid)
@@ -636,6 +670,7 @@ def test_index_holds_under_concurrent_writes(repo):
     assert not errors
     assert len(repo.pids()) == 121
     assert _kept_index(repo) == _recomputed_index(repo)
+    assert _kept_owners(repo) == _recomputed_owners(repo)
 
 
 def test_write_sequence_reopens_equal(tmp_path, clock):
@@ -664,6 +699,7 @@ def test_write_sequence_reopens_equal(tmp_path, clock):
     reopened = Repository(copy, clock=clock)
     assert _snapshot(reopened) == _snapshot(repo)
     assert _kept_index(reopened) == _kept_index(repo) == _recomputed_index(repo)
+    assert _kept_owners(reopened) == _kept_owners(repo) == _recomputed_owners(repo)
     # the metadata's second put dropped its REC stream
     assert _kept_index(repo)[1:] == ({"nsdl:12"}, {})
     assert [reopened.resolve_handle(h) for h in handles] \
@@ -675,6 +711,37 @@ def test_write_sequence_reopens_equal(tmp_path, clock):
     for store in (repo, reopened):
         pid = put_object(store, {"Content"})
         assert (pid, store.assign_handle(pid)) == ("nsdl:16", "hdl:2200/00011")
+
+
+def _holder(pid, url, oai_id):
+    return DigitalObject(pid=pid, behaviors=frozenset({"Content"}), datastreams=(
+        remote_stream(CONTENT_DS, "text/html", url), _source_stream(oai_id)))
+
+
+@pytest.mark.parametrize("case", ["delete", "change", "restore lower"])
+def test_shared_url_and_source_answer_as_a_reopen(tmp_path, clock, case):
+    """A URL or SOURCE key two active objects hold answers its lowest
+    remaining holder, live as after a reopen."""
+    repo = Repository(tmp_path / "d", clock=clock)
+    one, two = repo.mint_pid(), repo.mint_pid()
+    if case == "restore lower":
+        repo.put_object(_holder(two, "http://a/", "oai:a"))
+        repo.restore_object(_holder(one, "http://a/", "oai:a"))
+        expected = [one, None]
+    else:
+        repo.put_object(_holder(one, "http://a/", "oai:a"))
+        repo.put_object(_holder(two, "http://a/", "oai:a"))
+        if case == "delete":
+            repo.delete_object(one)
+            expected = [two, None]
+        else:
+            repo.put_object(_holder(one, "http://b/", "oai:b"))
+            expected = [two, one]
+    reopened = Repository(tmp_path / "d", clock=clock)
+    for store in (repo, reopened):
+        assert [store.content_pid_for_url(u) for u in ("http://a/", "http://b/")] \
+            == [store.source_pid("p", i) for i in ("oai:a", "oai:b")] == expected
+        assert _kept_owners(store) == _recomputed_owners(store)
 
 
 def test_pid_with_trailing_newline_is_refused(tmp_path, clock):

@@ -7,7 +7,7 @@ import pytest
 
 from overlay_repo import canonical
 from overlay_repo.errors import ValidationError
-from overlay_repo.model import DigitalObject
+from overlay_repo.model import DigitalObject, local_stream, remote_stream
 from overlay_repo.oai import OaiProvider
 from overlay_repo.store import Repository
 from overlay_repo.web import (
@@ -80,6 +80,23 @@ def test_object_profile_route(repo, app):
     status, _, body = request(app, "GET", f"/objects/{labels['resource']}")
     assert status == 200
     assert repo.disseminate(labels["resource"], None).body == body
+
+
+def test_object_profile_bytes(repo, app):
+    pid = put_object(repo, {"Agent", "Content"}, handle="hdl:2200/00007", streams=[
+        remote_stream("CONTENT", "text/html", "http://example.org/a?b=1&c=2"),
+        local_stream("NOTES", 'text/plain; note="a&b<c"', b"x")])
+    status, headers, body = request(app, "GET", f"/objects/{pid}")
+    assert (status, headers["Content-Type"]) == (200, "application/xml")
+    assert body == (
+        b'<objectProfile pid="nsdl:1" state="active" version="1"'
+        b' lastModified="2010-06-01T00:00:01Z" handle="hdl:2200/00007">\n'
+        b'  <datastream dsId="CONTENT" kind="remote" mediaType="text/html"/>\n'
+        b'  <datastream dsId="NOTES" kind="local"'
+        b' mediaType=\'text/plain; note="a&amp;b&lt;c"\'/>\n'
+        b'  <behavior name="Agent"/>\n'
+        b'  <behavior name="Content"/>\n'
+        b'</objectProfile>\n')
 
 
 def test_unknown_pid_404(app):
