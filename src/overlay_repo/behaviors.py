@@ -5,8 +5,11 @@ MetadataProvider, Role) give objects their operational semantics. An
 object binds any subset. OPERATIONS names, for each operation, the
 ontology type whose objects answer it (the abstract Resource and Role
 types included), so an object answers every operation of every type its
-bindings satisfy; everything here runs in-process against a repository
-snapshot.
+bindings satisfy. Repository.disseminate checks that, and that the object
+is no tombstone, once; the functions here run in-process against a
+repository snapshot and trust their caller. The neighbours they reach (a
+provider role, a describing record) answer by what they hold: a
+tombstone holds no BRAND stream, and any holder's record stream is read.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .errors import (
     NoMetadataError,
     NotFoundError,
     NotRepresentedError,
-    OperationNotSupportedError,
     ValidationError,
 )
 from .model import (
@@ -33,7 +35,6 @@ from .model import (
     CONTENT_DS,
     INFO_URI_PREFIX,
     RECORD_DS_PREFIX,
-    DigitalObject,
     Representation,
     representation_uri,
 )
@@ -83,13 +84,6 @@ def parse_brand_doc(holder: str, payload: bytes) -> Brand:
 # operation implementations (direct-call API)
 
 
-def _require(obj: DigitalObject, *any_of: str) -> DigitalObject:
-    if not obj.behaviors & set(any_of):
-        raise OperationNotSupportedError(
-            f"{obj.pid} binds none of {sorted(any_of)}")
-    return obj
-
-
 def metadata_get_record(repo, pid: str, format_name: str) -> MetadataRecord:
     """Stored record in the requested format, or one computed through a
     registered crosswalk; callers cannot tell which path produced it."""
@@ -99,7 +93,7 @@ def metadata_get_record(repo, pid: str, format_name: str) -> MetadataRecord:
 def _record_source(repo, pid: str, format_name: str) -> MetadataRecord:
     """The stored record in format_name, else the stored record a
     registered crosswalk derives it from."""
-    obj = _require(repo.active_object(pid), "Metadata")
+    obj = repo.get_object(pid)
     ds = obj.datastream(RECORD_DS_PREFIX + format_name)
     if ds is not None:
         return MetadataRecord(format_name, ds.payload)
@@ -112,14 +106,13 @@ def _record_source(repo, pid: str, format_name: str) -> MetadataRecord:
 
 def available_formats(repo, pid: str) -> list[str]:
     """Stored formats plus everything reachable through crosswalks."""
-    found = set(repo.active_object(pid).record_formats())
+    found = set(repo.get_object(pid).record_formats())
     for stored in list(found):
         found.update(records.crosswalk_targets(stored))
     return sorted(found)
 
 
 def metadata_get_provider(repo, pid: str) -> str:
-    _require(repo.active_object(pid), "Metadata")
     providers = repo.graph.objects_of(pid, "providedBy")
     if len(providers) != 1:
         raise ModelIntegrityError(
@@ -128,7 +121,6 @@ def metadata_get_provider(repo, pid: str) -> str:
 
 
 def metadata_get_resource(repo, pid: str) -> str:
-    _require(repo.active_object(pid), "Metadata")
     targets = repo.graph.objects_of(pid, "metadataFor")
     if len(targets) != 1:
         raise ModelIntegrityError(
@@ -141,25 +133,21 @@ def resource_get_handle(repo, pid: str) -> str:
 
 
 def resource_get_metadata(repo, pid: str) -> list[str]:
-    _require(repo.active_object(pid), "Agent", "Content")
     return repo.graph.subjects_of("metadataFor", pid)
 
 
 def resource_memberships(repo, pid: str) -> list[str]:
-    _require(repo.active_object(pid), "Agent", "Content")
     return repo.graph.objects_of(pid, "memberOf")
 
 
 def annotations_for(repo, pid: str) -> list[str]:
     """Content objects commenting on this resource; one hop, never
     transitive."""
-    _require(repo.active_object(pid), "Agent", "Content")
     return repo.graph.subjects_of("annotates", pid)
 
 
 def role_get_brand(repo, pid: str) -> Brand:
-    obj = _require(repo.active_object(pid), "Role", "Aggregator", "MetadataProvider")
-    ds = obj.datastream(BRAND_DS)
+    ds = repo.get_object(pid).datastream(BRAND_DS)
     if ds is None:
         raise BrandMissingError(f"role {pid} has no BRAND stream")
     return parse_brand_doc(pid, ds.payload)
@@ -169,17 +157,14 @@ def show_brand(repo, pid: str) -> list[Brand]:
     """Brands projected onto an information object. Metadata takes its
     provider's brand; resources take the brand of every aggregation they
     are a member of."""
-    obj = repo.active_object(pid)
-    if "Metadata" in obj.behaviors:
+    if "Metadata" in repo.get_object(pid).behaviors:
         return [role_get_brand(repo, metadata_get_provider(repo, pid))]
-    _require(obj, "Agent", "Content")
     return [role_get_brand(repo, role)
             for role in repo.graph.objects_of(pid, "memberOf")]
 
 
 def content_show_content(repo, pid: str) -> Representation:
-    obj = _require(repo.active_object(pid), "Content")
-    ds = obj.datastream(CONTENT_DS)
+    ds = repo.get_object(pid).datastream(CONTENT_DS)
     if ds is None:
         raise NotFoundError(f"{pid} has no CONTENT stream")
     if ds.kind == "local":
@@ -191,7 +176,6 @@ def content_get_gold(repo, pid: str) -> GoldRecord:
     """Computed merged record for a resource, folding every describing
     record along the augmentation order. Contributors that cannot produce
     nsdl_dc (directly or by crosswalk) are left out."""
-    _require(repo.active_object(pid), "Content")
     describing = resource_get_metadata(repo, pid)
     if not describing:
         raise NoMetadataError(f"no metadata describes {pid}")
@@ -220,14 +204,12 @@ def aggregator_list_members(repo, pid: str, offset: int = 0,
                             limit: int | None = None) -> list[str]:
     """Members of an aggregation, answered from the joined graph (a stored
     member list would not scale), in pid order with offset/limit paging."""
-    _require(repo.active_object(pid), "Aggregator")
     members = repo.graph.subjects_of("memberOf", pid)
     end = None if limit is None else offset + limit
     return members[offset:end]
 
 
 def aggregator_get_representation(repo, pid: str) -> str:
-    _require(repo.active_object(pid), "Aggregator")
     surrogates = repo.graph.objects_of(pid, "representedBy")
     if not surrogates:
         raise NotRepresentedError(f"aggregation {pid} has no surrogate resource")
@@ -236,7 +218,6 @@ def aggregator_get_representation(repo, pid: str) -> str:
 
 def mdprovider_list_provided(repo, pid: str, offset: int = 0,
                              limit: int | None = None) -> list[str]:
-    _require(repo.active_object(pid), "MetadataProvider")
     provided = repo.graph.subjects_of("providedBy", pid)
     end = None if limit is None else offset + limit
     return provided[offset:end]

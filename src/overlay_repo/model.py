@@ -16,6 +16,7 @@ from xml.etree import ElementTree as ET
 from xml.sax.saxutils import quoteattr
 
 from .errors import ValidationError
+from .ontology import TYPE_EXPANSION, satisfies_type
 
 # Matched whole (fullmatch): "$" would also match before a final newline.
 # No leading zeros: each number has one pid, and so one record file.
@@ -31,12 +32,9 @@ SOURCE_DS = "SOURCE"
 RECORD_DS_PREFIX = "REC."
 RELS_MEDIA_TYPE = "application/rdf+xml"
 
-# Behavior definitions an object may bind. Agent and Content imply the
-# shared resource operations; Aggregator and MetadataProvider imply the
-# role operations.
-BEHAVIOR_NAMES = frozenset(
-    {"Metadata", "Agent", "Content", "Aggregator", "MetadataProvider", "Role"}
-)
+# Behavior definitions an object may bind: every name the ontology's
+# types expand to.
+BEHAVIOR_NAMES = frozenset().union(*TYPE_EXPANSION.values())
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
@@ -244,13 +242,10 @@ class DigitalObject:
                 raise ValidationError(f"{self.pid}: duplicate datastream {ds.ds_id}")
             seen.add(ds.ds_id)
             ds.validate()
-        if self.handle is not None and not self.is_resource and self.state == "active":
+        if self.handle is not None and self.state == "active" \
+                and not satisfies_type(self.behaviors, "Resource"):
             raise ValidationError(
                 f"{self.pid}: handle present but object binds no resource type")
-
-    @property
-    def is_resource(self) -> bool:
-        return bool(self.behaviors & {"Agent", "Content"})
 
     def datastream(self, ds_id: str) -> Datastream | None:
         for ds in self.datastreams:

@@ -41,11 +41,9 @@ from xml.sax.saxutils import escape
 
 from . import behaviors
 from .errors import (
-    BrandMissingError,
     FormatUnavailableError,
     ModelIntegrityError,
     NoMetadataError,
-    OperationNotSupportedError,
     RepositoryError,
 )
 from .model import (
@@ -360,7 +358,8 @@ class OaiProvider:
         if obj.state == "deleted":
             return _Item(obj.pid, obj.last_modified, True, ())
         if format_name == AGG_FORMAT:
-            if "Content" not in obj.behaviors or not self._described(obj.pid):
+            if "Content" not in obj.behaviors \
+                    or not behaviors.resource_get_metadata(self.repo, obj.pid):
                 return None
             return _Item(obj.pid, self._agg_datestamp(obj), False,
                          self._sets_of_resource(obj.pid))
@@ -371,12 +370,9 @@ class OaiProvider:
         return _Item(obj.pid, obj.last_modified, False,
                      self._sets_of_metadata(obj.pid))
 
-    def _described(self, resource_pid: str) -> bool:
-        return bool(self.repo.graph.subjects_of("metadataFor", resource_pid))
-
     def _agg_datestamp(self, obj: DigitalObject) -> datetime:
         stamps = [obj.last_modified]
-        for m in self.repo.graph.subjects_of("metadataFor", obj.pid):
+        for m in behaviors.resource_get_metadata(self.repo, obj.pid):
             stamps.append(self.repo.get_object(m).last_modified)
         return max(stamps)
 
@@ -397,7 +393,7 @@ class OaiProvider:
         for pid in self.repo.aggregators():
             try:
                 name = behaviors.role_get_brand(self.repo, pid).label
-            except (BrandMissingError, RepositoryError):
+            except RepositoryError:
                 name = pid
             sets.append((str(pid_number(pid)), name))
         return sets
@@ -406,12 +402,11 @@ class OaiProvider:
         return sorted({*FORMATS, AGG_FORMAT, *self.repo.stored_formats()})
 
     def _item_formats(self, obj: DigitalObject) -> list[str]:
-        if obj.state == "deleted":
-            return []
         names: set[str] = set()
         if "Metadata" in obj.behaviors:
             names.update(behaviors.available_formats(self.repo, obj.pid))
-        if "Content" in obj.behaviors and self._described(obj.pid):
+        if "Content" in obj.behaviors \
+                and behaviors.resource_get_metadata(self.repo, obj.pid):
             names.add(AGG_FORMAT)
         return sorted(names)
 
@@ -480,17 +475,13 @@ class OaiProvider:
         url = content.url if content is not None and content.kind == "remote" else ""
         out = [f'<nsdl_agg:nsdl_agg xmlns:nsdl_agg="{AGG_NS}"><nsdl_agg:resource'
                f' handle={_attr(obj.handle or "")} url={_attr(url or "")} />'.encode("utf-8")]
-        for m in self.repo.graph.subjects_of("metadataFor", resource_pid):
-            meta_obj = self.repo.get_object(m)
-            if meta_obj.state == "deleted":
-                continue
+        for m in behaviors.resource_get_metadata(self.repo, resource_pid):
             try:
                 role = behaviors.metadata_get_provider(self.repo, m)
                 label = behaviors.role_get_brand(self.repo, role).label
-            except (ModelIntegrityError, BrandMissingError,
-                    OperationNotSupportedError):
+            except RepositoryError:
                 label = ""
-            for format_name in meta_obj.record_formats():
+            for format_name in self.repo.get_object(m).record_formats():
                 record = behaviors.metadata_get_record(self.repo, m, format_name)
                 out += [f"<nsdl_agg:sourceRecord brand={_attr(label)}"
                         f" format={_attr(format_name)}>".encode("utf-8"),

@@ -2,12 +2,13 @@
 their typing rules.
 
 TYPE_EXPANSION is the one statement of which bound behaviors make an
-object count as each type; satisfies_type answers from it both for the
-predicate checks and for dissemination (behaviors.OPERATIONS). Eight base
-predicates carry fixed (domain, range) constraints checked at write time
-against the behavior sets of the subject and object. Predicates qualified
-by a foreign namespace are accepted unvalidated, so other vocabularies
-can annotate the graph freely.
+object count as each type; its values name every behavior
+(model.BEHAVIOR_NAMES). satisfies_type answers from it for the predicate
+checks, for handles and for dissemination (behaviors.OPERATIONS), the one
+check of an operation. Eight base predicates carry fixed (domain, range)
+constraints checked at write time against the behavior sets of the
+subject and object. Predicates qualified by a foreign namespace are
+accepted unvalidated, so other vocabularies can annotate the graph freely.
 """
 
 from __future__ import annotations

@@ -170,7 +170,7 @@ class Repository:
             obj = self.active_object(pid)
             if obj.handle is not None:
                 return obj.handle
-            if not obj.is_resource:
+            if not satisfies_type(obj.behaviors, "Resource"):
                 raise OperationNotSupportedError(
                     f"{pid} binds no resource type, handles do not apply")
             handle = make_handle(self.handle_prefix, self._handle_counter + 1)

@@ -11,6 +11,7 @@ from overlay_repo.errors import (
     NotFoundError,
     NotRepresentedError,
     OperationNotSupportedError,
+    RepositoryError,
 )
 from overlay_repo.model import local_stream
 from overlay_repo.records import parse_dc_entries
@@ -453,3 +454,36 @@ def test_polymorphic_object_answers_both_operation_sets(repo):
     # metadata-typed objects brand via their provider, never via memberships
     with pytest.raises(ModelIntegrityError):
         behaviors.show_brand(repo, dual)
+
+
+# -- the dissemination gate
+
+
+def test_dissemination_gate_follows_the_operation_table():
+    """Over the five canned topologies, one aggregation role deleted:
+    every object answers every operation its type satisfies (whatever the
+    operation then finds), refuses the others as unsupported, and only a
+    tombstone itself answers as deleted."""
+    from overlay_repo.errors import ObjectDeletedError
+    from overlay_repo.ontology import satisfies_type
+    from support import TOPOLOGIES
+
+    repo = Repository(url_fetcher=lambda url, timeout: b"")
+    for name in TOPOLOGIES:
+        load_topology(repo, name)
+    repo.delete_object(TOPOLOGIES["branding"]["aggregator_role"])
+    ops = {op: type_name for op, (type_name, _) in behaviors.OPERATIONS.items()}
+    ops.update({alias: ops[op] for alias, op in behaviors.ALIASES.items()})
+    for obj in list(repo.objects()):
+        for op, type_name in ops.items():
+            try:
+                repo.disseminate(obj.pid, op, {"format": "oai_dc"})
+                outcome = None
+            except RepositoryError as exc:
+                outcome = exc
+            if obj.state == "deleted":
+                assert isinstance(outcome, ObjectDeletedError), (obj.pid, op)
+                continue
+            assert not isinstance(outcome, ObjectDeletedError), (obj.pid, op, outcome)
+            assert isinstance(outcome, OperationNotSupportedError) \
+                == (not satisfies_type(obj.behaviors, type_name)), (obj.pid, op, outcome)

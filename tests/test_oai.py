@@ -651,6 +651,14 @@ def test_item_formats_unknown_identifier(provider):
     assert error_code(response) == "idDoesNotExist"
 
 
+def test_item_formats_of_a_tombstone(repo, provider):
+    pid = seed_metadata(repo, 1)[0]
+    repo.delete_object(pid)
+    response = call(provider, verb="ListMetadataFormats",
+                    identifier=provider.oai_identifier(pid))
+    assert error_code(response) == "noMetadataFormats"
+
+
 # -- aggregation format
 
 
@@ -772,6 +780,47 @@ def test_aggregation_answers_despite_augmentation_cycle(repo, provider):
             == identifier
         assert len(response.findall(".//a:sourceRecord", AGG)) == 2
         assert list(response.find(".//a:gold", AGG)) == []
+
+
+def _delete_provider_role(repo, labels):
+    repo.delete_object(labels["provider_role"])
+
+
+def _unparsable_provider_brand(repo, labels):
+    role = repo.get_object(labels["provider_role"])
+    repo.put_object(role.with_datastream(
+        local_stream("BRAND", "application/xml", b"<notbrand/>")))
+
+
+def _agent_describing_the_resource(repo, labels):
+    put_object(repo, {"Agent"}, strict=False,
+               streams=[record_stream("oai_dc", oai_dc_record(("title", "Agent")))],
+               edges=[("metadataFor", labels["resource"])])
+
+
+@pytest.mark.parametrize("breakage, brands", [
+    (_delete_provider_role, {""}),
+    (_unparsable_provider_brand, {""}),
+    (_agent_describing_the_resource, {"Example Metadata Service", ""}),
+])
+def test_aggregation_answers_whatever_its_neighbours_hold(
+        repo, provider, breakage, brands):
+    """A provider role that is deleted or holds an unparsable BRAND, or a
+    non-Metadata object leniently asserting metadataFor, leaves the
+    resource's nsdl_agg record served with HTTP 200 and no OAI error."""
+    from support import wsgi_transport
+
+    labels = load_topology(repo, "branding")
+    breakage(repo, labels)
+    transport = wsgi_transport(GatewayApp(repo, provider))  # raises unless 200
+    identifier = provider.oai_identifier(labels["resource"])
+    for verb, args in (("ListRecords", ""), ("GetRecord", f"&identifier={identifier}")):
+        response = ET.fromstring(transport(
+            f"http://test.local/oai?verb={verb}&metadataPrefix=nsdl_agg{args}"))
+        assert error_code(response) is None
+        assert identifier in record_identifiers(response, verb)
+        assert {s.get("brand") for s in response.findall(".//a:sourceRecord", AGG)} \
+            == brands
 
 
 def test_rendering_parses_and_serializes_no_xml(repo, xml_work):

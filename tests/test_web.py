@@ -117,6 +117,54 @@ def test_unbound_operation_501(repo, app):
     assert status == 501
 
 
+def test_show_brand_of_a_deleted_aggregation_409_names_the_role(repo, app):
+    labels = load_topology(repo, "branding")
+    repo.delete_object(labels["aggregator_role"])
+    status, _, body = request(
+        app, "GET", f"/objects/{labels['resource']}/methods/showBrand")
+    assert status == 409 and labels["aggregator_role"].encode() in body
+    assert b"no BRAND stream" in body
+
+
+def test_list_provided_route_pages(repo, app):
+    labels = load_topology(repo, "branding")
+    role = labels["provider_role"]
+    more = [put_object(repo, {"Metadata"}, edges=[("providedBy", role)])
+            for _ in range(2)]
+    provided = [labels["metadata"], *more]
+    for query, expected in [("", provided), ("offset=1", provided[1:]),
+                            ("limit=2", provided[:2]),
+                            ("offset=1&limit=1", provided[1:2]),
+                            ("offset=3", [])]:
+        status, headers, body = request(
+            app, "GET", f"/objects/{role}/methods/listProvided", query=query)
+        assert status == 200 and headers["Content-Type"] == "text/uri-list"
+        assert body.decode().splitlines() == [f"info:nsdl/{p}" for p in expected]
+
+
+@pytest.mark.parametrize("query", ["offset=-1", "limit=x"])
+@pytest.mark.parametrize("op, label", [("listMembers", "aggregator_role"),
+                                       ("listProvided", "provider_role")])
+def test_member_paging_refuses_negative_or_non_integer_422(repo, app, query, op, label):
+    pid = load_topology(repo, "branding")[label]
+    status, _, body = request(app, "GET", f"/objects/{pid}/methods/{op}", query=query)
+    assert status == 422 and b"offset and limit" in body
+
+
+def test_get_record_without_format_422(repo, app):
+    pid = load_topology(repo, "basic_pair")["metadata"]
+    status, _, body = request(app, "GET", f"/objects/{pid}/methods/getRecord")
+    assert status == 422 and b"format" in body
+
+
+def test_get_brand_malformed_422(repo, app):
+    role = load_topology(repo, "branding")["provider_role"]
+    repo.put_object(repo.get_object(role).with_datastream(
+        local_stream("BRAND", "application/xml", b"<notbrand/>")))
+    status, _, body = request(app, "GET", f"/objects/{role}/methods/getBrand")
+    assert status == 422 and role.encode() in body
+
+
 # -- management
 
 
