@@ -35,6 +35,7 @@ from .model import (
     CONTENT_DS,
     INFO_URI_PREFIX,
     RECORD_DS_PREFIX,
+    DigitalObject,
     Representation,
     representation_uri,
 )
@@ -87,13 +88,16 @@ def parse_brand_doc(holder: str, payload: bytes) -> Brand:
 def metadata_get_record(repo, pid: str, format_name: str) -> MetadataRecord:
     """Stored record in the requested format, or one computed through a
     registered crosswalk; callers cannot tell which path produced it."""
-    return crosswalk(_record_source(repo, pid, format_name), format_name)
+    source = record_source(repo.get_object(pid), format_name)
+    if source is None:
+        raise FormatUnavailableError(f"{pid} cannot disseminate format {format_name}")
+    return crosswalk(source, format_name)
 
 
-def _record_source(repo, pid: str, format_name: str) -> MetadataRecord:
+def record_source(obj: DigitalObject, format_name: str) -> MetadataRecord | None:
     """The stored record in format_name, else the stored record a
-    registered crosswalk derives it from."""
-    obj = repo.get_object(pid)
+    registered crosswalk derives it from, else None: the rule every
+    record in a format is served by."""
     ds = obj.datastream(RECORD_DS_PREFIX + format_name)
     if ds is not None:
         return MetadataRecord(format_name, ds.payload)
@@ -101,7 +105,7 @@ def _record_source(repo, pid: str, format_name: str) -> MetadataRecord:
         if format_name in records.crosswalk_targets(stored):
             source = obj.datastream(RECORD_DS_PREFIX + stored)
             return MetadataRecord(stored, source.payload)
-    raise FormatUnavailableError(f"{pid} cannot disseminate format {format_name}")
+    return None
 
 
 def available_formats(repo, pid: str) -> list[str]:
@@ -172,24 +176,25 @@ def content_show_content(repo, pid: str) -> Representation:
     return Representation(ds.media_type, repo.fetch_remote(ds.url))
 
 
-def content_get_gold(repo, pid: str) -> GoldRecord:
+def content_get_gold(repo, pid: str,
+                     describing: list[DigitalObject] | None = None) -> GoldRecord:
     """Computed merged record for a resource, folding every describing
     record along the augmentation order. Contributors that cannot produce
-    nsdl_dc (directly or by crosswalk) are left out."""
-    describing = resource_get_metadata(repo, pid)
+    nsdl_dc (directly or by crosswalk) are left out. describing, the
+    describing objects in pid order, is listed unless given."""
+    if describing is None:
+        describing = [repo.get_object(m) for m in resource_get_metadata(repo, pid)]
     if not describing:
         raise NoMetadataError(f"no metadata describes {pid}")
     inputs = []
     for m in describing:
-        try:
-            source = _record_source(repo, m, "nsdl_dc")
-        except FormatUnavailableError:
-            continue
-        inputs.append(GoldInput(
-            pid=m,
-            datestamp=repo.get_object(m).last_modified,
-            entries=tuple(records.dc_entries(source, "nsdl_dc")),
-        ))
+        source = record_source(m, "nsdl_dc")
+        if source is not None:
+            inputs.append(GoldInput(
+                pid=m.pid,
+                datestamp=m.last_modified,
+                entries=tuple(records.dc_entries(source, "nsdl_dc")),
+            ))
     if not inputs:
         raise NoMetadataError(f"no record describing {pid} can produce nsdl_dc")
     edges = [
@@ -233,7 +238,7 @@ def _uri_list(pids: list[str]) -> Representation:
     return Representation(URI_LIST_TYPE, body.encode("utf-8"))
 
 
-def _paging(params: dict) -> tuple[int, int | None]:
+def paging(params: dict) -> tuple[int, int | None]:
     try:
         offset = int(params.get("offset", 0))
         limit = int(params["limit"]) if "limit" in params else None
@@ -272,12 +277,12 @@ def _op_get_brand(repo, pid: str, params: dict) -> Representation:
 
 
 def _op_list_members(repo, pid: str, params: dict) -> Representation:
-    offset, limit = _paging(params)
+    offset, limit = paging(params)
     return _uri_list(aggregator_list_members(repo, pid, offset, limit))
 
 
 def _op_list_provided(repo, pid: str, params: dict) -> Representation:
-    offset, limit = _paging(params)
+    offset, limit = paging(params)
     return _uri_list(mdprovider_list_provided(repo, pid, offset, limit))
 
 

@@ -326,13 +326,13 @@ class TripleStore:
         pred = ontology.base_predicate(predicate_name)
         with self._mutex:
             found = [t.subject for t in self._by_po.get((pred, obj), ())]
-        return pid_sorted(found)
+        return found if len(found) < 2 else pid_sorted(found)
 
     def objects_of(self, subj: str, predicate_name: str) -> list[str]:
         pred = ontology.base_predicate(predicate_name)
         with self._mutex:
             found = [t.object for t in self._by_sp.get((subj, pred), ())]
-        return pid_sorted(found)
+        return found if len(found) < 2 else pid_sorted(found)
 
     def query(self, pattern: QueryPattern, row_cap: int | None = None,
               max_candidates: int | None = None) -> list[tuple[str, ...]]:

@@ -117,7 +117,11 @@ def utcnow_seconds() -> datetime:
 
 
 def format_datestamp(dt: datetime) -> str:
-    return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """dt in UTC as YYYY-MM-DDThh:mm:ssZ, the year zero-padded to 4 digits."""
+    if dt.tzinfo is not timezone.utc:
+        dt = dt.astimezone(timezone.utc)
+    return "%04d-%02d-%02dT%02d:%02d:%02dZ" % (
+        dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second)
 
 
 # The two datestamp forms written zero-padded, as format_datestamp writes them.

@@ -16,22 +16,24 @@ objects the store's datestamp index places in the window (for nsdl_agg,
 also the resources their metadata describes), so a small window costs
 O(window), not O(repository). With only an `until`, it walks the pids as
 far as the index counts objects before `until`, then goes on over the
-index. Identify, ListSets and the global
-ListMetadataFormats read what the store keeps in its write path: the
-earliest datestamp, the active aggregations and the stored formats.
+index. Identify, ListSets and the global ListMetadataFormats read what
+the store keeps in its write path: the earliest datestamp, the active
+aggregations and the stored formats.
 
-A response is written as a list of byte chunks joined once. The envelope,
-headers, small verbs and the nsdl_agg wrapper come from escaped string
-templates; stored records and the gold record go in as their own bytes,
-declaration stripped, each keeping its own namespace declarations. The
-store checks every stored record on write and on open
-(records.check_record), so rendering parses nothing.
+Each object a page walks is classified once, and its record is rendered
+from what that found: a metadata object's record source, by the rule
+GetRecord serves by, or a resource's describing metadata objects. A
+response is a list of byte chunks joined once: the envelope, headers,
+small verbs and the nsdl_agg wrapper from escaped string templates, and
+stored records and the gold record as their own bytes, declaration
+stripped, each keeping its own namespace declarations. The store checks
+every stored record on write and on open (records.check_record), so
+rendering parses nothing.
 """
 
 from __future__ import annotations
 
 import base64
-import bisect
 import json
 import re
 from collections.abc import Iterator
@@ -56,7 +58,7 @@ from .model import (
     parse_datestamp,
     pid_number,
 )
-from .records import FORMATS, XSI_NS, embeddable
+from .records import FORMATS, XSI_NS, MetadataRecord, crosswalk, embeddable
 
 OAI_NS = "http://www.openarchives.org/OAI/2.0/"
 OAI_SCHEMA = "http://www.openarchives.org/OAI/2.0/OAI-PMH.xsd"
@@ -105,15 +107,17 @@ class ProtocolError(Exception):
 _TOKEN_FIELDS = (str, str, (str, type(None)), (str, type(None)), str, int, str)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Item:
-    """One selectable record: a metadata object, a tombstone, or an
-    aggregation-format resource."""
+    """One selectable record (a metadata object, a tombstone or an nsdl_agg
+    resource) and what classification found to render it from."""
 
     pid: str
     datestamp: datetime
     deleted: bool
     set_specs: tuple[str, ...]
+    source: MetadataRecord | None = None
+    describing: list[DigitalObject] | None = None
 
 
 class OaiProvider:
@@ -325,18 +329,19 @@ class OaiProvider:
     def _until_pids(self, format_name: str, until: datetime,
                     cursor: int) -> Iterator[str]:
         """Pids past the cursor, pid order, that can hold an item before
-        until: those of a lazy walk over as many pids as the datestamp
-        index counts before until, then the index's past them. A broad
-        window fills its page early in the walk, a narrow one reads the
-        index, so a page costs O(min(pids past the cursor, window))."""
-        pids = self.repo.pids()
-        start = bisect.bisect_right(pids, cursor, key=pid_number)
-        stop = start + self.repo.count_stamped(until)
-        yield from pids[start:stop]
-        if stop < len(pids):
-            yield from self._window_pids(
-                format_name, self.repo.earliest_datestamp(), until,
-                pid_number(pids[stop - 1]) if stop > start else cursor)
+        until: a walk, in page-sized slices, over as many pids as the
+        datestamp index counts before until, then the index's past them. A
+        broad window fills its page early in the walk, a narrow one reads
+        the index, so a page costs O(min(pids past the cursor, window))."""
+        left = self.repo.count_stamped(until)
+        while left > 0:
+            pids = self.repo.pids_after(cursor, want := min(left, self.page_size + 1))
+            yield from pids
+            if len(pids) < want:
+                return  # no pids past these
+            left, cursor = left - want, pid_number(pids[-1])
+        yield from self._window_pids(
+            format_name, self.repo.earliest_datestamp(), until, cursor)
 
     def _window_pids(self, format_name: str, from_: datetime, until: datetime,
                      cursor: int) -> list[str]:
@@ -358,23 +363,22 @@ class OaiProvider:
         if obj.state == "deleted":
             return _Item(obj.pid, obj.last_modified, True, ())
         if format_name == AGG_FORMAT:
-            if "Content" not in obj.behaviors \
-                    or not behaviors.resource_get_metadata(self.repo, obj.pid):
+            if "Content" not in obj.behaviors:
                 return None
-            return _Item(obj.pid, self._agg_datestamp(obj), False,
-                         self._sets_of_resource(obj.pid))
+            describing = [self.repo.get_object(m) for m in
+                          behaviors.resource_get_metadata(self.repo, obj.pid)]
+            if not describing:
+                return None
+            stamp = max(m.last_modified for m in describing)
+            return _Item(obj.pid, max(stamp, obj.last_modified), False,
+                         self._sets_of_resource(obj.pid), describing=describing)
         if "Metadata" not in obj.behaviors:
             return None
-        if format_name not in behaviors.available_formats(self.repo, obj.pid):
+        source = behaviors.record_source(obj, format_name)
+        if source is None:
             return None
         return _Item(obj.pid, obj.last_modified, False,
-                     self._sets_of_metadata(obj.pid))
-
-    def _agg_datestamp(self, obj: DigitalObject) -> datetime:
-        stamps = [obj.last_modified]
-        for m in behaviors.resource_get_metadata(self.repo, obj.pid):
-            stamps.append(self.repo.get_object(m).last_modified)
-        return max(stamps)
+                     self._sets_of_metadata(obj.pid), source)
 
     def _sets_of_resource(self, resource_pid: str) -> tuple[str, ...]:
         return tuple(
@@ -383,10 +387,10 @@ class OaiProvider:
 
     def _sets_of_metadata(self, metadata_pid: str) -> tuple[str, ...]:
         resources = self.repo.graph.objects_of(metadata_pid, "metadataFor")
-        specs: list[str] = []
-        for r in resources:
-            specs.extend(self._sets_of_resource(r))
-        return tuple(dict.fromkeys(specs))
+        if len(resources) == 1:
+            return self._sets_of_resource(resources[0])
+        return tuple(dict.fromkeys(
+            spec for r in resources for spec in self._sets_of_resource(r)))
 
     def _aggregation_sets(self) -> list[tuple[str, str]]:
         sets = []
@@ -458,36 +462,40 @@ class OaiProvider:
             return [header.encode("utf-8")]
         if item.deleted:
             return [f"<record>{header}</record>".encode("utf-8")]
+        payload = (embeddable(crosswalk(item.source, format_name).xml)
+                   if item.describing is None
+                   else self.emit_aggregation_record(item.pid, item.describing))
         return [f"<record>{header}<metadata>".encode("utf-8"),
-                self._payload(item.pid, format_name), b"</metadata></record>"]
+                payload, b"</metadata></record>"]
 
-    def _payload(self, pid: str, format_name: str) -> bytes:
-        if format_name == AGG_FORMAT:
-            return self.emit_aggregation_record(pid)
-        return embeddable(behaviors.metadata_get_record(self.repo, pid, format_name).xml)
-
-    def emit_aggregation_record(self, resource_pid: str) -> bytes:
+    def emit_aggregation_record(self, resource_pid: str,
+                                describing: list[DigitalObject] | None = None) -> bytes:
         """The resource-centric bundle: every source record with its
         provider's brand, plus the computed gold record (empty when no
-        gold can be folded). Stored records go in as their own bytes."""
+        gold can be folded), from the describing metadata objects, listed
+        unless given. Stored records go in as their own bytes."""
         obj = self.repo.get_object(resource_pid)
+        if describing is None:
+            describing = [self.repo.get_object(m) for m in
+                          behaviors.resource_get_metadata(self.repo, resource_pid)]
         content = obj.datastream(CONTENT_DS)
         url = content.url if content is not None and content.kind == "remote" else ""
         out = [f'<nsdl_agg:nsdl_agg xmlns:nsdl_agg="{AGG_NS}"><nsdl_agg:resource'
                f' handle={_attr(obj.handle or "")} url={_attr(url or "")} />'.encode("utf-8")]
-        for m in behaviors.resource_get_metadata(self.repo, resource_pid):
+        for m in describing:
             try:
-                role = behaviors.metadata_get_provider(self.repo, m)
+                role = behaviors.metadata_get_provider(self.repo, m.pid)
                 label = behaviors.role_get_brand(self.repo, role).label
             except RepositoryError:
                 label = ""
-            for format_name in self.repo.get_object(m).record_formats():
-                record = behaviors.metadata_get_record(self.repo, m, format_name)
+            for format_name in m.record_formats():
+                record = behaviors.record_source(m, format_name)
                 out += [f"<nsdl_agg:sourceRecord brand={_attr(label)}"
                         f" format={_attr(format_name)}>".encode("utf-8"),
                         embeddable(record.xml), b"</nsdl_agg:sourceRecord>"]
         try:
-            gold = embeddable(behaviors.content_get_gold(self.repo, resource_pid).xml)
+            gold = embeddable(behaviors.content_get_gold(
+                self.repo, resource_pid, describing).xml)
             out += [b"<nsdl_agg:gold>", gold, b"</nsdl_agg:gold>"]
         except (NoMetadataError, FormatUnavailableError, ModelIntegrityError):
             out.append(b"<nsdl_agg:gold />")

@@ -42,7 +42,6 @@ DOMAIN_RANGE: dict[str, tuple[str, str]] = {
     "representedBy": ("Aggregator", "Content"),
 }
 
-BASE_PREDICATES = frozenset(DOMAIN_RANGE)
 
 class Predicate(str):
     """A relationship term: a base-ontology name or a namespaced extension.
@@ -88,10 +87,14 @@ def predicate(namespace: str, name: str) -> Predicate:
     return found
 
 
+# base name -> its Predicate, held for the life of the process
+_BASE_TERMS = {name: predicate(BASE_NAMESPACE, name) for name in DOMAIN_RANGE}
+
+
 def base_predicate(name: str) -> Predicate:
-    if name not in BASE_PREDICATES:
+    if name not in _BASE_TERMS:
         raise ValueError(f"{name!r} is not a base relationship term")
-    return predicate(BASE_NAMESPACE, name)
+    return _BASE_TERMS[name]
 
 
 def predicate_from_uri(uri: str) -> Predicate:

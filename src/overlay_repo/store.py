@@ -251,6 +251,13 @@ class Repository:
         with self._lock:
             return list(self._pids)
 
+    def pids_after(self, number: int, limit: int) -> list[str]:
+        """Up to limit pids, pid order, past pid number number (from the first if < 0)."""
+        with self._lock:
+            start = 0 if number < 0 else bisect.bisect_right(
+                self._pids, pid_sort_key(make_pid(number)), key=pid_sort_key)
+            return self._pids[start:start + limit]
+
     def objects(self) -> Iterator[DigitalObject]:
         for pid in self.pids():
             yield self._objects[pid]

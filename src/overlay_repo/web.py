@@ -24,6 +24,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from urllib.parse import parse_qsl
 
+from .behaviors import paging
 from .canonical import import_object
 from .errors import (
     BrandMissingError,
@@ -170,14 +171,11 @@ class GatewayApp:
     def _query(self, params, body):
         pattern = parse_query(body.decode("utf-8"))
         paged = "offset" in params or "limit" in params
-        if paged:
+        if paged:  # a bad value is a malformed query here: 400, not 422
             try:
-                offset = int(params.get("offset", 0))
-                limit = int(params["limit"]) if "limit" in params else None
-            except ValueError:
-                raise QueryParseError("offset and limit must be integers")
-            if offset < 0 or (limit is not None and limit < 0):
-                raise QueryParseError("offset and limit must be non-negative")
+                offset, limit = paging(params)
+            except ValidationError as exc:
+                raise QueryParseError(str(exc)) from exc
         rows = self.repo.graph.query(
             pattern, row_cap=None if paged else self.query_row_cap,
             max_candidates=CANDIDATES_PER_CAPPED_ROW * self.query_row_cap)

@@ -1,11 +1,14 @@
 """Operator CLI: subprocess invocations for true exit-code behavior."""
 
+import os
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import overlay_repo
 from overlay_repo.cli import load_fixture_dir, run
 from overlay_repo.graph import Triple
 from overlay_repo.oai import OaiProvider
@@ -14,10 +17,16 @@ from overlay_repo.web import GatewayApp, make_server
 
 from support import FIGURES, TOPOLOGIES, TickingClock, load_topology, seed_metadata
 
+# The child imports the package these tests import, installed or not.
+_PACKAGE_PATH = os.pathsep.join(filter(None, [
+    str(Path(overlay_repo.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]))
+
+
 def cli(*args, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "overlay_repo.cli", *args],
-        capture_output=True, text=True, cwd=cwd, timeout=120)
+        capture_output=True, text=True, cwd=cwd, timeout=120,
+        env={**os.environ, "PYTHONPATH": _PACKAGE_PATH})
 
 
 def test_load_fixture_then_query(tmp_path):

@@ -1,6 +1,6 @@
 """Identifier grammar and datestamp parsing."""
 
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, strategies as st
@@ -99,3 +99,15 @@ def test_handle_grammar_is_matched_whole(handle):
     assert not is_handle(handle)
     with pytest.raises(ValidationError, match="malformed handle"):
         handle_suffix(handle)
+
+
+@pytest.mark.parametrize("when, written", [
+    (datetime(2005, 3, 5, 12, 0, 7, tzinfo=timezone.utc), "2005-03-05T12:00:07Z"),
+    (datetime(999, 1, 2, tzinfo=timezone.utc), "0999-01-02T00:00:00Z"),
+    (datetime(1, 1, 1, tzinfo=timezone.utc), "0001-01-01T00:00:00Z"),
+    (datetime(2005, 3, 5, 23, 30, tzinfo=timezone(timedelta(hours=-2))),
+     "2005-03-06T01:30:00Z"),
+])
+def test_format_datestamp_writes_utc_with_a_4_digit_year(when, written):
+    assert format_datestamp(when) == written
+    assert parse_datestamp(written) == when

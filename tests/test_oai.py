@@ -13,16 +13,22 @@ from xml.etree import ElementTree as ET
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from overlay_repo import behaviors
 from overlay_repo.cli import load_fixture_dir
-from overlay_repo.model import format_datestamp, local_stream, pid_number
+from overlay_repo.errors import (
+    FormatUnavailableError, ObjectDeletedError, OperationNotSupportedError)
+from overlay_repo.graph import TripleStore
+from overlay_repo.model import (
+    format_datestamp, local_stream, parse_datestamp, pid_number)
 from overlay_repo.oai import OaiProvider
 from overlay_repo.behaviors import build_brand_doc
+from overlay_repo.records import embeddable
 from overlay_repo.store import Repository
 from overlay_repo.web import GatewayApp
 
 from support import (
-    FIGURES, START, TickingClock, load_topology, oai_dc_record, put_object,
-    record_stream, rels_stream, seed_metadata)
+    FIGURES, START, TickingClock, load_topology, nsdl_dc_record, oai_dc_record,
+    put_object, record_stream, rels_stream, seed_metadata)
 
 NS = {"o": "http://www.openarchives.org/OAI/2.0/"}
 
@@ -847,6 +853,137 @@ def test_rendering_parses_and_serializes_no_xml(repo, xml_work):
         assert error_code(response) is None
         assert len(record_identifiers(response, params["verb"])) \
             == (1 if params["verb"] == "GetRecord" else 3)
+
+
+# -- one classification per item
+
+
+_STORED = {"oai_dc": oai_dc_record(("title", "T")),
+           "nsdl_dc": nsdl_dc_record(("title", "T")),
+           "marcxml": b"<record><leader>x</leader></record>"}
+
+# one object each: (kind, stored formats, tombstoned)
+_OBJECTS = st.lists(st.tuples(
+    st.sampled_from(["metadata", "content"]),
+    st.sets(st.sampled_from(sorted(_STORED))),
+    st.booleans()), min_size=1, max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_OBJECTS)
+def test_classified_items_are_what_get_record_serves(objects):
+    """For every stored or crosswalked format, an object is listed exactly
+    when a getRecord dissemination serves it, and its record is the one
+    served, spliced in as embeddable bytes; a tombstone is listed as
+    deleted."""
+    repo = Repository(clock=TickingClock())
+    resource = put_object(repo, {"Content"})
+    for kind, formats, deleted in objects:
+        streams = [record_stream(f, _STORED[f]) for f in sorted(formats)]
+        pid = put_object(repo, {"Metadata"} if kind == "metadata" else {"Content"},
+                         streams=streams, strict=False,
+                         edges=[("metadataFor", resource)] if kind == "metadata" else [])
+        if deleted:
+            repo.delete_object(pid)
+    provider = OaiProvider(repo, repository_id="test.local")
+    for obj in repo.objects():
+        for format_name in sorted(_STORED):
+            item = provider._classify(obj, format_name)
+            try:
+                served = repo.disseminate(obj.pid, "getRecord", {"format": format_name})
+            except (FormatUnavailableError, ObjectDeletedError,
+                    OperationNotSupportedError):
+                served = None
+            assert (item is not None and item.deleted) == (obj.state == "deleted")
+            if item is None or item.deleted:
+                assert served is None, (obj.pid, format_name)
+                continue
+            assert served is not None, (obj.pid, format_name)
+            rendered = b"".join(provider._record_element(item, format_name, False))
+            assert b"<metadata>" + embeddable(served.body) + b"</metadata>" \
+                in rendered
+
+
+def test_oai_dc_page_reads_each_classified_object_once(monkeypatch):
+    repo = Repository(clock=TickingClock())
+    seed_metadata(repo, 20)
+    provider = OaiProvider(repo, repository_id="test.local", page_size=5)
+    for params in ({}, {"from": format_datestamp(START)},
+                   {"until": format_datestamp(repo.clock())}):
+        response, calls = _page_cost(monkeypatch, provider, verb="ListRecords",
+                                     metadataPrefix="oai_dc", **params)
+        assert len(record_identifiers(response)) == 5
+        assert 0 < calls["get_object"] <= calls["classify"], params
+
+
+def test_list_pages_never_list_available_formats(repo, provider, monkeypatch):
+    load_topology(repo, "augmented_metadata")
+    seed_metadata(repo, 3)
+
+    def refuse(repo, pid):
+        raise AssertionError("available_formats called")
+
+    monkeypatch.setattr(behaviors, "available_formats", refuse)
+    for prefix in ("oai_dc", "nsdl_dc", "nsdl_agg"):
+        response = call(provider, verb="ListRecords", metadataPrefix=prefix)
+        assert error_code(response) is None and record_identifiers(response)
+
+
+def test_aggregation_page_lists_each_resource_metadata_once(repo, monkeypatch):
+    labels = load_topology(repo, "augmented_metadata")  # 2 contributors
+    seed_metadata(repo, 6)
+    provider = OaiProvider(repo, repository_id="test.local", page_size=4)
+    listed = Counter()
+    subjects_of = TripleStore.subjects_of
+
+    def counting(self, predicate_name, obj):
+        listed[predicate_name, obj] += 1
+        return subjects_of(self, predicate_name, obj)
+
+    monkeypatch.setattr(TripleStore, "subjects_of", counting)
+    params = {"verb": "ListRecords", "metadataPrefix": "nsdl_agg"}
+    served = []
+    while True:
+        listed.clear()
+        response = call(provider, **params)
+        page = [i.removeprefix("oai:test.local:")
+                for i in record_identifiers(response)]
+        assert all(listed["metadataFor", pid] == 1 for pid in page), listed
+        served += page
+        token = response.findtext("o:ListRecords/o:resumptionToken", namespaces=NS)
+        if not token:
+            break
+        params = {"verb": "ListRecords", "resumptionToken": token}
+    assert labels["resource"] in served and len(served) == 7
+
+
+@pytest.mark.parametrize("prefix", ["oai_dc", "nsdl_agg"])
+@pytest.mark.parametrize("window", [{}, {"until": "2010-06-01T00:00:20Z"}])
+def test_list_walk_never_copies_the_pid_list(monkeypatch, prefix, window):
+    """A walk without from reads the pids past its cursor in page-sized
+    slices; it never copies the whole pid list."""
+    repo = Repository(clock=TickingClock())
+    seed_metadata(repo, 15)
+    provider = OaiProvider(repo, repository_id="test.local", page_size=2)
+    expected = [provider.oai_identifier(obj.pid) for obj in repo.objects()
+                if (item := provider._classify(obj, prefix)) is not None
+                and item.datestamp < parse_datestamp(
+                    window.get("until", "9999-01-01T00:00:00Z"))]
+
+    def refuse(self):
+        raise AssertionError("Repository.pids called")
+
+    monkeypatch.setattr(Repository, "pids", refuse)
+    params = {"verb": "ListRecords", "metadataPrefix": prefix, **window}
+    served = []
+    while True:
+        response = call(provider, **params)
+        served += record_identifiers(response)
+        token = response.findtext("o:ListRecords/o:resumptionToken", namespaces=NS)
+        if not token:
+            break
+        params = {"verb": "ListRecords", "resumptionToken": token}
+    assert served == expected and len(served) > 2
 
 
 def unbound_type_prefixes(body: bytes) -> list[str]:

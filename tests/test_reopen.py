@@ -14,17 +14,23 @@ other prefixes and its properties are reordered.
 ``data_dir_44_canonical.xml`` is the record as written before the edit.
 """
 
+import re
 import shutil
+from datetime import datetime, timezone
 from pathlib import Path
+from xml.etree import ElementTree as ET
 
 import pytest
 
 from overlay_repo.errors import StoreError
 from overlay_repo.model import SOURCE_DS, pid_number
+from overlay_repo.oai import OaiProvider
 from overlay_repo.ontology import Predicate
 from overlay_repo.store import Repository
 
-from support import put_object
+from support import put_object, seed_metadata
+
+OAI = {"o": "http://www.openarchives.org/OAI/2.0/"}
 
 GOLDEN = Path(__file__).parent / "golden"
 HAND_EDITED = "nsdl:44"
@@ -116,3 +122,27 @@ def test_reopen_names_record_with_malformed_rels(written_before, rels, reason):
     path.write_text(head + f"<rels>{rels}</rels></digitalObject>\n", "utf-8")
     with pytest.raises(StoreError, match=f"44.xml: .*{reason}"):
         Repository(written_before)
+
+
+@pytest.mark.parametrize("year", [999, 1])
+def test_early_year_survives_export_reopen_and_oai(tmp_path, clock, year):
+    """A record stamped before year 1000 is written with a 4-digit year,
+    so the directory reopens, and OAI serves the same conformant stamp."""
+    stamp = f"{year:04}-01-02T00:00:00Z"
+    repo = Repository(tmp_path / "d", clock=clock)
+    pid = seed_metadata(repo, 1)[0]
+    doc = re.sub(rb'lastModified="[^"]*"', f'lastModified="{stamp}"'.encode(),
+                 repo.export_object(pid))
+    repo.import_object(doc)
+    assert f'lastModified="{stamp}"'.encode() in repo.export_object(pid)
+    reopened = Repository(tmp_path / "d", clock=clock)
+    assert reopened.get_object(pid).last_modified \
+        == datetime(year, 1, 2, tzinfo=timezone.utc)
+    assert reopened.export_object(pid) == repo.export_object(pid)
+    oai = OaiProvider(reopened, repository_id="test.local")
+    response = ET.fromstring(oai.handle_request({
+        "verb": "GetRecord", "metadataPrefix": "oai_dc",
+        "identifier": oai.oai_identifier(pid)}))
+    assert response.findtext(".//o:header/o:datestamp", namespaces=OAI) == stamp
+    response = ET.fromstring(oai.handle_request({"verb": "Identify"}))
+    assert response.findtext(".//o:earliestDatestamp", namespaces=OAI) == stamp
