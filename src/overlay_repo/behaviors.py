@@ -86,8 +86,8 @@ def parse_brand_doc(holder: str, payload: bytes) -> Brand:
 
 
 def metadata_get_record(repo, pid: str, format_name: str) -> MetadataRecord:
-    """Stored record in the requested format, or one computed through a
-    registered crosswalk; callers cannot tell which path produced it."""
+    """Stored record in the requested format, or one computed through the
+    crosswalk; callers cannot tell which path produced it."""
     source = record_source(repo.get_object(pid), format_name)
     if source is None:
         raise FormatUnavailableError(f"{pid} cannot disseminate format {format_name}")
@@ -95,41 +95,39 @@ def metadata_get_record(repo, pid: str, format_name: str) -> MetadataRecord:
 
 
 def record_source(obj: DigitalObject, format_name: str) -> MetadataRecord | None:
-    """The stored record in format_name, else the stored record a
-    registered crosswalk derives it from, else None: the rule every
-    record in a format is served by."""
+    """The stored record in format_name, else the stored record the
+    crosswalk derives it from, else None: the rule every record in a
+    format is served by."""
     ds = obj.datastream(RECORD_DS_PREFIX + format_name)
-    if ds is not None:
-        return MetadataRecord(format_name, ds.payload)
-    for stored in obj.record_formats():
-        if format_name in records.crosswalk_targets(stored):
-            source = obj.datastream(RECORD_DS_PREFIX + stored)
-            return MetadataRecord(stored, source.payload)
-    return None
+    if ds is None and format_name == records.CROSSWALK[1]:
+        format_name = records.CROSSWALK[0]
+        ds = obj.datastream(RECORD_DS_PREFIX + format_name)
+    return None if ds is None else MetadataRecord(format_name, ds.payload)
 
 
 def available_formats(repo, pid: str) -> list[str]:
-    """Stored formats plus everything reachable through crosswalks."""
+    """Stored formats plus the one the crosswalk derives."""
     found = set(repo.get_object(pid).record_formats())
-    for stored in list(found):
-        found.update(records.crosswalk_targets(stored))
+    if records.CROSSWALK[0] in found:
+        found.add(records.CROSSWALK[1])
     return sorted(found)
 
 
 def metadata_get_provider(repo, pid: str) -> str:
-    providers = repo.graph.objects_of(pid, "providedBy")
-    if len(providers) != 1:
-        raise ModelIntegrityError(
-            f"{pid} must name exactly one provider, found {len(providers)}")
-    return providers[0]
+    return _one_edge(repo, pid, "providedBy", "name exactly one provider")
 
 
 def metadata_get_resource(repo, pid: str) -> str:
-    targets = repo.graph.objects_of(pid, "metadataFor")
-    if len(targets) != 1:
-        raise ModelIntegrityError(
-            f"{pid} must describe exactly one resource, found {len(targets)}")
-    return targets[0]
+    return _one_edge(repo, pid, "metadataFor", "describe exactly one resource")
+
+
+def _one_edge(repo, pid: str, predicate_name: str, rule: str) -> str:
+    """The one object of pid's predicate_name edges; ModelIntegrityError,
+    saying pid must follow rule, when there are none or several."""
+    found = repo.graph.objects_of(pid, predicate_name)
+    if len(found) != 1:
+        raise ModelIntegrityError(f"{pid} must {rule}, found {len(found)}")
+    return found[0]
 
 
 def resource_get_handle(repo, pid: str) -> str:
@@ -209,9 +207,7 @@ def aggregator_list_members(repo, pid: str, offset: int = 0,
                             limit: int | None = None) -> list[str]:
     """Members of an aggregation, answered from the joined graph (a stored
     member list would not scale), in pid order with offset/limit paging."""
-    members = repo.graph.subjects_of("memberOf", pid)
-    end = None if limit is None else offset + limit
-    return members[offset:end]
+    return page(repo.graph.subjects_of("memberOf", pid), offset, limit)
 
 
 def aggregator_get_representation(repo, pid: str) -> str:
@@ -223,9 +219,7 @@ def aggregator_get_representation(repo, pid: str) -> str:
 
 def mdprovider_list_provided(repo, pid: str, offset: int = 0,
                              limit: int | None = None) -> list[str]:
-    provided = repo.graph.subjects_of("providedBy", pid)
-    end = None if limit is None else offset + limit
-    return provided[offset:end]
+    return page(repo.graph.subjects_of("providedBy", pid), offset, limit)
 
 
 # --------------------------------------------------------------------------
@@ -236,6 +230,11 @@ def _uri_list(pids: list[str]) -> Representation:
     """A uri-list of graph pids, well-formed by the graph's own check."""
     body = "".join([f"{INFO_URI_PREFIX}{p}\n" for p in pids])
     return Representation(URI_LIST_TYPE, body.encode("utf-8"))
+
+
+def page(items: list, offset: int, limit: int | None) -> list:
+    """items from offset on, at most limit of them (None: no limit)."""
+    return items[offset:None if limit is None else offset + limit]
 
 
 def paging(params: dict) -> tuple[int, int | None]:
@@ -276,16 +275,6 @@ def _op_get_brand(repo, pid: str, params: dict) -> Representation:
     return Representation("application/xml", obj.datastream(BRAND_DS).payload)
 
 
-def _op_list_members(repo, pid: str, params: dict) -> Representation:
-    offset, limit = paging(params)
-    return _uri_list(aggregator_list_members(repo, pid, offset, limit))
-
-
-def _op_list_provided(repo, pid: str, params: dict) -> Representation:
-    offset, limit = paging(params)
-    return _uri_list(mdprovider_list_provided(repo, pid, offset, limit))
-
-
 # Operation name -> (ontology type whose objects answer it, implementation).
 OPERATIONS: dict[str, tuple[str, Operation]] = {
     "getRecord": ("Metadata", _op_get_record),
@@ -308,8 +297,10 @@ OPERATIONS: dict[str, tuple[str, Operation]] = {
     "getGold": ("Content", lambda repo, pid, params: Representation(
         records.RECORD_MEDIA_TYPE, content_get_gold(repo, pid).xml)),
     "getBrand": ("Role", _op_get_brand),
-    "listMembers": ("Aggregator", _op_list_members),
+    "listMembers": ("Aggregator", lambda repo, pid, params: _uri_list(
+        aggregator_list_members(repo, pid, *paging(params)))),
     "getRepresentation": ("Aggregator", lambda repo, pid, params: _uri_list(
         [aggregator_get_representation(repo, pid)])),
-    "listProvided": ("MetadataProvider", _op_list_provided),
+    "listProvided": ("MetadataProvider", lambda repo, pid, params: _uri_list(
+        mdprovider_list_provided(repo, pid, *paging(params)))),
 }

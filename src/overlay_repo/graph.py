@@ -69,9 +69,6 @@ class Triple:
 class Var:
     name: str
 
-    def __str__(self) -> str:
-        return "?" + self.name
-
 
 @dataclass(frozen=True)
 class QueryPattern:

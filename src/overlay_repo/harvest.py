@@ -315,6 +315,7 @@ class Harvester:
         resource_pid = self._resolve_resource(resource_key, cfg)
         existing = self.repo.source_pid(cfg.name, header.identifier)
         metadata_pid = existing or self.repo.mint_pid()
+        described = self.repo.graph.objects_of(metadata_pid, "metadataFor")
 
         streams = [
             local_stream(f"REC.{cfg.format}", records.RECORD_MEDIA_TYPE, payload),
@@ -335,6 +336,9 @@ class Harvester:
         self.repo.put_object(DigitalObject(
             pid=metadata_pid, behaviors=frozenset({"Metadata"}),
             datastreams=tuple(streams)))
+        for resource in described:
+            if resource != resource_pid:  # the record moved to another resource
+                self._leave_if_undescribed(resource, cfg)
         return "updated" if existing else "created"
 
     def _resolve_resource(self, url: str, cfg: ProviderConfig) -> str:
@@ -370,27 +374,29 @@ class Harvester:
     def handle_deleted(self, oai_identifier: str, cfg: ProviderConfig) -> None:
         """Tombstone the metadata object for a deleted upstream record.
         The described resource survives (other providers may still
-        describe it); it leaves this provider's aggregation once none of
-        this provider's records remain."""
+        describe it)."""
         metadata_pid = self.repo.source_pid(cfg.name, oai_identifier)
         if metadata_pid is None:
             return
         resources = self.repo.graph.objects_of(metadata_pid, "metadataFor")
         self.repo.delete_object(metadata_pid)
         for resource in resources:
-            still_provided = [
-                m for m in self.repo.graph.subjects_of("metadataFor", resource)
-                if cfg.provider_role_pid in self.repo.graph.objects_of(m, "providedBy")
-            ]
-            if still_provided:
-                continue
-            memberships = self.repo.graph.objects_of(resource, "memberOf")
-            if cfg.aggregator_role_pid in memberships:
-                memberships.remove(cfg.aggregator_role_pid)
-                try:
-                    self._set_memberships(resource, memberships)
-                except NotFoundError:
-                    pass
+            self._leave_if_undescribed(resource, cfg)
+
+    def _leave_if_undescribed(self, resource: str, cfg: ProviderConfig) -> None:
+        """Take resource out of this provider's aggregation once none of
+        this provider's live records describes it."""
+        graph = self.repo.graph
+        if any(cfg.provider_role_pid in graph.objects_of(m, "providedBy")
+               for m in graph.subjects_of("metadataFor", resource)):
+            return
+        memberships = graph.objects_of(resource, "memberOf")
+        if cfg.aggregator_role_pid in memberships:
+            memberships.remove(cfg.aggregator_role_pid)
+            try:
+                self._set_memberships(resource, memberships)
+            except NotFoundError:
+                pass
 
 
 # --------------------------------------------------------------------------

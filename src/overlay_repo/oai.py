@@ -95,6 +95,12 @@ _VERB_ARGS = {
 }
 
 
+def _set_spec(aggregation_pid: str) -> str:
+    """An aggregation's set spec: its pid number as the pid writes it, so
+    "nsdl:" + spec is its pid, "0" names nsdl:0 and "01" names nothing."""
+    return aggregation_pid[5:]  # after "nsdl:"
+
+
 class ProtocolError(Exception):
     """Maps onto an OAI <error> element (always served with HTTP 200)."""
 
@@ -270,9 +276,9 @@ class OaiProvider:
                 or self.repo.clock() + timedelta(seconds=1)
             cursor = -1
             self._check_format_known(format_name)
-            # a set is named by its active aggregation's unpadded pid number
-            if set_spec is not None and (set_spec.startswith("0") or "Aggregator" not in (
-                    self.repo.behaviors_of(f"nsdl:{set_spec}") or ())):
+            # spec s names nsdl:s; only well-formed pids name objects, so "01" names none
+            if set_spec is not None and "Aggregator" not in (
+                    self.repo.behaviors_of("nsdl:" + set_spec) or ()):
                 raise ProtocolError("noRecordsMatch", f"no such set {set_spec}")
 
         items = self._select(format_name, from_, until, set_spec, cursor)
@@ -371,26 +377,20 @@ class OaiProvider:
                 return None
             stamp = max(m.last_modified for m in describing)
             return _Item(obj.pid, max(stamp, obj.last_modified), False,
-                         self._sets_of_resource(obj.pid), describing=describing)
+                         self._set_specs([obj.pid]), describing=describing)
         if "Metadata" not in obj.behaviors:
             return None
         source = behaviors.record_source(obj, format_name)
         if source is None:
             return None
-        return _Item(obj.pid, obj.last_modified, False,
-                     self._sets_of_metadata(obj.pid), source)
+        return _Item(obj.pid, obj.last_modified, False, self._set_specs(
+            self.repo.graph.objects_of(obj.pid, "metadataFor")), source)
 
-    def _sets_of_resource(self, resource_pid: str) -> tuple[str, ...]:
-        return tuple(
-            str(pid_number(a))
-            for a in self.repo.graph.objects_of(resource_pid, "memberOf"))
-
-    def _sets_of_metadata(self, metadata_pid: str) -> tuple[str, ...]:
-        resources = self.repo.graph.objects_of(metadata_pid, "metadataFor")
-        if len(resources) == 1:
-            return self._sets_of_resource(resources[0])
+    def _set_specs(self, resources: list[str]) -> tuple[str, ...]:
+        """Specs of the sets the resources are in, without repeats."""
         return tuple(dict.fromkeys(
-            spec for r in resources for spec in self._sets_of_resource(r)))
+            _set_spec(a) for r in resources
+            for a in self.repo.graph.objects_of(r, "memberOf")))
 
     def _aggregation_sets(self) -> list[tuple[str, str]]:
         sets = []
@@ -399,7 +399,7 @@ class OaiProvider:
                 name = behaviors.role_get_brand(self.repo, pid).label
             except RepositoryError:
                 name = pid
-            sets.append((str(pid_number(pid)), name))
+            sets.append((_set_spec(pid), name))
         return sets
 
     def _global_formats(self) -> list[str]:

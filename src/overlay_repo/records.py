@@ -324,11 +324,12 @@ def apply_rules(entries: list[DcEntry]) -> list[DcEntry]:
 # --------------------------------------------------------------------------
 # crosswalks
 
-_CROSSWALKS = {("oai_dc", "nsdl_dc")}
+# The one crosswalk: records in the first format derive the second.
+CROSSWALK = ("oai_dc", "nsdl_dc")
 
 
 def crosswalk(record: MetadataRecord, to_format: str) -> MetadataRecord:
-    """Derive a record in another format. The only registered pair is
+    """Derive a record in another format. The only pair is CROSSWALK,
     oai_dc -> nsdl_dc; asking for the format a record already has is the
     identity."""
     if to_format == record.format:
@@ -342,14 +343,10 @@ def dc_entries(record: MetadataRecord, to_format: str) -> list[DcEntry]:
     serializing them."""
     if to_format == record.format:
         return parse_dc_entries(record.xml, to_format)
-    if (record.format, to_format) not in _CROSSWALKS:
+    if (record.format, to_format) != CROSSWALK:
         raise FormatUnavailableError(
             f"no crosswalk from {record.format} to {to_format}")
     return apply_rules(parse_dc_entries(record.xml, record.format))
-
-
-def crosswalk_targets(format_name: str) -> list[str]:
-    return sorted(to for (frm, to) in _CROSSWALKS if frm == format_name)
 
 
 # --------------------------------------------------------------------------

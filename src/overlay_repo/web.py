@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from urllib.parse import parse_qsl
 
-from .behaviors import paging
+from .behaviors import page, paging
 from .canonical import import_object
 from .errors import (
     BrandMissingError,
@@ -113,9 +113,9 @@ class GatewayApp:
     def __call__(self, environ, start_response):
         method = environ.get("REQUEST_METHOD", "GET")
         path = environ.get("PATH_INFO", "/")
-        params = dict(parse_qsl(environ.get("QUERY_STRING", "")))
+        pairs = parse_qsl(environ.get("QUERY_STRING", ""))
         try:
-            status, content_type, body = self._route(method, path, params, environ)
+            status, content_type, body = self._route(method, path, pairs, environ)
         except RepositoryError as exc:
             status, content_type, body = self._error_response(exc)
         except Exception as exc:  # pragma: no cover - last-resort guard
@@ -129,9 +129,10 @@ class GatewayApp:
 
     # ------------------------------------------------------------------
 
-    def _route(self, method, path, params, environ):
+    def _route(self, method, path, pairs, environ):
         if path == "/oai" or path.startswith("/oai/"):
-            return self._oai(method, params, environ)
+            return self._oai(method, pairs, environ)
+        params = dict(pairs)
         if path == "/query" and method == "POST":
             return self._query(params, _read_body(environ))
         match = _METHOD_RE.match(path)
@@ -180,21 +181,24 @@ class GatewayApp:
             pattern, row_cap=None if paged else self.query_row_cap,
             max_candidates=CANDIDATES_PER_CAPPED_ROW * self.query_row_cap)
         if paged:
-            end = None if limit is None else offset + limit
-            rows = rows[offset:end]
+            rows = page(rows, offset, limit)
         text = "".join("\t".join(row) + "\n" for row in rows)
         return "200 OK", "text/plain; charset=utf-8", text.encode("utf-8")
 
-    def _oai(self, method, params, environ):
-        """OAI-PMH answers every request, errors included, with HTTP 200."""
+    def _oai(self, method, pairs, environ):
+        """OAI-PMH answers every request, errors included, with HTTP 200.
+        An argument given twice, in the query string, the body or both, is
+        a badArgument."""
         try:
             if method == "POST":
-                params.update(parse_qsl(_read_body(environ).decode("utf-8")))
+                pairs += parse_qsl(_read_body(environ).decode("utf-8"))
         except UnicodeDecodeError:
-            payload = self.oai._error_envelope("", params, ProtocolError(
-                "badArgument", "request body is not UTF-8"))
+            error = "request body is not UTF-8"
         else:
-            payload = self.oai.handle_request(params)
+            params = dict(pairs)
+            error = None if len(params) == len(pairs) else "repeated argument"
+        payload = self.oai.handle_request(params) if error is None else \
+            self.oai._error_envelope("", {}, ProtocolError("badArgument", error))
         return "200 OK", "text/xml; charset=UTF-8", payload
 
     @staticmethod

@@ -234,6 +234,26 @@ def test_network_failure_mid_chain_is_resumable(repo, harvester, stub, cfg):
     assert total == 5
 
 
+def test_bad_resumption_token_restarts_from_last_success(repo, harvester, stub, cfg, clock):
+    """An upstream badResumptionToken drops the pending chain and counts
+    one failure; the next harvest runs the window from last_success_until."""
+    seed(stub, "alpha", 2)
+    _, state = harvester.harvest(cfg)
+    last = state.last_success_until
+    for i in range(3):
+        stub.add(f"oai:alpha:new{i}", clock.now, stub_record("alpha", 10 + i))
+    state.pending_resumption, state.pending_until = "t|2|-|-", clock.now
+    stub.error_code = "badResumptionToken"
+    with pytest.raises(HarvestProtocolError):
+        harvester.harvest(cfg, state)
+    assert (state.pending_resumption, state.pending_until) == (None, None)
+    assert (state.consecutive_failures, state.last_success_until) == (1, last)
+    stub.error_code = None
+    report, state = harvester.harvest(cfg, state)
+    assert (report.harvested, report.created) == (3, 3)
+    assert state.consecutive_failures == 0 and state.last_success_until > last
+
+
 def test_last_success_until_is_monotone(repo, harvester, stub, cfg):
     seed(stub, "alpha", 1)
     _, state = harvester.harvest(cfg)
@@ -287,6 +307,30 @@ def test_delete_sole_record_removes_membership(repo, harvester, stub, cfg, clock
     assert behaviors.resource_memberships(repo, resource) == []
     tombstone = repo.source_pid("alpha", "oai:alpha:0")
     assert tombstone is None  # tombstoned records leave the source index
+
+
+def test_moved_record_leaves_old_resource_out_of_the_aggregation(
+        repo, harvester, stub, cfg, clock):
+    """A record harvested again with another dc:identifier URL describes a
+    new resource; the old one stays, but leaves the provider's aggregation
+    unless another of the provider's records still describes it."""
+    old_url, new_url, kept_url = (f"http://resources.example/moved/{i}" for i in range(3))
+    stub.add("oai:alpha:a", SEED_BASE, stub_record("alpha", 1, url=old_url))
+    stub.add("oai:alpha:b", SEED_BASE, stub_record("alpha", 2, url=kept_url))
+    stub.add("oai:alpha:c", SEED_BASE, stub_record("alpha", 3, url=kept_url))
+    harvester.harvest(cfg)
+    old, kept = repo.content_pid_for_url(old_url), repo.content_pid_for_url(kept_url)
+    stub.add("oai:alpha:a", clock.now, stub_record("alpha", 1, url=new_url))
+    stub.add("oai:alpha:b", clock.now, stub_record("alpha", 2, url=new_url))
+    report, _ = harvester.harvest(cfg)  # fresh state on purpose: full window
+    assert report.updated == 3
+    new = repo.content_pid_for_url(new_url)
+    assert behaviors.aggregator_list_members(repo, cfg.aggregator_role_pid) \
+        == [kept, new]
+    assert behaviors.resource_memberships(repo, old) == []
+    assert behaviors.resource_get_metadata(repo, old) == []
+    assert repo.get_object(old).state == "active"
+    assert repo.validate_graph() == []
 
 
 def test_harvest_idempotent_on_unchanged_provider(repo, harvester, stub, cfg):

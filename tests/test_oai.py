@@ -167,6 +167,27 @@ def test_padded_set_spec_is_refused(repo, provider):
     assert error_code(response) == "noRecordsMatch"
 
 
+def test_set_zero_names_aggregation_nsdl_0(repo, provider):
+    """A set spec is the pid number as the pid writes it: nsdl:0, which
+    only the import path can create, is listed as set 0 and selected by
+    it; a padded spec names no set."""
+    doc = repo.export_object(put_object(
+        repo, {"Aggregator"},
+        streams=[local_stream("BRAND", "application/xml", build_brand_doc("Zero"))]))
+    repo.import_object(doc.replace(b'pid="nsdl:1"', b'pid="nsdl:0"'))
+    inside = seed_metadata(repo, 2, aggregator="nsdl:0")
+    seed_metadata(repo, 1, start_index=10)
+    sets = call(provider, verb="ListSets").findall("o:ListSets/o:set", NS)
+    assert [s.findtext("o:setSpec", namespaces=NS) for s in sets] == ["0", "1"]
+    response = call(provider, verb="ListRecords", metadataPrefix="oai_dc", set="0")
+    assert record_identifiers(response) == [provider.oai_identifier(p) for p in inside]
+    headers = response.findall("o:ListRecords/o:record/o:header", NS)
+    assert [h.findtext("o:setSpec", namespaces=NS) for h in headers] == ["0", "0"]
+    for spec in ("00", "01"):
+        response = call(provider, verb="ListRecords", metadataPrefix="oai_dc", set=spec)
+        assert error_code(response) == "noRecordsMatch"
+
+
 @pytest.mark.parametrize("page_size", [1, 7, 250])
 def test_pagination_complete_and_duplicate_free(repo, page_size):
     pids = seed_metadata(repo, 23)
@@ -529,6 +550,13 @@ def test_missing_metadata_prefix(provider):
     assert error_code(response) == "badArgument"
 
 
+def test_malformed_from_is_bad_argument(repo, provider):
+    seed_metadata(repo, 1)
+    response = call(provider, verb="ListRecords", metadataPrefix="oai_dc",
+                    **{"from": "yesterday"})
+    assert error_code(response) == "badArgument"
+
+
 def test_bad_verb(provider):
     response = call(provider, verb="Nonsense")
     assert error_code(response) == "badVerb"
@@ -572,6 +600,17 @@ def test_get_record_tombstone(repo, provider):
 def test_get_record_unknown_identifier(provider):
     response = call(provider, verb="GetRecord",
                     identifier="oai:test.local:nsdl:424242",
+                    metadataPrefix="oai_dc")
+    assert error_code(response) == "idDoesNotExist"
+
+
+@pytest.mark.parametrize("identifier", [
+    "oai:other.local:nsdl:1",  # another repository's
+    "oai:test.local:nsdl:01",  # a padded pid number names no object
+])
+def test_get_record_foreign_or_padded_identifier(repo, provider, identifier):
+    seed_metadata(repo, 1)
+    response = call(provider, verb="GetRecord", identifier=identifier,
                     metadataPrefix="oai_dc")
     assert error_code(response) == "idDoesNotExist"
 
@@ -832,27 +871,36 @@ def test_aggregation_answers_whatever_its_neighbours_hold(
 def test_rendering_parses_and_serializes_no_xml(repo, xml_work):
     """An oai_dc page splices stored records unparsed; an nsdl_agg page
     parses only for the gold fold, once per contributing record."""
-    seed_metadata(repo, 5)
     labels = load_topology(repo, "augmented_metadata")  # a resource with 2 contributors
+    seed_metadata(repo, 5)
+    assert repo.validate_graph() == []
     provider = OaiProvider(repo, repository_id="test.local", page_size=3)
+    prefix = provider.oai_identifier("")
     cases = [
-        ({"verb": "ListRecords", "metadataPrefix": "oai_dc"}, 0),
-        ({"verb": "ListRecords", "metadataPrefix": "nsdl_agg"}, 3),
-        ({"verb": "GetRecord", "metadataPrefix": "nsdl_agg",
-          "identifier": provider.oai_identifier(labels["resource"])}, 2),
+        {"verb": "ListRecords", "metadataPrefix": "oai_dc"},
+        {"verb": "ListRecords", "metadataPrefix": "nsdl_agg"},
+        {"verb": "GetRecord", "metadataPrefix": "nsdl_agg",
+         "identifier": provider.oai_identifier(labels["resource"])},
     ]
-    for params, _ in cases:  # BRAND documents are parsed once, then remembered
+    for params in cases:  # BRAND documents are parsed once, then remembered
         provider.handle_request(params)
-    for params, contributors in cases:
+    for params in cases:
         for key in xml_work:
             xml_work[key] = 0
         body = provider.handle_request(params)
-        assert xml_work == {"parsers": contributors, "serializations": 0,
-                            "dc_parses": contributors}, params
+        work = dict(xml_work)
         response = ET.fromstring(body)
         assert error_code(response) is None
-        assert len(record_identifiers(response, params["verb"])) \
-            == (1 if params["verb"] == "GetRecord" else 3)
+        served = record_identifiers(response, params["verb"])
+        assert len(served) == (1 if params["verb"] == "GetRecord" else 3)
+        # the gold fold reads the nsdl_dc of each describing record that has one
+        contributors = 0 if params["metadataPrefix"] == "oai_dc" else sum(
+            behaviors.record_source(repo.get_object(m), "nsdl_dc") is not None
+            for identifier in served for m in behaviors.resource_get_metadata(
+                repo, identifier.removeprefix(prefix)))
+        assert work == {"parsers": contributors, "serializations": 0,
+                        "dc_parses": contributors}, params
+    assert contributors == 2
 
 
 # -- one classification per item

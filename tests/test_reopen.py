@@ -17,6 +17,7 @@ other prefixes and its properties are reordered.
 import re
 import shutil
 from datetime import datetime, timezone
+from io import BytesIO
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
@@ -27,6 +28,7 @@ from overlay_repo.model import SOURCE_DS, pid_number
 from overlay_repo.oai import OaiProvider
 from overlay_repo.ontology import Predicate
 from overlay_repo.store import Repository
+from overlay_repo.web import GatewayApp
 
 from support import put_object, seed_metadata
 
@@ -111,17 +113,69 @@ def test_reopen_refuses_a_record_with_a_non_numeric_name(tmp_path, clock):
         Repository(tmp_path / "d", clock=clock)
 
 
-@pytest.mark.parametrize("rels, reason", [
+# Edits of objects/44.xml: a string replaces what <rels> holds, a pair
+# (old, new) replaces text anywhere in the record.
+_MALFORMED = [
     ("<r:RDF/>junk", "rels must wrap one rdf:RDF element"),
     ("<r:RDF/><r:RDF/>", "rels must wrap one rdf:RDF element"),
     ("<r:Description/>", "RELS root must be rdf:RDF"),
-])
-def test_reopen_names_record_with_malformed_rels(written_before, rels, reason):
-    path = written_before / "objects" / "44.xml"
-    head, _ = path.read_text("utf-8").split("<rels>")
-    path.write_text(head + f"<rels>{rels}</rels></digitalObject>\n", "utf-8")
+    *(pytest.param(edit, reason, id=name) for name, edit, reason in [
+        ("wrong root", ("digitalObject", "object"),
+         "root element must be digitalObject, got 'object'"),
+        ("version", ('version="1"', 'version="1.0"'),
+         "version must be a decimal integer"),
+        ("two rels", ("</rels>", "</rels><rels><r:RDF/></rels>"),
+         "multiple rels elements"),
+        ("unexpected element", ("<behavior ", "<extra/><behavior "),
+         "unexpected element 'extra'"),
+        ("no lastModified", (' lastModified="2010-06-01T00:00:05Z"', ""),
+         "missing attribute 'lastModified'"),
+        ("RELS datastream", ('dsId="SOURCE"', 'dsId="RELS"'),
+         "the relationship stream belongs in <rels>"),
+        ("not base64", (">PHNvdXJjZS", ">*PHNvdXJjZS"),
+         "datastream SOURCE payload is not valid base64"),
+        ("unknown kind", ('dsId="SOURCE" kind="local"', 'dsId="SOURCE" kind="inline"'),
+         "datastream SOURCE has unknown kind 'inline'"),
+    ]),
+]
+
+
+def _malformed(written_before: Path, edit) -> str:
+    """objects/44.xml with edit applied."""
+    text = (written_before / "objects" / "44.xml").read_text("utf-8")
+    if isinstance(edit, str):
+        return text.split("<rels>")[0] + f"<rels>{edit}</rels></digitalObject>\n"
+    return text.replace(*edit)
+
+
+@pytest.mark.parametrize("edit, reason", _MALFORMED)
+def test_reopen_names_record_with_malformed_rels(written_before, edit, reason):
+    (written_before / "objects" / "44.xml").write_text(
+        _malformed(written_before, edit), "utf-8")
     with pytest.raises(StoreError, match=f"44.xml: .*{reason}"):
         Repository(written_before)
+
+
+@pytest.mark.parametrize("edit, reason", _MALFORMED)
+def test_put_of_malformed_record_is_refused_422(written_before, edit, reason):
+    repo = Repository(written_before)
+    before = repo.export_object(HAND_EDITED)
+    doc = _malformed(written_before, edit).encode("utf-8")
+    status, body = _put(GatewayApp(repo), HAND_EDITED, doc)
+    assert status == "422 Unprocessable Entity"
+    assert re.search(reason, body.decode("utf-8"))
+    assert repo.export_object(HAND_EDITED) == before
+    assert Repository(written_before).export_object(HAND_EDITED) == before
+
+
+def _put(app, pid: str, doc: bytes) -> tuple[str, bytes]:
+    """Status and body of a PUT of doc to /objects/pid."""
+    answer = {}
+    body = b"".join(app({
+        "REQUEST_METHOD": "PUT", "PATH_INFO": f"/objects/{pid}", "QUERY_STRING": "",
+        "CONTENT_LENGTH": str(len(doc)), "wsgi.input": BytesIO(doc),
+    }, lambda status, headers: answer.setdefault("status", status)))
+    return answer["status"], body
 
 
 @pytest.mark.parametrize("year", [999, 1])

@@ -434,6 +434,26 @@ def test_oai_post_body_not_utf8_is_bad_argument(app):
     assert error.get("code") == "badArgument"
 
 
+@pytest.mark.parametrize("method, query, body", [
+    ("GET", "verb=Identify&verb=Identify", ""),
+    ("GET", "verb=ListRecords&metadataPrefix=oai_dc&metadataPrefix=nsdl_agg", ""),
+    ("POST", "", "verb=ListRecords&metadataPrefix=oai_dc&metadataPrefix=nsdl_agg"),
+    ("POST", "metadataPrefix=oai_dc", "verb=ListRecords&metadataPrefix=nsdl_agg"),
+    ("POST", "verb=ListRecords", "verb=ListRecords&metadataPrefix=oai_dc"),
+])
+def test_oai_repeated_argument_is_bad_argument(repo, app, method, query, body):
+    """OAI-PMH's badArgument covers a repeated argument, whether it repeats
+    in the query string, in the body or across the two; the refusal echoes
+    no argument."""
+    seed_metadata(repo, 1)
+    status, _, payload = request(app, method, "/oai", query=query, body=body.encode())
+    assert status == 200
+    response = ET.fromstring(payload)
+    ns = {"o": "http://www.openarchives.org/OAI/2.0/"}
+    assert response.find("o:error", ns).get("code") == "badArgument"
+    assert response.find("o:request", ns).attrib == {}
+
+
 def test_unknown_route_404(app):
     assert request(app, "GET", "/nope")[0] == 404
 
