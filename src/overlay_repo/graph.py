@@ -13,20 +13,36 @@ access-path choice of Selinger et al. (SIGMOD 1979): first a clause that
 shares a variable bound by an earlier clause (so no cross product is
 chosen while a connected clause remains), then the clause with the most
 bound positions, then the smallest index bucket for its constant terms,
+then, for the first clause, one that binds the first selected variable,
 then the written order. A later clause with a constant whose variables
 are all bound runs as a semi-join (Bernstein and Chiu, JACM 1981) when
 its constants' bucket is no larger than the first clause's: that bucket
 is read once, and a binding costs one set membership test, not a probe.
-The plan is walked depth first over one array of values, so no binding is
-copied, and distinct rows are collected as they complete. A caller may cap
+
+The plan runs as a lazy pipeline, one generator stage per step: a stage
+pulls a binding from the stage before, probes, and leaves each binding of
+its own in the one array of values that all stages share, so no binding
+is copied, and a consumer that stops pulling stops the whole evaluation.
+A page (a limit, from an offset) of a query whose first step binds just
+the first selected variable is read in row order, the interesting order
+of Selinger et al. and the order-preserving scans of Neumann and Weikum
+("RDF-3X", VLDB 2008): the first step's bucket is read in full, charged
+and sorted, the other steps run per value in that order, and evaluation
+stops once the rows of the values before the next fill offset + limit.
+Such a page costs the bucket plus the probes of the values up to its end,
+not O(result). Any other query finds all its distinct rows, and a page of
+it keeps only the first offset + limit of them in a heap. A caller may cap
 the rows and the triples the steps scan (a lookup's whole bucket, even
-where a bound subject and object filter it); the walk stops with
+where a bound subject and object filter it); evaluation stops with
 ``LimitExceededError`` as soon as a cap is passed, so refusing a query
-costs O(cap), not O(result).
+costs O(cap), not O(result). A page read in row order makes its whole
+query's probes for the values it reaches, so it is never refused where
+its whole query is not.
 """
 
 from __future__ import annotations
 
+import heapq
 import threading
 from collections.abc import Collection, Iterable
 from dataclasses import dataclass
@@ -49,7 +65,7 @@ _RDF_RESOURCE = f"{{{RDF_NS}}}resource"
 
 _EMPTY: frozenset = frozenset()
 _FIELDS = ("subject", "predicate", "object")
-_PASS = (None,)  # what a binding that passes a semi-join matches
+_START = (None,)  # the one empty binding a plan starts from
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -78,6 +94,8 @@ class QueryPattern:
     select: tuple[str, ...]
 
     def validate(self) -> None:
+        if not (self.clauses and self.select):
+            raise QueryParseError("a query needs a clause and a selected variable")
         seen: set[str] = set()
         for s, p, o in self.clauses:
             for term in (s, p, o):
@@ -332,21 +350,26 @@ class TripleStore:
         return found if len(found) < 2 else pid_sorted(found)
 
     def query(self, pattern: QueryPattern, row_cap: int | None = None,
-              max_candidates: int | None = None) -> list[tuple[str, ...]]:
-        """Distinct assignments of the selected variables,
-        deterministically ordered. Conjunctive semantics, no inference.
+              max_candidates: int | None = None, offset: int = 0,
+              limit: int | None = None) -> list[tuple[str, ...]]:
+        """Distinct assignments of the selected variables, deterministically
+        ordered, from offset on and at most limit of them (None: all).
+        Conjunctive semantics, no inference.
 
         Raises LimitExceededError as soon as more than ``row_cap`` distinct
         rows are found, or once the steps have scanned more than
         ``max_candidates`` triples in all (each one a candidate binding at
-        its clause); None leaves a bound off.
+        its clause); None leaves a bound off. A page read in row order
+        finds only the rows up to its end, so it meets either cap no
+        sooner than its whole query would.
         """
         pattern.validate()
         with self._mutex:
-            rows = self._evaluate(pattern, row_cap, max_candidates)
-        return [tuple(map(_render, row)) for row in sorted(rows, key=_row_key)]
+            rows = self._evaluate(pattern, row_cap, max_candidates, offset, limit)
+        return [tuple(map(_render, row)) for row in rows]
 
-    def _plan(self, clauses) -> tuple[list[tuple], list, dict[str, int]]:
+    def _plan(self, clauses, lead: str | None = None
+              ) -> tuple[list[tuple], list, dict[str, int]]:
         """Clauses in evaluation order, each compiled into a step over one
         list of values, and the slot of each variable in it. values[0] is
         None, a probe's wildcard; the variables follow in the order steps
@@ -356,24 +379,27 @@ class TripleStore:
         match t (get is empty when it binds none); same holds (getter, slot)
         of a variable repeated in the clause; a semi-join's semi is (key,
         fields), and a binding passes if key(values) is fields(t) of some t
-        matching the constants; wide marks a bound subject and object."""
+        matching the constants; wide marks a bound subject and object. Of
+        first clauses that tie, one binding the variable lead goes first."""
         names: dict[str, int] = {}
         constants: list = []
-        remaining = list(clauses)
+        # each clause with the size of the bucket of its constants
+        remaining = [(clause, len(self._bucket(
+            *(None if isinstance(t, Var) else t for t in clause)))) for clause in clauses]
         steps = []
 
-        def cost(clause):
+        def cost(clause, size):
             vars_ = {t.name for t in clause if isinstance(t, Var)}
             bound = sum(1 for t in clause if not isinstance(t, Var) or t.name in names)
-            return (bool(vars_) and not vars_ & names.keys(), -bound,
-                    len(self._bucket(*(None if isinstance(t, Var) else t for t in clause))))
+            return (bool(vars_) and not vars_ & names.keys(), -bound, size,
+                    bool(names) or lead not in vars_)
 
         def fields(positions):
             return attrgetter(*(_FIELDS[pos] for pos in positions))
 
         while remaining:
-            (*_, size), at = min((cost(c), n) for n, c in enumerate(remaining))
-            clause = remaining.pop(at)
+            _, at = min((cost(*c), n) for n, c in enumerate(remaining))
+            clause, size = remaining.pop(at)
             first = len(names) + 1
             probe, bound, new, same = [], [], [], []
             for pos, term in enumerate(clause):
@@ -404,47 +430,82 @@ class TripleStore:
         return steps, [None] * (len(names) + 1) + constants[::-1], names
 
     def _evaluate(self, pattern: QueryPattern, row_cap: int | None,
-                  max_candidates: int | None) -> set[tuple]:
-        steps, values, names = self._plan(pattern.clauses)
+                  max_candidates: int | None, offset: int,
+                  limit: int | None) -> list[tuple]:
+        steps, values, names = self._plan(pattern.clauses, pattern.select[0])
         select = [names[name] for name in pattern.select]
-        rows: set[tuple] = set()
         row_cap = float("inf") if row_cap is None else row_cap
         budget = float("inf") if max_candidates is None else max_candidates
-        lookup, bucket, last = self.lookup, self._bucket, len(steps) - 1
-        members: list[set | None] = [None] * len(steps)  # of each semi-join
+        lookup, bucket = self.lookup, self._bucket
+        rows: set = set()
 
-        def walk(depth: int) -> None:
+        def matches_of(probe, wide):
+            """A step's matches for the values bound so far, charged."""
             nonlocal budget
-            probe, get, slot, same, semi, wide = steps[depth]
-            if semi and members[depth] is not None:
-                matches = _PASS if semi[0](values) in members[depth] else ()
-            else:
-                args = probe(values)
-                matches = lookup(*args)
-                budget -= len(bucket(*args) if wide else matches)
-                if budget < 0:
-                    raise LimitExceededError(
-                        f"query examines more than {max_candidates} candidate "
-                        f"bindings; narrow it")
-                if semi:  # first use: look the constants up once
-                    members[depth] = set(map(semi[1], matches))
-                    return walk(depth)
-            for t in matches:
-                if get:
-                    values[slot] = get(t)
-                if same and any(field(t) != values[i] for field, i in same):
-                    continue
-                if depth < last:
-                    walk(depth + 1)
-                    continue
-                rows.add(tuple(map(values.__getitem__, select)))
-                if len(rows) > row_cap:
-                    raise LimitExceededError(
-                        f"query matches more than {row_cap} rows; "
-                        f"pass offset/limit")
+            args = probe(values)
+            matches = lookup(*args)
+            budget -= len(bucket(*args) if wide else matches)
+            if budget < 0:
+                raise LimitExceededError(
+                    f"query examines more than {max_candidates} candidate "
+                    f"bindings; narrow it")
+            return matches
 
-        walk(0)
-        return rows
+        def probed(step, upstream):
+            """Each binding of a step for each binding pulled from upstream,
+            left in values when it is yielded."""
+            probe, get, slot, same, _, wide = step
+            for _ in upstream:
+                for t in matches_of(probe, wide):
+                    if get:
+                        values[slot] = get(t)
+                    if same and any(field(t) != values[i] for field, i in same):
+                        continue
+                    yield
+
+        def semi_joined(step, upstream):
+            """The bindings pulled from upstream that pass a semi-join, its
+            constants looked up at the first."""
+            probe, _, _, _, (key, fields), wide = step
+            members = None
+            for _ in upstream:
+                if members is None:
+                    members = set(map(fields, matches_of(probe, wide)))
+                if key(values) in members:
+                    yield
+
+        def in_row_order(step):
+            """The value each match of the first step binds to the first
+            selected variable, in row order, until the rows of the values
+            before the next fill the page."""
+            probe, get, slot, _, _, wide = step
+            order = sorted(map(get, matches_of(probe, wide)))
+            # then, stably, pids by length and predicates by URI
+            order.sort(key=attrgetter("uri") if order and isinstance(
+                order[0], Predicate) else len)
+            for values[slot] in order:
+                if len(rows) >= offset + limit:
+                    return
+                yield
+
+        # A page in row order: the first step binds just the first selected
+        # variable, so its matches of one value bind alike.
+        _, _, slot, same, *_ = steps[0]
+        bindings = (in_row_order(steps[0])
+                    if limit is not None and slot == select[0] and not same
+                    else probed(steps[0], _START))
+        for step in steps[1:]:
+            bindings = (semi_joined if step[4] else probed)(step, bindings)
+        project = itemgetter(*select)  # a row, or its one value
+        for _ in bindings:
+            rows.add(project(values))
+            if len(rows) > row_cap:
+                raise LimitExceededError(
+                    f"query matches more than {row_cap} rows; pass offset/limit")
+        key = _row_key if len(select) > 1 else _value_key
+        found = (sorted(rows, key=key) if limit is None
+                 else heapq.nsmallest(offset + limit, rows, key=key))
+        return found[offset:] if len(select) > 1 else [(v,) for v in found[offset:]]
 
 
 def _render(value) -> str:
@@ -453,8 +514,12 @@ def _render(value) -> str:
     return value
 
 
+def _value_key(value):
+    return value.uri if isinstance(value, Predicate) else pid_sort_key(value)
+
+
 def _row_key(row: tuple) -> list:
-    return [v.uri if isinstance(v, Predicate) else pid_sort_key(v) for v in row]
+    return list(map(_value_key, row))
 
 
 # --------------------------------------------------------------------------
@@ -481,8 +546,6 @@ def parse_query(text: str) -> QueryPattern:
             raise QueryParseError("empty variable name")
         select.append(name)
         pos += 1
-    if not select:
-        raise QueryParseError("no variables selected")
     expect("where")
     clauses = []
     while pos < len(tokens):
@@ -503,8 +566,6 @@ def parse_query(text: str) -> QueryPattern:
             _parse_predicate_term(terms[1]),
             _parse_node(terms[2]),
         ))
-    if not clauses:
-        raise QueryParseError("no clauses given")
     pattern = QueryPattern(tuple(clauses), tuple(select))
     pattern.validate()
     return pattern

@@ -123,6 +123,7 @@ class _Item:
     deleted: bool
     set_specs: tuple[str, ...]
     source: MetadataRecord | None = None
+    resource: DigitalObject | None = None
     describing: list[DigitalObject] | None = None
 
 
@@ -377,7 +378,7 @@ class OaiProvider:
                 return None
             stamp = max(m.last_modified for m in describing)
             return _Item(obj.pid, max(stamp, obj.last_modified), False,
-                         self._set_specs([obj.pid]), describing=describing)
+                         self._set_specs([obj.pid]), resource=obj, describing=describing)
         if "Metadata" not in obj.behaviors:
             return None
         source = behaviors.record_source(obj, format_name)
@@ -464,17 +465,20 @@ class OaiProvider:
             return [f"<record>{header}</record>".encode("utf-8")]
         payload = (embeddable(crosswalk(item.source, format_name).xml)
                    if item.describing is None
-                   else self.emit_aggregation_record(item.pid, item.describing))
+                   else self.emit_aggregation_record(
+                       item.pid, item.describing, item.resource))
         return [f"<record>{header}<metadata>".encode("utf-8"),
                 payload, b"</metadata></record>"]
 
     def emit_aggregation_record(self, resource_pid: str,
-                                describing: list[DigitalObject] | None = None) -> bytes:
+                                describing: list[DigitalObject] | None = None,
+                                resource: DigitalObject | None = None) -> bytes:
         """The resource-centric bundle: every source record with its
         provider's brand, plus the computed gold record (empty when no
-        gold can be folded), from the describing metadata objects, listed
-        unless given. Stored records go in as their own bytes."""
-        obj = self.repo.get_object(resource_pid)
+        gold can be folded), from the resource object and its describing
+        metadata objects, each read unless given. Stored records go in as
+        their own bytes."""
+        obj = self.repo.get_object(resource_pid) if resource is None else resource
         if describing is None:
             describing = [self.repo.get_object(m) for m in
                           behaviors.resource_get_metadata(self.repo, resource_pid)]

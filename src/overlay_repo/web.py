@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from urllib.parse import parse_qsl
 
-from .behaviors import page, paging
+from .behaviors import paging
 from .canonical import import_object
 from .errors import (
     BrandMissingError,
@@ -132,12 +132,12 @@ class GatewayApp:
     def _route(self, method, path, pairs, environ):
         if path == "/oai" or path.startswith("/oai/"):
             return self._oai(method, pairs, environ)
-        params = dict(pairs)
         if path == "/query" and method == "POST":
-            return self._query(params, _read_body(environ))
+            return self._query(_arguments(pairs, QueryParseError), _read_body(environ))
         match = _METHOD_RE.match(path)
         if match and method == "GET":
-            rep = self.repo.disseminate(match.group(1), match.group(2), params)
+            rep = self.repo.disseminate(
+                match.group(1), match.group(2), _arguments(pairs, ValidationError))
             return "200 OK", rep.media_type, rep.body
         match = _OBJECT_RE.match(path)
         if match:
@@ -172,16 +172,14 @@ class GatewayApp:
     def _query(self, params, body):
         pattern = parse_query(body.decode("utf-8"))
         paged = "offset" in params or "limit" in params
-        if paged:  # a bad value is a malformed query here: 400, not 422
-            try:
-                offset, limit = paging(params)
-            except ValidationError as exc:
-                raise QueryParseError(str(exc)) from exc
+        try:  # a bad value is a malformed query here: 400, not 422
+            offset, limit = paging(params)
+        except ValidationError as exc:
+            raise QueryParseError(str(exc)) from exc
         rows = self.repo.graph.query(
             pattern, row_cap=None if paged else self.query_row_cap,
-            max_candidates=CANDIDATES_PER_CAPPED_ROW * self.query_row_cap)
-        if paged:
-            rows = page(rows, offset, limit)
+            max_candidates=CANDIDATES_PER_CAPPED_ROW * self.query_row_cap,
+            offset=offset, limit=limit)
         text = "".join("\t".join(row) + "\n" for row in rows)
         return "200 OK", "text/plain; charset=utf-8", text.encode("utf-8")
 
@@ -224,6 +222,14 @@ _STATUS = {
     DisseminationError: "502 Bad Gateway",
     LimitExceededError: "413 Payload Too Large",
 }
+
+
+def _arguments(pairs: list[tuple[str, str]], error: type[RepositoryError]) -> dict:
+    """The query string's arguments; one given twice raises error."""
+    params = dict(pairs)
+    if len(params) < len(pairs):
+        raise error("an argument is given more than once")
+    return params
 
 
 def _read_body(environ) -> bytes:

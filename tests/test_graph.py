@@ -7,7 +7,9 @@ import random
 from xml.etree import ElementTree as ET
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from overlay_repo.behaviors import page
 from overlay_repo.errors import LimitExceededError, QueryParseError, ValidationError
 from overlay_repo.graph import (
     QueryPattern,
@@ -511,3 +513,64 @@ def test_parses_share_one_predicate_per_term():
     assert str(fresh) == str(shared["cites"]) == "http://example.org/v#cites"
     assert str(shared["metadataFor"]) == "metadataFor"
     assert pickle.loads(pickle.dumps(fresh)) is shared["cites"]
+
+
+# -- paged queries
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 6),
+       st.none() | st.integers(0, 4), st.integers(0, 150))
+def test_paged_query_is_the_page_of_the_unpaged_rows(seed, offset, limit, budget):
+    """Over the random graphs and patterns of the brute-force tests, a paged
+    query answers the page of the unpaged rows, and a candidate budget that
+    refuses it refuses the unpaged query too."""
+    rng = random.Random(seed)
+    pool, triples = random_graph(rng, max_triples=80)
+    # pids of one to three digits, whose text order is not their pid order
+    rename = dict(zip(pool, (f"nsdl:{n}" for n in rng.sample(range(1, 400), len(pool)))))
+    triples = [(rename[s], p, rename[o]) for s, p, o in triples]
+    store = load_plain_triples(TripleStore(), triples)
+    pids = sorted({t[0] for t in triples} | {t[2] for t in triples}) or ["nsdl:1"]
+    pattern = to_engine_pattern(*random_pattern(rng, pids, rng.randint(1, 3)))
+    rows = store.query(pattern)
+    assert store.query(pattern, offset=offset, limit=limit) == page(rows, offset, limit)
+    try:
+        store.query(pattern, max_candidates=budget, offset=offset, limit=limit)
+    except LimitExceededError:
+        with pytest.raises(LimitExceededError):
+            store.query(pattern, max_candidates=budget)
+
+
+def test_paged_join_stops_at_its_page(lookups):
+    store, query = _join3_store(500), parse_query(JOIN3)
+    store.query(query)
+    unpaged = len(lookups)
+    assert store.query(query, offset=0, limit=20) == [(f"nsdl:{r}",) for r in range(600, 620)]
+    assert len(lookups) - unpaged <= unpaged / 4
+
+
+def test_page_bounds_fall_inside_one_values_rows(lookups):
+    """Three rows for each ?r: the page starts in the rows of nsdl:11 and
+    ends in those of nsdl:12, and the rows of nsdl:13 on are never read."""
+    store = load_plain_triples(TripleStore(), [
+        triple for r in range(10, 40) for triple in [
+            (f"nsdl:{r}", EXT_NS + "likes", "nsdl:2"),
+            *((f"nsdl:{r}", EXT_NS + "cites", f"nsdl:{x}") for x in (100, 5, 3))]])
+    query = parse_query(f"select ?r ?x where (?r <{EXT_NS}likes> <info:nsdl/nsdl:2>)"
+                        f" (?r <{EXT_NS}cites> ?x)")
+    rows = store.query(query)
+    unpaged = len(lookups)
+    assert store.query(query, offset=4, limit=4) == rows[4:8] == [
+        ("nsdl:11", "nsdl:5"), ("nsdl:11", "nsdl:100"),
+        ("nsdl:12", "nsdl:3"), ("nsdl:12", "nsdl:5")]
+    assert [call.args[0] for call in lookups[unpaged + 1:]] == [
+        "nsdl:10", "nsdl:11", "nsdl:12"]
+
+
+def test_paged_rows_of_a_predicate_order_by_uri():
+    store = load_plain_triples(TripleStore(), [
+        ("nsdl:1", EXT_NS + term, "nsdl:2") for term in EXT_TERMS])
+    query = parse_query("select ?p where (<info:nsdl/nsdl:1> ?p <info:nsdl/nsdl:2>)")
+    assert store.query(query, offset=1, limit=2) == [
+        (EXT_NS + "follows",), (EXT_NS + "likes",)]

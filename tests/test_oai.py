@@ -723,6 +723,26 @@ def test_aggregation_record_bundles_sources_and_gold(repo, provider):
     assert gold is not None and gold.tag.endswith("nsdl_dc")
 
 
+def test_aggregation_walk_reads_each_served_resource_once(repo, monkeypatch):
+    """A served nsdl_agg record is rendered from the resource object its
+    selection read: one get_object call for it in the whole walk."""
+    aggregator = put_object(repo, {"Aggregator"})
+    resources = [repo.graph.objects_of(m, "metadataFor")[0]
+                 for m in seed_metadata(repo, 30, aggregator=aggregator)]
+    provider = OaiProvider(repo, repository_id="test.local", page_size=1000)
+    reads = Counter()
+    get_object = Repository.get_object
+
+    def counting(self, pid):
+        reads[pid] += 1
+        return get_object(self, pid)
+
+    monkeypatch.setattr(Repository, "get_object", counting)
+    response = call(provider, verb="ListRecords", metadataPrefix="nsdl_agg")
+    assert record_identifiers(response) == [provider.oai_identifier(r) for r in resources]
+    assert [reads[r] for r in resources] == [1] * len(resources)
+
+
 def test_aggregation_records_via_list(repo, provider):
     labels = load_topology(repo, "augmented_metadata")
     response = call(provider, verb="ListRecords", metadataPrefix="nsdl_agg")

@@ -151,6 +151,14 @@ def test_member_paging_refuses_negative_or_non_integer_422(repo, app, query, op,
     assert status == 422 and b"offset and limit" in body
 
 
+@pytest.mark.parametrize("query", ["limit=1&limit=5", "limit=x&limit=1"])
+def test_repeated_dissemination_argument_422(repo, app, query):
+    pid = load_topology(repo, "aggregation")["aggregator"]
+    status, _, body = request(app, "GET", f"/objects/{pid}/methods/listMembers",
+                              query=query)
+    assert status == 422 and b"more than once" in body
+
+
 def test_get_record_without_format_422(repo, app):
     pid = load_topology(repo, "basic_pair")["metadata"]
     status, _, body = request(app, "GET", f"/objects/{pid}/methods/getRecord")
@@ -344,6 +352,14 @@ def test_query_paging_refuses_negative_or_non_integer_400(repo, app, lookups, qu
     status, _, out = request(app, "POST", "/query", query=query,
                              body=b"select ?m where (?m <rel:metadataFor> ?r)")
     assert status == 400 and b"offset and limit" in out
+    assert lookups == []
+
+
+def test_query_repeated_paging_argument_400(repo, app, lookups):
+    seed_metadata(repo, 3)
+    status, _, out = request(app, "POST", "/query", query="offset=0&offset=1",
+                             body=b"select ?m where (?m <rel:metadataFor> ?r)")
+    assert status == 400 and b"more than once" in out
     assert lookups == []
 
 
