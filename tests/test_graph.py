@@ -574,3 +574,19 @@ def test_paged_rows_of_a_predicate_order_by_uri():
     query = parse_query("select ?p where (<info:nsdl/nsdl:1> ?p <info:nsdl/nsdl:2>)")
     assert store.query(query, offset=1, limit=2) == [
         (EXT_NS + "follows",), (EXT_NS + "likes",)]
+
+
+def test_unpaged_tied_join_drives_from_its_first_selected_variable():
+    """Both constant clauses have ten triples; the planner drives from the
+    one binding ?r, paged or not, so each ?r's two citers are probed: 10 +
+    10 * 2 + 10 candidates, where driving from ?m would charge 10 + 10 + 10."""
+    store = load_plain_triples(TripleStore(), [
+        triple for m in range(100, 110) for triple in (
+            (f"nsdl:{m}", EXT_NS + "follows", "nsdl:1"),
+            (f"nsdl:{m}", EXT_NS + "cites", f"nsdl:{m + 10}"),
+            (f"nsdl:{m + 100}", EXT_NS + "cites", f"nsdl:{m + 10}"),
+            (f"nsdl:{m + 10}", EXT_NS + "likes", "nsdl:2"))])
+    query = parse_query(JOIN3)
+    assert len(store.query(query, max_candidates=40)) == 10
+    with pytest.raises(LimitExceededError):
+        store.query(query, max_candidates=39)
