@@ -195,7 +195,8 @@ def content_get_gold(repo, pid: str,
             ))
     if not inputs:
         raise NoMetadataError(f"no record describing {pid} can produce nsdl_dc")
-    edges = [
+    # one contributor is its own order, whatever it augments
+    edges = [] if len(inputs) == 1 else [
         (a.pid, b)
         for a in inputs
         for b in repo.graph.objects_of(a.pid, "augments")

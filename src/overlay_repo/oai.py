@@ -39,7 +39,6 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from xml.sax.saxutils import escape
 
 from . import behaviors
 from .errors import (
@@ -58,7 +57,7 @@ from .model import (
     parse_datestamp,
     pid_number,
 )
-from .records import FORMATS, XSI_NS, MetadataRecord, crosswalk, embeddable
+from .records import FORMATS, XSI_NS, MetadataRecord, crosswalk, embeddable, escape
 
 OAI_NS = "http://www.openarchives.org/OAI/2.0/"
 OAI_SCHEMA = "http://www.openarchives.org/OAI/2.0/OAI-PMH.xsd"
@@ -74,7 +73,7 @@ _ROOT_START = (
     f'<OAI-PMH xmlns="{OAI_NS}" xmlns:xsi="{XSI_NS}"'
     f' xsi:schemaLocation="{OAI_NS} {OAI_SCHEMA}">')
 
-_ATTR_ENTITIES = {'"': "&quot;", "\n": "&#10;", "\r": "&#13;", "\t": "&#09;"}
+_ATTR_REFS = (('"', "&quot;"), ("\n", "&#10;"), ("\r", "&#13;"), ("\t", "&#09;"))
 
 # Characters outside XML 1.0's Char production cannot appear in a response.
 _NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
@@ -82,7 +81,11 @@ _NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010fff
 
 def _attr(value: str) -> str:
     """value as a double-quoted attribute value."""
-    return f'"{escape(value, _ATTR_ENTITIES)}"'
+    value = escape(value)
+    for char, ref in _ATTR_REFS:
+        if char in value:
+            value = value.replace(char, ref)
+    return f'"{value}"'
 
 
 _VERB_ARGS = {
@@ -287,8 +290,9 @@ class OaiProvider:
             raise ProtocolError("noRecordsMatch", "selection is empty")
         page = items[:self.page_size]
         out = []
+        brands: dict[str, str] = {}
         for item in page:
-            out += self._record_element(item, format_name, headers_only)
+            out += self._record_element(item, format_name, headers_only, brands)
         if len(items) > len(page):
             expiry = format_datestamp(self.repo.clock() + TOKEN_TTL)
             state = [verb, format_name, set_spec,
@@ -452,8 +456,10 @@ class OaiProvider:
     # ------------------------------------------------------------------
     # record rendering
 
-    def _record_element(self, item: _Item, format_name: str,
-                        headers_only: bool) -> list[bytes]:
+    def _record_element(self, item: _Item, format_name: str, headers_only: bool,
+                        brands: dict[str, str] | None = None) -> list[bytes]:
+        """An item's header or record; brands holds the brand attribute
+        of each provider role the response has read so far."""
         status = ' status="deleted"' if item.deleted else ""
         sets = "".join(f"<setSpec>{spec}</setSpec>" for spec in item.set_specs)
         header = (f"<header{status}><identifier>{escape(self.oai_identifier(item.pid))}"
@@ -466,18 +472,22 @@ class OaiProvider:
         payload = (embeddable(crosswalk(item.source, format_name).xml)
                    if item.describing is None
                    else self.emit_aggregation_record(
-                       item.pid, item.describing, item.resource))
+                       item.pid, item.describing, item.resource, brands))
         return [f"<record>{header}<metadata>".encode("utf-8"),
                 payload, b"</metadata></record>"]
 
     def emit_aggregation_record(self, resource_pid: str,
                                 describing: list[DigitalObject] | None = None,
-                                resource: DigitalObject | None = None) -> bytes:
+                                resource: DigitalObject | None = None,
+                                brands: dict[str, str] | None = None) -> bytes:
         """The resource-centric bundle: every source record with its
         provider's brand, plus the computed gold record (empty when no
         gold can be folded), from the resource object and its describing
         metadata objects, each read unless given. Stored records go in as
-        their own bytes."""
+        their own bytes. brands, the brand attribute of each provider
+        role read so far, gains the roles read here, so a response that
+        passes one dict to all its records reads each role once."""
+        brands = {} if brands is None else brands
         obj = self.repo.get_object(resource_pid) if resource is None else resource
         if describing is None:
             describing = [self.repo.get_object(m) for m in
@@ -487,14 +497,10 @@ class OaiProvider:
         out = [f'<nsdl_agg:nsdl_agg xmlns:nsdl_agg="{AGG_NS}"><nsdl_agg:resource'
                f' handle={_attr(obj.handle or "")} url={_attr(url or "")} />'.encode("utf-8")]
         for m in describing:
-            try:
-                role = behaviors.metadata_get_provider(self.repo, m.pid)
-                label = behaviors.role_get_brand(self.repo, role).label
-            except RepositoryError:
-                label = ""
+            brand = self._provider_brand(m.pid, brands)
             for format_name in m.record_formats():
                 record = behaviors.record_source(m, format_name)
-                out += [f"<nsdl_agg:sourceRecord brand={_attr(label)}"
+                out += [f"<nsdl_agg:sourceRecord brand={brand}"
                         f" format={_attr(format_name)}>".encode("utf-8"),
                         embeddable(record.xml), b"</nsdl_agg:sourceRecord>"]
         try:
@@ -505,6 +511,21 @@ class OaiProvider:
             out.append(b"<nsdl_agg:gold />")
         out.append(b"</nsdl_agg:nsdl_agg>")
         return b"".join(out)
+
+    def _provider_brand(self, metadata_pid: str, brands: dict[str, str]) -> str:
+        """A metadata object's provider's brand label as an attribute
+        value, "" when it has not one provider or that role has no
+        readable brand; a role already in brands is not read again."""
+        try:
+            role = behaviors.metadata_get_provider(self.repo, metadata_pid)
+        except RepositoryError:
+            return _attr("")
+        if role not in brands:
+            try:
+                brands[role] = _attr(behaviors.role_get_brand(self.repo, role).label)
+            except RepositoryError:
+                brands[role] = _attr("")
+        return brands[role]
 
     # ------------------------------------------------------------------
     # envelopes

@@ -17,9 +17,10 @@ import heapq
 import re
 from dataclasses import dataclass
 from datetime import datetime
+from typing import NamedTuple
 from xml.etree import ElementTree as ET
 from xml.parsers import expat
-from xml.sax.saxutils import escape, quoteattr
+from xml.sax.saxutils import quoteattr
 
 from .errors import FormatUnavailableError, ModelIntegrityError, ValidationError
 from .model import pid_sort_key
@@ -43,9 +44,16 @@ DC_ELEMENT_ORDER = (
     "coverage", "rights",
 )
 
+# The gold fold writes elements in DC_ELEMENT_ORDER, then the others by name.
+_ELEMENT_RANK = {name: rank for rank, name in enumerate(DC_ELEMENT_ORDER)}
+
 # Elements where a later record's values replace earlier ones during the
 # gold fold; everything else unions with exact-string dedup.
 GOLD_SINGLE_VALUED = frozenset({"title", "identifier", "date"})
+
+# xsi:type attributes of the qualifiers apply_rules assigns, written once.
+_TYPE_ATTRS = {qualifier: f" xsi:type={quoteattr(qualifier)}"
+               for qualifier in ("dct:W3CDTF", "dct:RFC3066", "dct:DCMIType")}
 
 
 @dataclass(frozen=True)
@@ -74,8 +82,7 @@ class MetadataRecord:
     xml: bytes
 
 
-@dataclass(frozen=True)
-class DcEntry:
+class DcEntry(NamedTuple):
     name: str
     value: str
     xsi_type: str | None = None
@@ -166,6 +173,10 @@ def embeddable(xml: bytes) -> bytes:
     return xml[:name_end] + b' xmlns=""' + xml[name_end:]
 
 
+_DC_TAG = "{%s}" % DC_NS
+_XSI_TYPE = "{%s}type" % XSI_NS
+
+
 def parse_dc_entries(xml: bytes, format_name: str) -> list[DcEntry]:
     """DC elements of a record in a registered DC format, in document order.
 
@@ -181,15 +192,24 @@ def parse_dc_entries(xml: bytes, format_name: str) -> list[DcEntry]:
     if root.tag != f"{{{info.namespace}}}{info.root}":
         raise ValidationError(
             f"root element {root.tag} does not match format {format_name}")
-    qualified = format_name == "nsdl_dc"
-    entries = []
-    for child in root:
-        if child.tag.startswith("{%s}" % DC_NS):
-            name = child.tag.split("}", 1)[1]
-            value = (child.text or "").strip()
-            xsi_type = child.get(f"{{{XSI_NS}}}type") if qualified else None
-            entries.append(DcEntry(name, value, xsi_type))
-    return entries
+    cut, new = len(_DC_TAG), tuple.__new__  # skips DcEntry's Python-level __new__
+    type_attr = _XSI_TYPE if format_name == "nsdl_dc" else None
+    return [new(DcEntry, (child.tag[cut:], (child.text or "").strip(),
+                          type_attr and child.get(type_attr)))
+            for child in root if child.tag.startswith(_DC_TAG)]
+
+
+def escape(text: str) -> str:
+    """text with &, < and > replaced by their entity references, as
+    xml.sax.saxutils.escape writes it; a character text does not hold
+    costs one scan and no copy."""
+    if "&" in text:
+        text = text.replace("&", "&amp;")
+    if "<" in text:
+        text = text.replace("<", "&lt;")
+    if ">" in text:
+        text = text.replace(">", "&gt;")
+    return text
 
 
 def serialize_dc(format_name: str, entries: list[DcEntry]) -> bytes:
@@ -198,22 +218,26 @@ def serialize_dc(format_name: str, entries: list[DcEntry]) -> bytes:
     oai_dc is unqualified, so xsi:type annotations are dropped there;
     nsdl_dc keeps them.
     """
+    return _dc_document(format_name, entries, [])
+
+
+def _dc_document(format_name: str, entries, trailer: list[str]) -> bytes:
+    """The one DC writer: a line per entry, then the trailer lines,
+    inside the format's root element."""
     info = FORMATS[format_name]
     qualified = format_name == "nsdl_dc"
-    decls = (
-        f' xmlns:{info.prefix}="{info.namespace}"'
-        f' xmlns:dc="{DC_NS}"'
-    )
+    decls = f' xmlns:{info.prefix}="{info.namespace}" xmlns:dc="{DC_NS}"'
     if qualified:
         decls += f' xmlns:dct="{DCT_NS}" xmlns:xsi="{XSI_NS}"'
     lines = [f"<{info.prefix}:{info.root}{decls}>"]
-    for entry in entries:
+    for name, value, xsi_type in entries:
         attr = ""
-        if qualified and entry.xsi_type:
-            attr = f" xsi:type={quoteattr(entry.xsi_type)}"
-        lines.append(f"  <dc:{entry.name}{attr}>{escape(entry.value)}</dc:{entry.name}>")
-    lines.append(f"</{info.prefix}:{info.root}>")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+        if qualified and xsi_type:
+            attr = _TYPE_ATTRS.get(xsi_type) or f" xsi:type={quoteattr(xsi_type)}"
+        lines.append(f"  <dc:{name}{attr}>{escape(value)}</dc:{name}>")
+    lines += trailer
+    lines.append(f"</{info.prefix}:{info.root}>\n")
+    return "\n".join(lines).encode("utf-8")
 
 
 # --------------------------------------------------------------------------
@@ -353,8 +377,7 @@ def dc_entries(record: MetadataRecord, to_format: str) -> list[DcEntry]:
 # gold record fold
 
 
-@dataclass(frozen=True)
-class GoldInput:
+class GoldInput(NamedTuple):
     """One contributing record: the asserting metadata object's pid, its
     record datestamp (tie-break), and its parsed nsdl_dc entries."""
 
@@ -405,42 +428,36 @@ def fold_gold(inputs: list[GoldInput],
               augment_edges: list[tuple[str, str]]) -> GoldRecord:
     """Merge contributing records element-wise in augmentation order.
 
-    Single-valued elements (title, identifier, date) are overridden by
-    later records; repeatable elements union with exact-string dedup in
-    first-seen order.
+    Single-valued elements (title, identifier, date) take the values of
+    the last record that has them; repeatable elements union with
+    exact-string dedup in first-seen order. The merged entries and the
+    contributors trailer, inside the root element, are written in one
+    pass.
     """
-    ordered = fold_order(inputs, augment_edges)
-    single: dict[str, list[DcEntry]] = {}
-    repeat: dict[str, list[DcEntry]] = {}
+    ordered = inputs if len(inputs) == 1 else fold_order(inputs, augment_edges)
+    chosen: dict[str, list[DcEntry]] = {}
     seen: dict[str, set[str]] = {}
     for g in ordered:
-        by_name: dict[str, list[DcEntry]] = {}
+        own: dict[str, list[DcEntry]] = {}
         for entry in g.entries:
-            by_name.setdefault(entry.name, []).append(entry)
-        for name, entries in by_name.items():
+            name, value, _ = entry
             if name in GOLD_SINGLE_VALUED:
-                single[name] = entries
-            else:
-                for entry in entries:
-                    if entry.value not in seen.setdefault(name, set()):
-                        seen[name].add(entry.value)
-                        repeat.setdefault(name, []).append(entry)
+                own.setdefault(name, []).append(entry)
+            elif name not in seen:
+                seen[name] = {value}
+                chosen[name] = [entry]
+            elif value not in seen[name]:
+                seen[name].add(value)
+                chosen[name].append(entry)
+        chosen.update(own)
 
-    merged: list[DcEntry] = []
-    names = list(DC_ELEMENT_ORDER) + sorted(
-        (set(single) | set(repeat)) - set(DC_ELEMENT_ORDER))
-    for name in names:
-        merged.extend(single.get(name, ()))
-        merged.extend(repeat.get(name, ()))
+    trailer = ["  <contributors>"]
+    trailer += [f"    <contributor>info:nsdl/{g.pid}</contributor>" for g in ordered]
+    trailer.append("  </contributors>")
+    merged = [entry for name in sorted(chosen, key=_element_key) for entry in chosen[name]]
+    return GoldRecord(_dc_document("nsdl_dc", merged, trailer),
+                      tuple(g.pid for g in ordered))
 
-    contributors = tuple(g.pid for g in ordered)
-    body = serialize_dc("nsdl_dc", merged).decode("utf-8").rstrip("\n")
-    # The contributors trailer rides inside the root element.
-    closing = "</nsdl_dc:nsdl_dc>"
-    assert body.endswith(closing)
-    trailer_lines = ["  <contributors>"]
-    trailer_lines += [
-        f"    <contributor>info:nsdl/{pid}</contributor>" for pid in contributors]
-    trailer_lines.append("  </contributors>")
-    xml = body[: -len(closing)] + "\n".join(trailer_lines) + "\n" + closing + "\n"
-    return GoldRecord(xml.encode("utf-8"), contributors)
+
+def _element_key(name: str) -> tuple[int, str]:
+    return _ELEMENT_RANK.get(name, len(DC_ELEMENT_ORDER)), name

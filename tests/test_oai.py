@@ -743,6 +743,34 @@ def test_aggregation_walk_reads_each_served_resource_once(repo, monkeypatch):
     assert [reads[r] for r in resources] == [1] * len(resources)
 
 
+def test_aggregation_page_reads_each_provider_role_once(repo, monkeypatch):
+    """An nsdl_agg response reads each provider role's BRAND once, however
+    many of the role's records it serves."""
+    brand_of = {}
+    for label in ("North", "South"):
+        for m in seed_metadata(repo, 4, provider_label=label):
+            brand_of[repo.graph.objects_of(m, "metadataFor")[0]] = label
+    roles = {repo.graph.objects_of(m, "providedBy")[0]
+             for r in brand_of for m in behaviors.resource_get_metadata(repo, r)}
+    provider = OaiProvider(repo, repository_id="test.local", page_size=1000)
+    reads = Counter()
+    role_get_brand = behaviors.role_get_brand
+
+    def counting(repo, pid):
+        reads[pid] += 1
+        return role_get_brand(repo, pid)
+
+    monkeypatch.setattr(behaviors, "role_get_brand", counting)
+    response = call(provider, verb="ListRecords", metadataPrefix="nsdl_agg")
+    assert len(roles) == 2 and reads == dict.fromkeys(roles, 1)
+    prefix = provider.oai_identifier("")
+    served = {
+        record.findtext("o:header/o:identifier", namespaces=NS).removeprefix(prefix):
+        [s.get("brand") for s in record.iterfind(".//a:sourceRecord", AGG)]
+        for record in response.iterfind(".//o:record", NS)}
+    assert served == {r: [label] for r, label in brand_of.items()}
+
+
 def test_aggregation_records_via_list(repo, provider):
     labels = load_topology(repo, "augmented_metadata")
     response = call(provider, verb="ListRecords", metadataPrefix="nsdl_agg")

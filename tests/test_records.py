@@ -1,15 +1,24 @@
 """Record pipeline: the validating parse, the normalization pass,
 crosswalks, and the gold-record fold."""
 
+import heapq
 from datetime import datetime, timedelta, timezone
 from xml.etree import ElementTree as ET
+from xml.sax.saxutils import escape, quoteattr
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from overlay_repo.errors import FormatUnavailableError, ModelIntegrityError, ValidationError
 from overlay_repo.harvest import Harvester, ProviderConfig
+from overlay_repo.model import pid_sort_key
 from overlay_repo.records import (
+    DC_ELEMENT_ORDER,
+    DC_NS,
+    DCT_NS,
+    GOLD_SINGLE_VALUED,
+    NSDL_DC_NS,
+    XSI_NS,
     DcEntry,
     GoldInput,
     MetadataRecord,
@@ -374,3 +383,119 @@ def test_fold_deterministic_under_input_permutation():
     edges = [("nsdl:2", "nsdl:1"), ("nsdl:3", "nsdl:1")]
     baseline = fold_gold(inputs, edges)
     assert fold_gold(list(reversed(inputs)), list(reversed(edges))).xml == baseline.xml
+
+
+# The fold and serialization as they stood before the one-pass writer:
+# the reference the fold's bytes are checked against.
+
+def _reference_serialize_dc(entries) -> bytes:
+    lines = [f'<nsdl_dc:nsdl_dc xmlns:nsdl_dc="{NSDL_DC_NS}" xmlns:dc="{DC_NS}"'
+             f' xmlns:dct="{DCT_NS}" xmlns:xsi="{XSI_NS}">']
+    for entry in entries:
+        attr = ""
+        if entry.xsi_type:
+            attr = f" xsi:type={quoteattr(entry.xsi_type)}"
+        lines.append(f"  <dc:{entry.name}{attr}>{escape(entry.value)}</dc:{entry.name}>")
+    lines.append("</nsdl_dc:nsdl_dc>")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _reference_fold_order(inputs, augment_edges):
+    by_pid = {g.pid: g for g in inputs}
+    remaining_preds = {g.pid: set() for g in inputs}
+    augmenters = {g.pid: set() for g in inputs}
+    for a, b in augment_edges:
+        if a in by_pid and b in by_pid and a != b:
+            remaining_preds[a].add(b)
+            augmenters[b].add(a)
+
+    def key(pid):
+        g = by_pid[pid]
+        return (g.datestamp, pid_sort_key(pid))
+
+    ready = [key(p) + (p,) for p, preds in remaining_preds.items() if not preds]
+    heapq.heapify(ready)
+    ordered, done = [], set()
+    while ready:
+        *_, pid = heapq.heappop(ready)
+        if pid in done:
+            continue
+        done.add(pid)
+        ordered.append(by_pid[pid])
+        for follower in augmenters[pid]:
+            remaining_preds[follower].discard(pid)
+            if not remaining_preds[follower]:
+                heapq.heappush(ready, key(follower) + (follower,))
+    if len(ordered) != len(inputs):
+        cycle = sorted(set(by_pid) - done, key=pid_sort_key)
+        raise ModelIntegrityError(
+            f"augmentation cycle involving {', '.join(cycle)}")
+    return ordered
+
+
+def _reference_fold_gold(inputs, augment_edges):
+    ordered = _reference_fold_order(inputs, augment_edges)
+    single, repeat, seen = {}, {}, {}
+    for g in ordered:
+        by_name = {}
+        for entry in g.entries:
+            by_name.setdefault(entry.name, []).append(entry)
+        for name, entries in by_name.items():
+            if name in GOLD_SINGLE_VALUED:
+                single[name] = entries
+            else:
+                for entry in entries:
+                    if entry.value not in seen.setdefault(name, set()):
+                        seen[name].add(entry.value)
+                        repeat.setdefault(name, []).append(entry)
+    merged = []
+    names = list(DC_ELEMENT_ORDER) + sorted(
+        (set(single) | set(repeat)) - set(DC_ELEMENT_ORDER))
+    for name in names:
+        merged.extend(single.get(name, ()))
+        merged.extend(repeat.get(name, ()))
+    contributors = tuple(g.pid for g in ordered)
+    body = _reference_serialize_dc(merged).decode("utf-8").rstrip("\n")
+    closing = "</nsdl_dc:nsdl_dc>"
+    trailer_lines = ["  <contributors>"]
+    trailer_lines += [
+        f"    <contributor>info:nsdl/{pid}</contributor>" for pid in contributors]
+    trailer_lines.append("  </contributors>")
+    xml = body[: -len(closing)] + "\n".join(trailer_lines) + "\n" + closing + "\n"
+    return xml.encode("utf-8"), contributors
+
+
+# Few names and values, so that elements repeat within and across records;
+# names outside DC_ELEMENT_ORDER sort before and after its own.
+_fold_names = st.sampled_from(
+    ("title", "date", "identifier", "subject", "creator", "rights", "abstract", "zone"))
+_fold_text = st.text(alphabet="ab &<>\"'\t\n\r", max_size=4)
+_fold_types = st.one_of(
+    st.none(), st.just(""), st.sampled_from(("dct:W3CDTF", "dct:DCMIType", "dct:URI")),
+    st.text(alphabet="a:\"'&<\t\n", max_size=4))
+_fold_entries = st.lists(st.builds(DcEntry, _fold_names, _fold_text, _fold_types),
+                         max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fold_equals_reference_fold(data):
+    """Gold bytes and contributors equal the reference fold's for records
+    with repeated and unknown elements, values and types that need
+    escaping, and augments chains (a cycle raises the same error)."""
+    numbers = data.draw(st.lists(st.integers(1, 30), min_size=1, max_size=5, unique=True))
+    pids = [f"nsdl:{n}" for n in numbers]
+    inputs = [GoldInput(pid, T0 + timedelta(seconds=data.draw(st.integers(0, 2))),
+                        tuple(data.draw(_fold_entries)))
+              for pid in pids]
+    edges = data.draw(st.lists(st.tuples(st.sampled_from(pids + ["nsdl:99"]),
+                                         st.sampled_from(pids)), max_size=6))
+    try:
+        expected = _reference_fold_gold(inputs, edges)
+    except ModelIntegrityError as exc:
+        with pytest.raises(ModelIntegrityError) as raised:
+            fold_gold(inputs, edges)
+        assert str(raised.value) == str(exc)
+        return
+    gold = fold_gold(inputs, edges)
+    assert (gold.xml, gold.contributors) == expected
