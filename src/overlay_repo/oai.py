@@ -57,7 +57,8 @@ from .model import (
     parse_datestamp,
     pid_number,
 )
-from .records import FORMATS, XSI_NS, MetadataRecord, crosswalk, embeddable, escape
+from .records import (
+    FORMATS, TEXT_REFS, XSI_NS, MetadataRecord, crosswalk, embeddable, escape)
 
 OAI_NS = "http://www.openarchives.org/OAI/2.0/"
 OAI_SCHEMA = "http://www.openarchives.org/OAI/2.0/OAI-PMH.xsd"
@@ -73,7 +74,8 @@ _ROOT_START = (
     f'<OAI-PMH xmlns="{OAI_NS}" xmlns:xsi="{XSI_NS}"'
     f' xsi:schemaLocation="{OAI_NS} {OAI_SCHEMA}">')
 
-_ATTR_REFS = (('"', "&quot;"), ("\n", "&#10;"), ("\r", "&#13;"), ("\t", "&#09;"))
+_ATTR_REFS = TEXT_REFS + (
+    ('"', "&quot;"), ("\n", "&#10;"), ("\r", "&#13;"), ("\t", "&#09;"))
 
 # Characters outside XML 1.0's Char production cannot appear in a response.
 _NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
@@ -81,11 +83,7 @@ _NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010fff
 
 def _attr(value: str) -> str:
     """value as a double-quoted attribute value."""
-    value = escape(value)
-    for char, ref in _ATTR_REFS:
-        if char in value:
-            value = value.replace(char, ref)
-    return f'"{value}"'
+    return f'"{escape(value, _ATTR_REFS)}"'
 
 
 _VERB_ARGS = {
@@ -458,8 +456,6 @@ class OaiProvider:
 
     def _record_element(self, item: _Item, format_name: str, headers_only: bool,
                         brands: dict[str, str] | None = None) -> list[bytes]:
-        """An item's header or record; brands holds the brand attribute
-        of each provider role the response has read so far."""
         status = ' status="deleted"' if item.deleted else ""
         sets = "".join(f"<setSpec>{spec}</setSpec>" for spec in item.set_specs)
         header = (f"<header{status}><identifier>{escape(self.oai_identifier(item.pid))}"
@@ -484,9 +480,8 @@ class OaiProvider:
         provider's brand, plus the computed gold record (empty when no
         gold can be folded), from the resource object and its describing
         metadata objects, each read unless given. Stored records go in as
-        their own bytes. brands, the brand attribute of each provider
-        role read so far, gains the roles read here, so a response that
-        passes one dict to all its records reads each role once."""
+        their own bytes. brands maps each provider role read so far to its
+        brand attribute, so a response reads a role once for all records."""
         brands = {} if brands is None else brands
         obj = self.repo.get_object(resource_pid) if resource is None else resource
         if describing is None:
@@ -497,7 +492,13 @@ class OaiProvider:
         out = [f'<nsdl_agg:nsdl_agg xmlns:nsdl_agg="{AGG_NS}"><nsdl_agg:resource'
                f' handle={_attr(obj.handle or "")} url={_attr(url or "")} />'.encode("utf-8")]
         for m in describing:
-            brand = self._provider_brand(m.pid, brands)
+            try:
+                role = behaviors.metadata_get_provider(self.repo, m.pid)
+                if role not in brands:
+                    brands[role] = _attr(behaviors.role_get_brand(self.repo, role).label)
+                brand = brands[role]
+            except RepositoryError:
+                brand = '""'
             for format_name in m.record_formats():
                 record = behaviors.record_source(m, format_name)
                 out += [f"<nsdl_agg:sourceRecord brand={brand}"
@@ -511,21 +512,6 @@ class OaiProvider:
             out.append(b"<nsdl_agg:gold />")
         out.append(b"</nsdl_agg:nsdl_agg>")
         return b"".join(out)
-
-    def _provider_brand(self, metadata_pid: str, brands: dict[str, str]) -> str:
-        """A metadata object's provider's brand label as an attribute
-        value, "" when it has not one provider or that role has no
-        readable brand; a role already in brands is not read again."""
-        try:
-            role = behaviors.metadata_get_provider(self.repo, metadata_pid)
-        except RepositoryError:
-            return _attr("")
-        if role not in brands:
-            try:
-                brands[role] = _attr(behaviors.role_get_brand(self.repo, role).label)
-            except RepositoryError:
-                brands[role] = _attr("")
-        return brands[role]
 
     # ------------------------------------------------------------------
     # envelopes

@@ -46,14 +46,15 @@ DC_ELEMENT_ORDER = (
 
 # The gold fold writes elements in DC_ELEMENT_ORDER, then the others by name.
 _ELEMENT_RANK = {name: rank for rank, name in enumerate(DC_ELEMENT_ORDER)}
-
 # Elements where a later record's values replace earlier ones during the
 # gold fold; everything else unions with exact-string dedup.
 GOLD_SINGLE_VALUED = frozenset({"title", "identifier", "date"})
-
 # xsi:type attributes of the qualifiers apply_rules assigns, written once.
 _TYPE_ATTRS = {qualifier: f" xsi:type={quoteattr(qualifier)}"
                for qualifier in ("dct:W3CDTF", "dct:RFC3066", "dct:DCMIType")}
+_DC_TAG, _XSI_TYPE = "{%s}" % DC_NS, "{%s}type" % XSI_NS
+# What escape replaces in text, as xml.sax.saxutils.escape does; "&" first.
+TEXT_REFS = (("&", "&amp;"), (">", "&gt;"), ("<", "&lt;"))
 
 
 @dataclass(frozen=True)
@@ -173,10 +174,6 @@ def embeddable(xml: bytes) -> bytes:
     return xml[:name_end] + b' xmlns=""' + xml[name_end:]
 
 
-_DC_TAG = "{%s}" % DC_NS
-_XSI_TYPE = "{%s}type" % XSI_NS
-
-
 def parse_dc_entries(xml: bytes, format_name: str) -> list[DcEntry]:
     """DC elements of a record in a registered DC format, in document order.
 
@@ -199,31 +196,23 @@ def parse_dc_entries(xml: bytes, format_name: str) -> list[DcEntry]:
             for child in root if child.tag.startswith(_DC_TAG)]
 
 
-def escape(text: str) -> str:
-    """text with &, < and > replaced by their entity references, as
-    xml.sax.saxutils.escape writes it; a character text does not hold
-    costs one scan and no copy."""
-    if "&" in text:
-        text = text.replace("&", "&amp;")
-    if "<" in text:
-        text = text.replace("<", "&lt;")
-    if ">" in text:
-        text = text.replace(">", "&gt;")
+def escape(text: str, refs: tuple[tuple[str, str], ...] = TEXT_REFS) -> str:
+    """text with each character of refs replaced by its reference, in
+    order, copying text only for a character it holds."""
+    for char, ref in refs:
+        if char in text:
+            text = text.replace(char, ref)
     return text
 
 
-def serialize_dc(format_name: str, entries: list[DcEntry]) -> bytes:
-    """Deterministic serialization of DC entries under the given root.
+def serialize_dc(format_name: str, entries: list[DcEntry],
+                 trailer: tuple[str, ...] = ()) -> bytes:
+    """Deterministic serialization of DC entries, then the trailer lines,
+    under the given root.
 
     oai_dc is unqualified, so xsi:type annotations are dropped there;
     nsdl_dc keeps them.
     """
-    return _dc_document(format_name, entries, [])
-
-
-def _dc_document(format_name: str, entries, trailer: list[str]) -> bytes:
-    """The one DC writer: a line per entry, then the trailer lines,
-    inside the format's root element."""
     info = FORMATS[format_name]
     qualified = format_name == "nsdl_dc"
     decls = f' xmlns:{info.prefix}="{info.namespace}" xmlns:dc="{DC_NS}"'
@@ -430,9 +419,7 @@ def fold_gold(inputs: list[GoldInput],
 
     Single-valued elements (title, identifier, date) take the values of
     the last record that has them; repeatable elements union with
-    exact-string dedup in first-seen order. The merged entries and the
-    contributors trailer, inside the root element, are written in one
-    pass.
+    exact-string dedup in first-seen order.
     """
     ordered = inputs if len(inputs) == 1 else fold_order(inputs, augment_edges)
     chosen: dict[str, list[DcEntry]] = {}
@@ -451,13 +438,9 @@ def fold_gold(inputs: list[GoldInput],
                 chosen[name].append(entry)
         chosen.update(own)
 
-    trailer = ["  <contributors>"]
-    trailer += [f"    <contributor>info:nsdl/{g.pid}</contributor>" for g in ordered]
-    trailer.append("  </contributors>")
-    merged = [entry for name in sorted(chosen, key=_element_key) for entry in chosen[name]]
-    return GoldRecord(_dc_document("nsdl_dc", merged, trailer),
+    names = sorted(chosen, key=lambda name: (_ELEMENT_RANK.get(name, len(_ELEMENT_RANK)), name))
+    merged = [entry for name in names for entry in chosen[name]]
+    trailer = ("  <contributors>", *(f"    <contributor>info:nsdl/{g.pid}</contributor>"
+                                     for g in ordered), "  </contributors>")
+    return GoldRecord(serialize_dc("nsdl_dc", merged, trailer),
                       tuple(g.pid for g in ordered))
-
-
-def _element_key(name: str) -> tuple[int, str]:
-    return _ELEMENT_RANK.get(name, len(DC_ELEMENT_ORDER)), name
