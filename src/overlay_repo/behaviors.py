@@ -296,7 +296,7 @@ OPERATIONS: dict[str, tuple[str, Operation]] = {
     "showContent": ("Content", lambda repo, pid, params: content_show_content(
         repo, pid)),
     "getGold": ("Content", lambda repo, pid, params: Representation(
-        records.RECORD_MEDIA_TYPE, content_get_gold(repo, pid).xml)),
+        records.RECORD_MEDIA_TYPE, repo.gold(pid))),
     "getBrand": ("Role", _op_get_brand),
     "listMembers": ("Aggregator", lambda repo, pid, params: _uri_list(
         aggregator_list_members(repo, pid, *paging(params)))),

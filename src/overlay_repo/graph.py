@@ -5,8 +5,13 @@ Each object asserts relationships about itself in its RELS datastream
 merged into one graph keyed by provenance, indexed by object, predicate,
 (subject, predicate) and (predicate, object) only (the orderings that the
 queries probe; cf. Weiss et al., "Hexastore", VLDB 2008), and queried
-with conjunctive triple patterns. The graph holds what it is given: the
-repository checks each fragment against the base ontology before it lands.
+with conjunctive triple patterns. An index bucket of two or more triples
+is a list kept in row order (Triple.sort_key) by the write that changes
+it, under the store's lock, as the sorted indexes of Neumann and Weikum
+("RDF-3X", VLDB 2008) are, so the pids of a bucket's one unbound position
+are read in pid order without a sort. The graph holds what it is given:
+the repository checks each fragment against the base ontology before it
+lands.
 
 A query is planned before it runs. The clauses are ordered greedily, the
 access-path choice of Selinger et al. (SIGMOD 1979): first a clause that
@@ -25,24 +30,26 @@ its own in the one array of values that all stages share, so no binding
 is copied, and a consumer that stops pulling stops the whole evaluation.
 A page (a limit, from an offset) of a query whose first step binds just
 the first selected variable is read in row order, the interesting order
-of Selinger et al. and the order-preserving scans of Neumann and Weikum
-("RDF-3X", VLDB 2008): the first step's bucket is read in full, charged
-and sorted, the other steps run per value in that order, and evaluation
-stops once the rows of the values before the next fill offset + limit.
-Such a page costs the bucket plus the probes of the values up to its end,
-not O(result). Any other query finds all its distinct rows and sorts
-them before the page is cut. A caller may cap the rows and the triples
-the steps scan (a lookup's whole bucket, even where a bound subject and
-object filter it); evaluation stops with ``LimitExceededError`` as soon
-as a cap is passed, so refusing a query costs O(cap), not O(result). A
-page and its whole query share one plan, so a page read in row order
-makes its whole query's probes for the values it reaches and is never
-refused where its whole query is not.
+of Selinger et al. and the order-preserving scans of Neumann and Weikum:
+the first step's bucket is charged in full and read in its own order (a
+predicate column alone is sorted, by URI), the other steps run per value
+in that order, and evaluation stops once the rows of the values before
+the next fill offset + limit. Such a page is charged the bucket and
+costs the probes of the values up to its end, not O(result). Any other
+query finds all its distinct rows and sorts them before the page is cut.
+A caller may cap the rows and the triples the steps scan (a lookup's
+whole bucket, even where a bound subject and object filter it);
+evaluation stops with ``LimitExceededError`` as soon as a cap is passed,
+so refusing a query costs O(cap), not O(result). A page and its whole
+query share one plan, so a page read in row order makes its whole
+query's probes for the values it reaches and is never refused where its
+whole query is not.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 from itertools import chain
@@ -53,7 +60,7 @@ from . import ontology
 from .errors import LimitExceededError, QueryParseError, ValidationError
 from .model import (
     INFO_URI_PREFIX, RELS_DS, RELS_MEDIA_TYPE, Datastream, is_pid, pid_sort_key,
-    pid_sorted, representation_uri)
+    representation_uri)
 from .ontology import BASE_NAMESPACE, Predicate, predicate, predicate_from_uri
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -217,8 +224,11 @@ class TripleStore:
     repository's serialized write path; an internal lock additionally
     keeps every read a consistent point-in-time view of the graph.
 
-    A bucket of one triple, as most are, is a 1-tuple, a set from two on;
-    the store itself, its _by_p buckets read in turn, is the bucket of all.
+    A bucket of one triple, as most are, is a 1-tuple, a list from two on,
+    in Triple.sort_key order and changed only under the lock: an insert
+    appends when its triple sorts last, as every insert on open does
+    (objects arrive in pid order), and bisects otherwise. The store
+    itself, its _by_p buckets read in turn, is the bucket of all.
     """
 
     def __init__(self):
@@ -240,11 +250,15 @@ class TripleStore:
     # -- mutation
 
     def replace_triples(self, pid: str, triples: list[Triple]) -> None:
-        """Make triples, each with subject pid, all that pid asserts."""
+        """Make triples, each with subject pid, all that pid asserts. A pid
+        that re-asserts what it holds, in the same order, touches no bucket."""
+        unique = tuple(dict.fromkeys(triples))
         with self._mutex:
+            if self._by_provenance.get(pid, ()) == unique:
+                return
             self.retract(pid)
-            if triples:
-                self._by_provenance[pid] = unique = tuple(dict.fromkeys(triples))
+            if unique:
+                self._by_provenance[pid] = unique
                 for t in unique:
                     self._insert(t)
 
@@ -280,24 +294,31 @@ class TripleStore:
                 (self._by_po, (t.predicate, t.object)))
 
     def _insert(self, t: Triple) -> None:
-        for index, key in self._keys(t):
-            bucket = index.get(key)
+        key = t.sort_key()
+        for index, k in self._keys(t):
+            bucket = index.get(k)
             if bucket is None:
-                index[key] = (t,)
-            elif type(bucket) is set:
-                bucket.add(t)
-            elif bucket[0] != t:
-                index[key] = {bucket[0], t}
+                index[k] = (t,)
+            elif type(bucket) is tuple:
+                index[k] = [*bucket, t] if bucket[0].sort_key() < key else [t, *bucket]
+            elif bucket[-1].sort_key() < key:  # as every insert on open
+                bucket.append(t)
+            else:
+                bucket.insert(bisect_left(bucket, key, key=Triple.sort_key), t)
 
     def _remove(self, t: Triple) -> None:
-        for index, key in self._keys(t):
-            bucket = index.get(key)
-            if type(bucket) is set:
-                bucket.discard(t)
-                if len(bucket) == 1:
-                    index[key] = tuple(bucket)
-            elif bucket == (t,):
-                del index[key]
+        key = t.sort_key()
+        for index, k in self._keys(t):
+            bucket = index[k]
+            if type(bucket) is tuple:
+                del index[k]
+                continue
+            at = bisect_left(bucket, key, key=Triple.sort_key)
+            while bucket[at] is not t:
+                at += 1
+            del bucket[at]
+            if len(bucket) == 1:
+                index[k] = (bucket[0],)
 
     # -- reads
 
@@ -335,18 +356,17 @@ class TripleStore:
         return self if p is None else self._by_p.get(p, _EMPTY)
 
     def subjects_of(self, predicate_name: str, obj: str) -> list[str]:
-        """Sorted subjects s with (s, base:predicate, obj); the inverse-
-        relation query behind listMembers-style operations."""
+        """Subjects s with (s, base:predicate, obj), in pid order; the
+        inverse-relation query behind listMembers-style operations."""
         pred = ontology.base_predicate(predicate_name)
         with self._mutex:
-            found = [t.subject for t in self._by_po.get((pred, obj), ())]
-        return found if len(found) < 2 else pid_sorted(found)
+            return [t.subject for t in self._by_po.get((pred, obj), ())]
 
     def objects_of(self, subj: str, predicate_name: str) -> list[str]:
+        """Objects o with (subj, base:predicate, o), in pid order."""
         pred = ontology.base_predicate(predicate_name)
         with self._mutex:
-            found = [t.object for t in self._by_sp.get((subj, pred), ())]
-        return found if len(found) < 2 else pid_sorted(found)
+            return [t.object for t in self._by_sp.get((subj, pred), ())]
 
     def query(self, pattern: QueryPattern, row_cap: int | None = None,
               max_candidates: int | None = None, offset: int = 0,
@@ -478,7 +498,11 @@ class TripleStore:
             selected variable, in row order, until the rows of the values
             before the next fill the page."""
             probe, get, slot, _, _, wide = step
-            for values[slot] in _column_sorted(list(map(get, matches_of(probe, wide)))):
+            # a pid column is the bucket's own order; a bound subject and
+            # object leave the predicate column, ordered by URI
+            column = map(get, matches_of(probe, wide))
+            for values[slot] in (sorted(column, key=attrgetter("uri")) if wide
+                                 else column):
                 if len(rows) >= offset + limit:
                     return
                 yield
@@ -511,15 +535,6 @@ def _render(value) -> str:
 
 def _row_key(row: tuple) -> list:
     return [v.uri if isinstance(v, Predicate) else pid_sort_key(v) for v in row]
-
-
-def _column_sorted(values: list) -> list:
-    """The values of one column in _row_key's order, by C-level sorts: a
-    key function called per value takes five times as long, about half
-    the cost of a page that stops early."""
-    if values and isinstance(values[0], Predicate):
-        return sorted(values, key=attrgetter("uri"))
-    return pid_sorted(values)
 
 
 # --------------------------------------------------------------------------

@@ -69,7 +69,7 @@ from .model import (
     pid_sorted,
     utcnow_seconds,
 )
-from .behaviors import ALIASES, OPERATIONS
+from .behaviors import ALIASES, OPERATIONS, content_get_gold
 from .ontology import check_triple, satisfies_type
 from .records import check_record
 
@@ -137,6 +137,7 @@ class Repository:
         self._stamps: list[tuple[datetime, int]] = []  # (last_modified, pid number), sorted
         self._aggregators: set[str] = set()  # active
         self._format_counts: dict[str, int] = {}  # REC.<format> streams, active objects
+        self._golds: dict[str, bytes] = {}  # resource pid -> gold record, filled by gold()
         self.graph = TripleStore()
         if self.data_dir is not None:
             self._open_data_dir()
@@ -321,6 +322,18 @@ class Repository:
         with self._lock:
             self.graph.rebuild(
                 (o.pid, o.rels()) for o in self.objects() if o.state == "active")
+            self._golds.clear()
+
+    def gold(self, pid: str) -> bytes:
+        """The gold record of pid, a live Content object, folded by
+        behaviors.content_get_gold on the first call after a write to its
+        inputs and kept until the next (_commit drops it); a fold that
+        fails is not kept."""
+        with self._lock:
+            xml = self._golds.get(pid)
+            if xml is None:
+                xml = self._golds[pid] = content_get_gold(self, pid).xml
+            return xml
 
     def validate_graph(self) -> list[str]:
         """Domain/range violations across the whole joined graph; the
@@ -420,7 +433,16 @@ class Repository:
             else:
                 self._pids.append(obj.pid)
         self._objects[obj.pid] = obj
+        # A gold reads only its resource's describing objects (their
+        # records, stamps and augments edges): drop obj's own and those of
+        # the resources obj describes, before this write and after it.
+        stale = ({obj.pid, *self.graph.objects_of(obj.pid, "metadataFor")}
+                 if self._golds else None)
         self.graph.replace_triples(obj.pid, triples)
+        if stale:
+            stale.update(self.graph.objects_of(obj.pid, "metadataFor"))
+            for pid in stale:
+                self._golds.pop(pid, None)
         self._index(obj, old, number)
 
     def _index(self, obj: DigitalObject, old: DigitalObject | None, number: int) -> None:
@@ -444,9 +466,12 @@ class Repository:
         # a tombstone holds no key: it has no streams
         for index, key_of in ((self._content_by_url, _content_url),
                               (self._sources, _source_key)):
-            if old is not None and (key := key_of(old)) is not None:
-                _hold(index, key, old.pid, False)
-            if (key := key_of(obj)) is not None:
+            key = key_of(obj)
+            if obj.pid in _holders(index, key):
+                continue  # then old held key too: nothing moves
+            if old is not None and (old_key := key_of(old)) is not None:
+                _hold(index, old_key, old.pid, False)
+            if key is not None:
                 _hold(index, key, obj.pid, True)
 
     def _absorb(self, obj: DigitalObject, number: int) -> None:
@@ -530,10 +555,14 @@ def _checked(obj: DigitalObject, rels: ET.Element | None = None,
     return obj.with_datastream(rels_stream(obj.pid, triples)), triples
 
 
+def _holders(index: dict, key) -> tuple[str, ...]:
+    held = index.get(key, ())
+    return (held,) if isinstance(held, str) else held
+
+
 def _hold(index: dict, key, pid: str, holds: bool) -> None:
     """Add pid to, or drop it from, the holders of key in index."""
-    held = index.get(key, ())
-    holders = [h for h in ((held,) if isinstance(held, str) else held) if h != pid]
+    holders = [h for h in _holders(index, key) if h != pid]
     if holds:
         holders = pid_sorted(holders + [pid])
     if not holders:

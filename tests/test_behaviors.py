@@ -1,6 +1,10 @@
 """Content-model operations over the canned topologies."""
 
+import sys
+import threading
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from overlay_repo import behaviors
 from overlay_repo.errors import (
@@ -18,6 +22,7 @@ from overlay_repo.records import parse_dc_entries
 from overlay_repo.store import Repository
 
 from support import (
+    TickingClock,
     load_topology,
     nsdl_dc_record,
     oai_dc_record,
@@ -342,6 +347,122 @@ def test_gold_skips_unfoldable_formats(repo):
                edges=[("metadataFor", resource)])
     with pytest.raises(NoMetadataError):
         behaviors.content_get_gold(repo, resource)
+
+
+def test_get_gold_folds_once_per_write_to_its_inputs(repo, augmented, xml_work):
+    resource = augmented["resource"]
+    first = repo.disseminate(resource, "getGold").body
+    assert xml_work["dc_parses"] == 2
+    assert repo.disseminate(resource, "getGold").body == first
+    assert xml_work["dc_parses"] == 2
+    describing = repo.get_object(augmented["augmenting_record"])
+    repo.put_object(describing)
+    assert repo.disseminate(resource, "getGold").body \
+        == behaviors.content_get_gold(repo, resource).xml
+    assert xml_work["dc_parses"] == 6  # the fold served, then the fresh one
+
+
+def test_kept_golds_hold_under_concurrent_writes(repo, augmented):
+    """Readers that fill the gold map while writers replace the describing
+    records leave only golds equal to a fresh fold."""
+    resource = augmented["resource"]
+    describing = [augmented["base_record"], augmented["augmenting_record"]]
+    errors = []
+
+    def writer(n):
+        try:
+            for i in range(40):
+                obj = repo.get_object(describing[(n + i) % 2])
+                repo.put_object(obj.with_datastream(record_stream(
+                    "nsdl_dc", nsdl_dc_record(("title", f"T{n}.{i}")))))
+        except Exception as exc:  # pragma: no cover - failure reporting
+            errors.append(exc)
+
+    def reader():
+        try:
+            for _ in range(100):
+                repo.disseminate(resource, "getGold")
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer, args=(n,)) for n in range(2)]
+        threads += [threading.Thread(target=reader) for _ in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    for pid, xml in repo._golds.items():
+        assert xml == behaviors.content_get_gold(repo, pid).xml
+    assert repo.disseminate(resource, "getGold").body \
+        == behaviors.content_get_gold(repo, resource).xml
+
+
+# one write or getGold each: (op, which, *args); writes are lenient, so
+# that edges to deleted objects stay
+_GOLD_OPS = st.lists(st.one_of(
+    st.tuples(st.just("put"), st.integers(0, 3),
+              st.lists(st.integers(0, 2), max_size=2),  # metadataFor resources
+              st.lists(st.integers(0, 3), max_size=2),  # augments metadata
+              st.sampled_from(["nsdl_dc", "oai_dc", "marcxml"])),
+    st.tuples(st.just("delete"), st.integers(0, 3)),
+    st.tuples(st.just("restore"), st.integers(0, 3), st.integers(0, 9)),
+    st.tuples(st.just("touch"), st.integers(0, 2)),
+    st.tuples(st.just("gold"), st.integers(0, 2)),
+    st.tuples(st.just("rebuild"), st.just(0)),
+), max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_GOLD_OPS)
+def test_kept_golds_equal_fresh_folds(ops):
+    """After any sequence of puts, deletes and restores of metadata, of
+    its metadataFor and augments edges and of resources, every gold the
+    repository keeps equals a fresh fold, and getGold answers as one."""
+    repo = Repository(clock=TickingClock())
+    resources = [put_object(repo, {"Content"}) for _ in range(3)]
+    metadata = [repo.mint_pid() for _ in range(4)]
+    versions = {m: [] for m in metadata}
+    for n, (op, at, *args) in enumerate(ops):
+        if op == "put":
+            described, augmented, format_name = args
+            record = {"nsdl_dc": nsdl_dc_record, "oai_dc": oai_dc_record}.get(
+                format_name, lambda *entries: b"<record/>")(("title", f"T{n}"))
+            put_object(repo, {"Metadata"}, pid=metadata[at], strict=False,
+                       streams=[record_stream(format_name, record)],
+                       edges=[("metadataFor", resources[r]) for r in described]
+                       + [("augments", metadata[m]) for m in augmented])
+            versions[metadata[at]].append(repo.get_object(metadata[at]))
+        elif op == "delete" and versions[metadata[at]]:
+            repo.delete_object(metadata[at])
+        elif op == "restore" and versions[metadata[at]]:
+            kept = versions[metadata[at]]
+            repo.restore_object(kept[args[0] % len(kept)], strict=False)
+        elif op == "touch":
+            repo.put_object(repo.get_object(resources[at]))
+        elif op == "gold":
+            try:
+                repo.disseminate(resources[at], "getGold")
+            except RepositoryError:
+                pass
+        elif op == "rebuild":
+            repo.rebuild_graph()
+        for pid, xml in repo._golds.items():
+            assert xml == behaviors.content_get_gold(repo, pid).xml
+    for resource in resources:
+        try:
+            fresh = behaviors.content_get_gold(repo, resource).xml
+        except RepositoryError as exc:
+            with pytest.raises(type(exc)):
+                repo.disseminate(resource, "getGold")
+        else:
+            assert repo.disseminate(resource, "getGold").body == fresh
 
 
 # -- aggregations

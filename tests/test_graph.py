@@ -20,6 +20,7 @@ from overlay_repo.graph import (
     parse_rels,
     serialize_rels,
 )
+from overlay_repo.model import pid_sorted
 from overlay_repo.ontology import BASE_NAMESPACE, Predicate, base_predicate
 
 from support import (
@@ -590,3 +591,59 @@ def test_unpaged_tied_join_drives_from_its_first_selected_variable():
     assert len(store.query(query, max_candidates=40)) == 10
     with pytest.raises(LimitExceededError):
         store.query(query, max_candidates=39)
+
+
+# -- index buckets
+
+# pids of one to three digits, whose text order is not their pid order
+_BUCKET_POOL = ["nsdl:1", "nsdl:2", "nsdl:9", "nsdl:10", "nsdl:11", "nsdl:99",
+                "nsdl:100", "nsdl:101"]
+_BUCKET_PIDS = st.sampled_from(_BUCKET_POOL)
+_BUCKET_PREDICATES = (base_predicate("memberOf"), base_predicate("metadataFor"),
+                      Predicate(EXT_NS, "links"))
+_STORE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("replace"), _BUCKET_PIDS, st.lists(st.tuples(
+        st.integers(0, len(_BUCKET_PREDICATES) - 1), _BUCKET_PIDS), max_size=6)),
+    st.tuples(st.just("retract"), _BUCKET_PIDS),
+), max_size=30)
+_BUCKET_KEYS = {
+    "_by_o": lambda t: t.object,
+    "_by_p": lambda t: t.predicate,
+    "_by_sp": lambda t: (t.subject, t.predicate),
+    "_by_po": lambda t: (t.predicate, t.object),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_STORE_OPS)
+def test_buckets_hold_their_triples_in_row_order(ops):
+    """After any replace_triples and retract sequence, each bucket holds
+    exactly its matching triples in Triple.sort_key order, as a 1-tuple
+    exactly when it holds one, and subjects_of and objects_of answer in
+    pid order what a scan of all the triples finds."""
+    store, asserted = TripleStore(), {}
+    for op, pid, *edges in ops:
+        if op == "replace":
+            triples = [Triple(pid, _BUCKET_PREDICATES[p], o, provenance=pid)
+                       for p, o in edges[0]]
+            store.replace_triples(pid, triples)
+            asserted[pid] = set(triples)
+        else:
+            store.retract(pid)
+            asserted.pop(pid, None)
+    everything = sorted(set().union(*asserted.values()), key=Triple.sort_key)
+    for name, key_of in _BUCKET_KEYS.items():
+        expected = {}
+        for t in everything:
+            expected.setdefault(key_of(t), []).append(t)
+        index = getattr(store, name)
+        assert {key: list(bucket) for key, bucket in index.items()} == expected, name
+        for bucket in index.values():
+            assert type(bucket) is (tuple if len(bucket) == 1 else list)
+    for name in ("memberOf", "metadataFor"):
+        pred = base_predicate(name)
+        for pid in _BUCKET_POOL:
+            assert store.subjects_of(name, pid) == pid_sorted(
+                t.subject for t in everything if t.predicate == pred and t.object == pid)
+            assert store.objects_of(pid, name) == pid_sorted(
+                t.object for t in everything if t.predicate == pred and t.subject == pid)

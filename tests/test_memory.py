@@ -19,9 +19,10 @@ from support import EXT_NS, START, TickingClock, put_object, record_stream
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "data_dir"
 INDEXES = ("_by_provenance", "_by_o", "_by_p", "_by_sp", "_by_po")
-# Measured at 512 B per triple on CPython 3.11.7, 968 B when every bucket
-# was a set and a set of all triples was kept besides.
-BYTES_PER_TRIPLE_BOUND = 560
+# Measured at 366 B per triple on CPython 3.11.7 with buckets of two or
+# more triples as lists in row order; 512 B when they were sets, 968 B when
+# a set of all triples was kept besides.
+BYTES_PER_TRIPLE_BOUND = 400
 
 
 def corpus_fragments(resources=1830):

@@ -629,6 +629,32 @@ def _source_stream(oai_id):
 END = datetime(9999, 1, 1, tzinfo=timezone.utc)
 
 
+def test_a_write_parses_its_source_once(repo, monkeypatch):
+    """A write parses the written object's SOURCE document, and the old
+    version's only when the key moves: a pid that already holds the new
+    key held it by the old version."""
+    parsed = []
+    original = parse_source_doc
+
+    def counting(payload):
+        parsed.append(payload)
+        return original(payload)
+
+    monkeypatch.setattr("overlay_repo.store.parse_source_doc", counting)
+    marc = record_stream("marcxml", b"<r/>")
+    pid = put_object(repo, {"Metadata"}, streams=[marc, _source_stream("oai:1")])
+    assert len(parsed) == 1
+    for _ in range(3):
+        repo.put_object(repo.get_object(pid))
+    assert len(parsed) == 4
+    put_object(repo, {"Metadata"}, streams=[marc, _source_stream("oai:2")], pid=pid)
+    assert len(parsed) == 6  # the new key and the old, which is dropped
+    assert (repo.source_pid("p", "oai:1"), repo.source_pid("p", "oai:2")) == (None, pid)
+    repo.delete_object(pid)
+    assert len(parsed) == 7
+    assert repo.source_pid("p", "oai:2") is None
+
+
 def test_index_holds_under_concurrent_writes(repo):
     """Writers that create, re-put and delete while readers take windows
     leave the kept index equal to one recomputed from the object table."""
