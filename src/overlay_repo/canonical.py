@@ -21,8 +21,8 @@ Tombstones serialize as an empty root element with state="deleted". This
 module only converts: import parses the document once and hands the
 parsed rdf:RDF element over as it is, not written back to bytes; the
 repository's one record check (store._checked) validates the object and
-reads that element into triples and canonical RELS bytes, once, on write
-and on open; export emits the fragment as stored.
+reads that element into triples, once, on write and on open; export
+writes the fragment from the triples the repository's graph holds.
 """
 
 from __future__ import annotations
@@ -33,9 +33,11 @@ from xml.etree import ElementTree as ET
 from xml.sax.saxutils import quoteattr
 
 from .errors import ValidationError
+from .graph import Triple, serialize_rels
 from .model import (
     BEHAVIOR_NAMES,
     RELS_DS,
+    RELS_IN_GRAPH,
     Datastream,
     DigitalObject,
     format_datestamp,
@@ -62,7 +64,8 @@ def start_tag(name: str, obj: DigitalObject) -> str:
     return "<" + name + _render_attrs(attrs)
 
 
-def export_object(obj: DigitalObject) -> bytes:
+def export_object(obj: DigitalObject, triples: list[Triple] | None = None) -> bytes:
+    """obj's document; triples are its relationships if it holds RELS_IN_GRAPH."""
     head = start_tag("digitalObject", obj)
     if obj.state == "deleted":
         return (_XML_DECL + head + "/>\n").encode("utf-8")
@@ -71,7 +74,8 @@ def export_object(obj: DigitalObject) -> bytes:
     rels_payload = None
     for ds in sorted(obj.datastreams, key=lambda d: d.ds_id):
         if ds.ds_id == RELS_DS:
-            rels_payload = ds.payload
+            rels_payload = (serialize_rels(obj.pid, triples)
+                             if ds is RELS_IN_GRAPH else ds.payload)
             continue
         ds_attrs = [("dsId", ds.ds_id), ("kind", ds.kind), ("mediaType", ds.media_type)]
         if ds.kind == "remote":
@@ -84,24 +88,24 @@ def export_object(obj: DigitalObject) -> bytes:
     for name in sorted(obj.behaviors):
         lines.append("  <behavior" + _render_attrs([("name", name)]) + "/>")
     if rels_payload is not None:
-        lines.append("  <rels>")
-        for raw in rels_payload.decode("utf-8").splitlines():
-            lines.append("    " + raw if raw else "")
-        lines.append("  </rels>")
+        lines += ["  <rels>", *("    " + raw if raw else ""
+                                for raw in rels_payload.decode("utf-8").splitlines()),
+                  "  </rels>"]
     lines.append("</digitalObject>")
     return (_XML_DECL + "\n".join(lines) + "\n").encode("utf-8")
 
 
 def import_object(doc: bytes, shared: dict[str, str] | None = None,
                   ) -> tuple[DigitalObject, ET.Element | None]:
-    """Parse a canonical document into a DigitalObject without its RELS
-    stream, and the rdf:RDF element that <rels> wraps (None without one).
+    """Parse a canonical document into a DigitalObject, with RELS_IN_GRAPH
+    as its RELS stream, and the rdf:RDF element that <rels> wraps (None,
+    and no RELS stream, without one).
     The pid, state, stream ids and media types come from shared, a table
     of the strings read so far that a caller opening many documents keeps.
 
     Malformed documents are rejected with the offending element named.
     Neither the object nor the element is checked: the repository's write
-    and open paths check both, and turn the element into the RELS stream.
+    and open paths check both, and put the element's triples in the graph.
     """
     try:
         root = ET.fromstring(doc)
@@ -130,6 +134,7 @@ def import_object(doc: bytes, shared: dict[str, str] | None = None,
             if len(rdf) != 1 or (rdf[0].tail or "").strip(" \t\r\n"):
                 raise ValidationError(f"{pid}: rels must wrap one rdf:RDF element")
             rels = rdf[0]
+            datastreams.append(RELS_IN_GRAPH)
         else:
             raise ValidationError(f"{pid}: unexpected element {child.tag!r}")
 

@@ -82,9 +82,7 @@ class Triple:
     provenance: str = ""
 
     def sort_key(self):
-        return (
-            pid_sort_key(self.subject), self.predicate, pid_sort_key(self.object),
-        )
+        return pid_sort_key(self.subject), self.predicate, pid_sort_key(self.object)
 
 
 @dataclass(frozen=True)
@@ -102,11 +100,7 @@ class QueryPattern:
     def validate(self) -> None:
         if not (self.clauses and self.select):
             raise QueryParseError("a query needs a clause and a selected variable")
-        seen: set[str] = set()
-        for s, p, o in self.clauses:
-            for term in (s, p, o):
-                if isinstance(term, Var):
-                    seen.add(term.name)
+        seen = {t.name for clause in self.clauses for t in clause if isinstance(t, Var)}
         missing = [v for v in self.select if v not in seen]
         if missing:
             raise QueryParseError(
@@ -125,7 +119,7 @@ def parse_rels(pid: str, fragment: bytes | ET.Element,
 
     The fragment must be RDF/XML with at most one rdf:Description, about
     the owning object; every property needs an rdf:resource pointing at
-    another object's info URI.
+    another object's info URI. A repeated property is one triple.
     """
     if isinstance(fragment, ET.Element):
         root = fragment
@@ -169,7 +163,7 @@ def parse_rels(pid: str, fragment: bytes | ET.Element,
         # Namespaces split by ElementTree lose their trailing separator.
         sep = "" if ns.endswith(("#", "/")) else "#"
         triples.append(Triple(pid, predicate(ns + sep, name), obj, provenance=pid))
-    return triples
+    return list(dict.fromkeys(triples))
 
 
 def serialize_rels(pid: str, triples: Iterable[Triple]) -> bytes:
@@ -219,15 +213,16 @@ def rels_stream(pid: str, triples: Iterable[Triple]) -> Datastream:
 class TripleStore:
     """In-memory joined graph with per-provenance replacement semantics.
 
-    The index is always rebuildable from the objects' RELS datastreams;
-    it is never persisted on its own. Mutations arrive only through the
-    repository's serialized write path; an internal lock additionally
-    keeps every read a consistent point-in-time view of the graph.
+    It is the one resident copy of the relationships; the records'
+    RELS fragments, read again, rebuild it, and it is never persisted on
+    its own. Mutations arrive only through the repository's serialized
+    write path; an internal lock additionally keeps every read a
+    consistent point-in-time view of the graph.
 
     A bucket of one triple, as most are, is a 1-tuple, a list from two on,
-    in Triple.sort_key order and changed only under the lock: an insert
-    appends when its triple sorts last, as every insert on open does
-    (objects arrive in pid order), and bisects otherwise. The store
+    in Triple.sort_key order and changed only under the lock: the triples
+    of a pid past every subject held (each pid on open, as objects arrive
+    in pid order) are appended in row order, others bisected in. The store
     itself, its _by_p buckets read in turn, is the bucket of all.
     """
 
@@ -239,6 +234,7 @@ class TripleStore:
         self._by_p: dict[Predicate, Collection[Triple]] = {}
         self._by_sp: dict[tuple[str, Predicate], Collection[Triple]] = {}
         self._by_po: dict[tuple[Predicate, str], Collection[Triple]] = {}
+        self._top = (0, "")  # pid_sort_key of the largest subject ever held
 
     def __len__(self) -> int:
         with self._mutex:
@@ -251,7 +247,9 @@ class TripleStore:
 
     def replace_triples(self, pid: str, triples: list[Triple]) -> None:
         """Make triples, each with subject pid, all that pid asserts. A pid
-        that re-asserts what it holds, in the same order, touches no bucket."""
+        that re-asserts what it holds, in the same order, touches no bucket.
+        A pid past every subject held so far, as each of an open is, puts
+        its triples, in row order, last in their buckets, unchecked."""
         unique = tuple(dict.fromkeys(triples))
         with self._mutex:
             if self._by_provenance.get(pid, ()) == unique:
@@ -259,8 +257,10 @@ class TripleStore:
             self.retract(pid)
             if unique:
                 self._by_provenance[pid] = unique
-                for t in unique:
-                    self._insert(t)
+                last = pid_sort_key(pid) > self._top
+                self._top = max(self._top, pid_sort_key(pid))
+                for t in sorted(unique, key=Triple.sort_key) if last else unique:
+                    self._insert(t, last)
 
     def retract(self, pid: str) -> None:
         """Drop every triple asserted by pid."""
@@ -284,24 +284,24 @@ class TripleStore:
                 raise ValidationError(f"rebuild aborted at {pid}: {exc}")
             rebuilt.replace_triples(pid, triples)
         with self._mutex:
-            state = dict(rebuilt.__dict__)
-            state["_mutex"] = self._mutex
-            self.__dict__.update(state)
+            self.__dict__.update({**rebuilt.__dict__, "_mutex": self._mutex})
 
     def _keys(self, t: Triple):
         return ((self._by_o, t.object), (self._by_p, t.predicate),
                 (self._by_sp, (t.subject, t.predicate)),
                 (self._by_po, (t.predicate, t.object)))
 
-    def _insert(self, t: Triple) -> None:
-        key = t.sort_key()
+    def _insert(self, t: Triple, last: bool) -> None:
+        """Put t in its buckets; last: it sorts after every triple held."""
+        key = None if last else t.sort_key()
         for index, k in self._keys(t):
             bucket = index.get(k)
             if bucket is None:
                 index[k] = (t,)
             elif type(bucket) is tuple:
-                index[k] = [*bucket, t] if bucket[0].sort_key() < key else [t, *bucket]
-            elif bucket[-1].sort_key() < key:  # as every insert on open
+                index[k] = ([*bucket, t] if last or bucket[0].sort_key() < key
+                            else [t, *bucket])
+            elif last or bucket[-1].sort_key() < key:
                 bucket.append(t)
             else:
                 bucket.insert(bisect_left(bucket, key, key=Triple.sort_key), t)
@@ -528,9 +528,7 @@ class TripleStore:
 
 
 def _render(value) -> str:
-    if isinstance(value, Predicate):
-        return value.uri
-    return value
+    return value.uri if isinstance(value, Predicate) else value
 
 
 def _row_key(row: tuple) -> list:

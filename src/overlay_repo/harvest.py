@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime
 from pathlib import Path
 from typing import Callable
-from urllib.parse import urlencode, urlparse
+from urllib.parse import urlencode
 from xml.etree import ElementTree as ET
 from xml.sax.saxutils import quoteattr
 
@@ -33,6 +33,7 @@ from .model import (
     DigitalObject,
     build_source_doc,
     format_datestamp,
+    is_absolute_url,
     local_stream,
     parse_datestamp,
     remote_stream,
@@ -164,8 +165,8 @@ class Harvester:
         agent = self.repo.mint_pid()
         self.repo.put_object(DigitalObject(
             pid=agent, behaviors=frozenset({"Agent"}), datastreams=(rels_stream(agent, [
-                Triple(agent, base_predicate("hasRole"), provider_role, agent),
-                Triple(agent, base_predicate("hasRole"), aggregator_role, agent),
+                Triple(agent, base_predicate("hasRole"), provider_role),
+                Triple(agent, base_predicate("hasRole"), aggregator_role),
             ]),)))
         self.repo.assign_handle(agent)
         return replace(cfg, agent_pid=agent, provider_role_pid=provider_role,
@@ -328,10 +329,8 @@ class Harvester:
                 "REC.nsdl_dc", records.RECORD_MEDIA_TYPE,
                 records.serialize_dc("nsdl_dc", entries)))
         streams.append(rels_stream(metadata_pid, [
-            Triple(metadata_pid, base_predicate("metadataFor"), resource_pid,
-                   metadata_pid),
-            Triple(metadata_pid, base_predicate("providedBy"),
-                   cfg.provider_role_pid, metadata_pid),
+            Triple(metadata_pid, base_predicate("metadataFor"), resource_pid),
+            Triple(metadata_pid, base_predicate("providedBy"), cfg.provider_role_pid),
         ]))
         self.repo.put_object(DigitalObject(
             pid=metadata_pid, behaviors=frozenset({"Metadata"}),
@@ -353,13 +352,11 @@ class Harvester:
                     existing, memberships + [cfg.aggregator_role_pid])
             return existing
         pid = self.repo.mint_pid()
+        member = Triple(pid, base_predicate("memberOf"), cfg.aggregator_role_pid)
         self.repo.put_object(DigitalObject(
             pid=pid, behaviors=frozenset({"Content"}),
-            datastreams=(
-                remote_stream(CONTENT_DS, "text/html", url),
-                rels_stream(pid, [Triple(pid, base_predicate("memberOf"),
-                                         cfg.aggregator_role_pid, pid)]),
-            )))
+            datastreams=(remote_stream(CONTENT_DS, "text/html", url),
+                         rels_stream(pid, [member]))))
         self.repo.assign_handle(pid)
         return pid
 
@@ -367,8 +364,7 @@ class Harvester:
         obj = self.repo.get_object(pid)
         keep = [t for t in self.repo.graph.triples_asserted_by(pid)
                 if str(t.predicate) != "memberOf"]
-        triples = keep + [
-            Triple(pid, base_predicate("memberOf"), a, pid) for a in aggregations]
+        triples = keep + [Triple(pid, base_predicate("memberOf"), a) for a in aggregations]
         self.repo.put_object(obj.with_datastream(rels_stream(pid, triples)))
 
     def handle_deleted(self, oai_identifier: str, cfg: ProviderConfig) -> None:
@@ -441,11 +437,6 @@ def _record_payload(element: ET.Element, type_bindings: dict) -> bytes:
              for prefix, uri in used
              if f" xmlns:{prefix}=".encode("utf-8") not in head]
     return head + b"".join(decls) + payload[end:]
-
-
-def is_absolute_url(value: str) -> bool:
-    parsed = urlparse(value)
-    return bool(parsed.scheme in ("http", "https", "ftp") and parsed.netloc)
 
 
 # --------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from typing import Iterable, NamedTuple
+from urllib.parse import urlparse
 from xml.etree import ElementTree as ET
 from xml.sax.saxutils import quoteattr
 
@@ -67,6 +68,12 @@ def pid_sorted(pids: Iterable[str]) -> list[str]:
     return sorted(sorted(pids), key=len)
 
 
+def is_absolute_url(value: str) -> bool:
+    """The URL rule of remote streams and harvested resource keys."""
+    parsed = urlparse(value)
+    return bool(parsed.scheme in ("http", "https", "ftp") and parsed.netloc)
+
+
 def make_handle(prefix: str, number: int) -> str:
     return f"hdl:{prefix}/{number:05d}"
 
@@ -95,18 +102,13 @@ def parse_representation_uri(uri: str) -> tuple[str, str | None, dict[str, str]]
     """
     if not uri.startswith(INFO_URI_PREFIX):
         raise ValidationError(f"not an info:nsdl URI: {uri!r}")
-    rest = uri[len(INFO_URI_PREFIX):]
+    rest, _, query = uri[len(INFO_URI_PREFIX):].partition("?")
     params: dict[str, str] = {}
-    if "?" in rest:
-        rest, query = rest.split("?", 1)
-        for part in query.split("&"):
-            if part:
-                key, _, value = part.partition("=")
-                params[key] = value
-    if "/" in rest:
-        pid, op = rest.split("/", 1)
-    else:
-        pid, op = rest, None
+    for part in query.split("&"):
+        if part:
+            key, _, value = part.partition("=")
+            params[key] = value
+    pid, _, op = rest.partition("/")
     pid_number(pid)
     return pid, op or None, params
 
@@ -200,11 +202,17 @@ class Datastream:
             raise ValidationError(f"datastream {self.ds_id}: local streams carry payload only")
         if self.kind == "remote" and (self.url is None or self.payload is not None):
             raise ValidationError(f"datastream {self.ds_id}: remote streams carry url only")
-        if self.ds_id == RELS_DS:
-            if self.kind != "local" or self.media_type != RELS_MEDIA_TYPE:
-                raise ValidationError(
-                    f"datastream {RELS_DS} must be local with media type {RELS_MEDIA_TYPE}"
-                )
+        if self.kind == "remote" and not is_absolute_url(self.url):
+            raise ValidationError(f"datastream {self.ds_id}: url {self.url!r} is not "
+                                  f"http, https or ftp with a host")
+        if self.ds_id == RELS_DS and (self.kind != "local"
+                                      or self.media_type != RELS_MEDIA_TYPE):
+            raise ValidationError(
+                f"datastream {RELS_DS} must be local with media type {RELS_MEDIA_TYPE}")
+
+
+# The one RELS stream of every object whose relationships the graph holds.
+RELS_IN_GRAPH = Datastream(RELS_DS, "local", RELS_MEDIA_TYPE, payload=b"")
 
 
 def local_stream(ds_id: str, media_type: str, payload: bytes,
@@ -257,10 +265,6 @@ class DigitalObject:
                 return ds
         return None
 
-    def rels(self) -> bytes | None:
-        ds = self.datastream(RELS_DS)
-        return ds.payload if ds is not None else None
-
     def record_formats(self) -> list[str]:
         """Formats stored as REC.<format> datastreams, sorted."""
         return sorted(
@@ -276,12 +280,5 @@ class DigitalObject:
         return replace(self, datastreams=tuple(streams))
 
     def tombstone(self, when: datetime) -> "DigitalObject":
-        return DigitalObject(
-            pid=self.pid,
-            state="deleted",
-            handle=self.handle,
-            datastreams=(),
-            behaviors=frozenset(),
-            last_modified=when,
-            version=self.version + 1,
-        )
+        return replace(self, state="deleted", datastreams=(), behaviors=frozenset(),
+                       last_modified=when, version=self.version + 1)

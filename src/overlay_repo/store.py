@@ -12,11 +12,12 @@ triple index and all lookup tables are rebuilt from those records on
 open, where objects/<n>.xml must hold nsdl:<n>. One record check,
 _checked, runs on write and on open: the object is validated, a RELS
 fragment (bytes, or the rdf:RDF element of a parsed canonical document,
-so a record file goes through the XML parser once) is read and made
-canonical here only, and every REC.<format> payload must be embeddable as
-it is (one expat pass, no tree), so readers such as the OAI provider
-splice stored records into their output unparsed; exports emit both as
-stored.
+so a record file goes through the XML parser once) is read into triples
+here only, and every REC.<format> payload must be embeddable as it is
+(one expat pass, no tree), so readers such as the OAI provider splice
+stored records into their output unparsed. Each relationship is held
+once, in the graph: an object holds the RELS_IN_GRAPH marker for its
+RELS stream, and record writes and exports render it from the triples.
 
 For the OAI provider the commit also keeps a sorted (datestamp, pid
 number) list over every object, tombstones included, so a datestamp
@@ -52,14 +53,17 @@ from .errors import (
     StoreError,
     ValidationError,
 )
-from .graph import Triple, TripleStore, parse_rels, rels_stream
+from .graph import Triple, TripleStore, parse_rels
 from .model import (
     CONTENT_DS,
     RECORD_DS_PREFIX,
+    RELS_DS,
+    RELS_IN_GRAPH,
     SOURCE_DS,
     DigitalObject,
     Representation,
     handle_suffix,
+    is_absolute_url,
     make_handle,
     make_pid,
     parse_representation_uri,
@@ -204,17 +208,18 @@ class Repository:
             return self._store(prepared, old, strict=strict).version
 
     def restore_object(self, obj: DigitalObject, *, strict: bool = True,
-                       _rels: ET.Element | None = None) -> str:
+                       _rels: ET.Element | None = None) -> bool:
         """Import path: stores obj, tombstones included, as the document
         gives it, keeping its version and datestamp (bumping the version
-        only when a replaced object is already past it). It passes the
-        same checks as put_object, handle ownership included. _rels is
-        the rdf:RDF element canonical.import_object parsed with obj."""
+        only when a replaced object is already past it); True if the pid
+        is new. It passes the same checks as put_object, handle ownership
+        included. _rels is the rdf:RDF element of obj's document."""
         with self._lock:
             old = self._objects.get(obj.pid)
             if old is not None and old.version >= obj.version:
                 obj = replace(obj, version=old.version + 1)
-            return self._store(obj, old, strict=strict, rels=_rels).pid
+            self._store(obj, old, strict=strict, rels=_rels)
+            return old is None
 
     def get_object(self, pid: str) -> DigitalObject:
         obj = self._objects.get(pid)
@@ -239,11 +244,14 @@ class Repository:
             self._store(old.tombstone(self.clock()), old, strict=True)
 
     def export_object(self, pid: str) -> bytes:
-        return canonical.export_object(self.get_object(pid))
+        with self._lock:
+            return canonical.export_object(
+                self.get_object(pid), self.graph.triples_asserted_by(pid))
 
     def import_object(self, doc: bytes, *, strict: bool = True) -> str:
         obj, rels = canonical.import_object(doc)
-        return self.restore_object(obj, strict=strict, _rels=rels)
+        self.restore_object(obj, strict=strict, _rels=rels)
+        return obj.pid
 
     # ------------------------------------------------------------------
     # views
@@ -312,16 +320,20 @@ class Repository:
             return _first(self._sources.get((provider, oai_identifier)))
 
     def fetch_remote(self, url: str) -> bytes:
+        if not is_absolute_url(url):
+            raise DisseminationError(f"remote fetch of {url} refused: not http, https or ftp")
         try:
             return self._fetch(url, FETCH_TIMEOUT)
         except Exception as exc:
             raise DisseminationError(f"remote fetch of {url} failed: {exc}") from exc
 
     def rebuild_graph(self) -> None:
-        """Drop and reconstruct the triple index from stored RELS."""
+        """Drop and reconstruct the triple index from the RELS of the
+        active objects' records (their exports without a data directory)."""
         with self._lock:
-            self.graph.rebuild(
-                (o.pid, o.rels()) for o in self.objects() if o.state == "active")
+            self.graph.rebuild((o.pid, canonical.import_object(
+                self._record(pid_number(o.pid)).read_bytes() if self.data_dir
+                else self.export_object(o.pid))[1]) for o in self.active_objects())
             self._golds.clear()
 
     def gold(self, pid: str) -> bytes:
@@ -388,7 +400,7 @@ class Repository:
         move the counters past its pid and handle. A rejection or a failed
         record write leaves the store as it was. The counters are not
         written: the record just written carries them back on open."""
-        obj, triples = _checked(obj, rels)
+        obj, triples = _checked(obj, rels, held=self.graph.triples_asserted_by)
         violations = self._violations(obj, triples)
         if violations:
             if strict:
@@ -406,7 +418,7 @@ class Repository:
                 raise ValidationError(
                     f"{obj.pid}: handle {obj.handle} already registered to {owner}")
         number = pid_number(obj.pid)
-        self._write_record(obj, number)
+        self._write_record(obj, number, triples)
         self._commit(obj, old, triples, number)
         self._absorb(obj, number)
         return obj
@@ -513,11 +525,12 @@ class Repository:
             self._absorb(obj, number)
             self._commit(obj, self._objects.get(obj.pid), triples, number)
 
-    def _write_record(self, obj: DigitalObject, number: int) -> None:
-        if self.data_dir is None:
-            return
-        path = self.data_dir / "objects" / f"{number}.xml"
-        self._atomic_write(path, canonical.export_object(obj))
+    def _record(self, number: int) -> Path:
+        return self.data_dir / "objects" / f"{number}.xml"
+
+    def _write_record(self, obj: DigitalObject, number: int, triples: list[Triple]) -> None:
+        if self.data_dir is not None:
+            self._atomic_write(self._record(number), canonical.export_object(obj, triples))
 
     # The harvest state files share the module's writer; the store's own
     # writes go through this attribute.
@@ -526,14 +539,14 @@ class Repository:
 
 def _checked(obj: DigitalObject, rels: ET.Element | None = None,
              shared: dict[str, str] | None = None,
+             held: Callable[[str], list[Triple]] | None = None,
              ) -> tuple[DigitalObject, list[Triple]]:
     """The one record check, on write and on open: obj, validated, with
-    its RELS fragment in canonical form (so exports are byte-stable however
-    it arrived), and the triples it asserts. The fragment is obj's RELS
-    stream, or rels, the rdf:RDF element of the document obj was imported
-    from (obj then has no RELS stream). A tombstone must be empty. Every
-    REC.<format> stream must be local and embeddable as it is
-    (records.check_record), so the OAI provider splices stored records
+    RELS_IN_GRAPH for any RELS stream, and the triples it asserts, parsed
+    from rels, the rdf:RDF element of obj's document, else from its RELS
+    bytes; a marker without rels keeps held(pid). A tombstone must be
+    empty. Every REC.<format> stream must be local and embeddable as it
+    is (records.check_record), so the OAI provider splices stored records
     into responses without parsing them."""
     obj.validate()
     if obj.state == "deleted" and (obj.datastreams or obj.behaviors
@@ -547,12 +560,14 @@ def _checked(obj: DigitalObject, rels: ET.Element | None = None,
                 check_record(ds.payload, ds.ds_id[len(RECORD_DS_PREFIX):])
             except ValidationError as exc:
                 raise ValidationError(f"{obj.pid}: {ds.ds_id} {exc}") from None
-    if rels is None:
-        rels = obj.rels()
-    if rels is None:
+    if rels is not None:
+        return obj, parse_rels(obj.pid, rels, shared)
+    ds = obj.datastream(RELS_DS)
+    if ds is None:
         return obj, []
-    triples = parse_rels(obj.pid, rels, shared)
-    return obj.with_datastream(rels_stream(obj.pid, triples)), triples
+    if ds is RELS_IN_GRAPH:
+        return obj, held(obj.pid)
+    return obj.with_datastream(RELS_IN_GRAPH), parse_rels(obj.pid, ds.payload, shared)
 
 
 def _holders(index: dict, key) -> tuple[str, ...]:

@@ -159,14 +159,8 @@ class GatewayApp:
             if obj.pid != pid:
                 return ("409 Conflict", "text/plain",
                         f"body pid {obj.pid} does not match path pid {pid}\n".encode())
-            exists = True
-            try:
-                self.repo.get_object(pid)
-            except NotFoundError:
-                exists = False
-            self.repo.restore_object(obj, _rels=rels)
-            status = "200 OK" if exists else "201 Created"
-            return status, "text/plain", f"{pid}\n".encode()
+            created = self.repo.restore_object(obj, _rels=rels)
+            return "201 Created" if created else "200 OK", "text/plain", f"{pid}\n".encode()
         return "405 Method Not Allowed", "text/plain", b"unsupported method\n"
 
     def _query(self, params, body):

@@ -10,6 +10,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from overlay_repo import canonical
 from overlay_repo.graph import Triple, TripleStore, serialize_rels
 from overlay_repo.model import Datastream, DigitalObject
 from overlay_repo.ontology import base_predicate
@@ -139,5 +140,6 @@ def test_live_graph_equals_a_rebuild(ops):
         if pid in repo.pids():
             versions[pid].append(repo.get_object(pid))
         rebuilt = TripleStore()
-        rebuilt.rebuild((o.pid, o.rels()) for o in repo.active_objects())
+        rebuilt.rebuild((o.pid, canonical.import_object(repo.export_object(o.pid))[1])
+                        for o in repo.active_objects())
         assert _layout(repo.graph) == _layout(rebuilt)

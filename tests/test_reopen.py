@@ -24,7 +24,7 @@ from xml.etree import ElementTree as ET
 import pytest
 
 from overlay_repo.errors import StoreError
-from overlay_repo.model import SOURCE_DS, pid_number
+from overlay_repo.model import RELS_DS, SOURCE_DS, pid_number
 from overlay_repo.oai import OaiProvider
 from overlay_repo.ontology import Predicate
 from overlay_repo.store import Repository
@@ -83,7 +83,35 @@ def test_open_parses_each_record_file_once(written_before, xml_work, rels_parses
     assert (sources, rec_streams) == (1, 6)
     assert xml_work["parsers"] == len(objects) + sources + rec_streams
     assert xml_work["serializations"] == 0
-    assert rels_parses == [o.pid for o in objects if o.rels() is not None]
+    assert rels_parses == [o.pid for o in objects
+                           if b"<rels>" in _record(written_before, o.pid)]
+
+
+def test_open_keeps_no_rels_bytes_and_exports_each_record(written_before):
+    """Each relationship is held once, in the graph: no opened object holds
+    RELS bytes of its own, every object with relationships holds the same
+    empty stream in their place, and every export still equals its record
+    file (the hand-edited one its canonical form)."""
+    repo = Repository(written_before)
+    held = [o.datastream(RELS_DS) for o in repo.objects()
+            if o.datastream(RELS_DS) is not None]
+    assert len(held) == sum(b"<rels>" in _record(written_before, pid)
+                            for pid in repo.pids()) > 1
+    assert all(ds is held[0] for ds in held) and held[0].payload == b""
+    for pid in repo.pids():
+        assert repo.export_object(pid) == (
+            (GOLDEN / "data_dir_44_canonical.xml").read_bytes() if pid == HAND_EDITED
+            else _record(written_before, pid)), pid
+
+
+def test_open_names_a_record_whose_remote_url_breaks_the_url_rule(written_before):
+    """A data directory written before the URL rule may hold a record with
+    a file: URL; open stops at it, naming the file, as for nsdl:01."""
+    path = written_before / "objects" / "43.xml"
+    path.write_bytes(path.read_bytes().replace(
+        b'url="http://example.org/tides"', b'url="file:///etc/hostname"'))
+    with pytest.raises(StoreError, match=r"43\.xml: .*CONTENT.*'file:///etc/hostname'"):
+        Repository(written_before)
 
 
 def test_open_reads_each_pid_number_twice(written_before, pid_numbers):

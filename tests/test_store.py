@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from overlay_repo.errors import (
+    DisseminationError,
     NotFoundError,
     ObjectDeletedError,
     OperationNotSupportedError,
@@ -447,6 +448,59 @@ def test_export_emits_stored_rels_without_parsing(repo, rels_parses):
     assert rels_parses == []
 
 
+def test_a_handed_out_object_stored_again_keeps_its_triples_unparsed(repo, rels_parses):
+    """An object the repository handed out holds the graph's marker, not
+    RELS bytes: storing it again (a handle assignment, a put) keeps the
+    relationships its pid asserts at that write, read from the graph. So an
+    earlier snapshot restored after they changed keeps the new ones."""
+    old, new = put_object(repo, {"Aggregator"}), put_object(repo, {"Aggregator"})
+    pid = put_object(repo, {"Content"}, edges=[("memberOf", old)])
+    rels_parses.clear()
+    repo.assign_handle(pid)
+    snapshot = repo.get_object(pid)
+    repo.put_object(snapshot)
+    assert rels_parses == []
+    assert repo.graph.objects_of(pid, "memberOf") == [old]
+    repo.put_object(repo.get_object(pid).with_datastream(
+        rels_stream(pid, [("memberOf", new)])))
+    repo.restore_object(snapshot)
+    assert repo.graph.objects_of(pid, "memberOf") == [new]
+    assert b"nsdl:%d" % pid_number(new) in repo.export_object(pid)
+
+
+@pytest.mark.parametrize("path", ["put", "import"])
+def test_a_repeated_property_is_one_triple_in_graph_record_and_export(
+        tmp_path, clock, path):
+    """A fragment that states one relationship twice asserts one fact: the
+    graph, the record file and the export all hold it once."""
+    repo = Repository(tmp_path / "d", clock=clock)
+    aggregator = put_object(repo, {"Aggregator"})
+    pid = put_object(repo, {"Content"}, edges=[("memberOf", aggregator)])
+    record = tmp_path / "d" / "objects" / f"{pid_number(pid)}.xml"
+    once = record.read_bytes()
+    line = b'<rel:memberOf rdf:resource="info:nsdl/%s"/>\n' % aggregator.encode()
+    twice = serialize_rels(pid, repo.graph.triples_asserted_by(pid)).replace(
+        line.strip(), line.strip() + b"\n" + line.strip())
+    if path == "put":
+        repo.put_object(repo.get_object(pid).with_datastream(
+            local_stream("RELS", "application/rdf+xml", twice)))
+    else:
+        repo.import_object(once.replace(line, line + b"      " + line))
+    assert len(repo.graph.triples_asserted_by(pid)) == 1
+    assert record.read_bytes().count(b"memberOf") == 1
+    assert repo.export_object(pid) == record.read_bytes()
+
+
+def test_fetch_remote_refuses_a_url_breaking_the_url_rule():
+    """The second guard behind Datastream.validate: a stream that slipped
+    past it is still not read."""
+    repo = Repository(url_fetcher=lambda url, timeout: b"local file bytes")
+    assert repo.fetch_remote("https://example.org/x") == b"local file bytes"
+    for url in ("file:///etc/hostname", "data:,secret", "/etc/hostname"):
+        with pytest.raises(DisseminationError, match="refused"):
+            repo.fetch_remote(url)
+
+
 def test_reopen_parses_each_rels_once(tmp_path, clock, rels_parses):
     repo = Repository(tmp_path / "d", clock=clock)
     resource = put_object(repo, {"Content"})
@@ -803,8 +857,8 @@ def test_reopen_names_record_holding_pid_with_leading_zero(tmp_path, clock):
 
 
 def test_tombstone_document_with_rels_is_refused(repo):
-    tomb = repo.export_object(repo.restore_object(
-        DigitalObject(pid="nsdl:5", state="deleted", version=1)))
+    repo.restore_object(DigitalObject(pid="nsdl:5", state="deleted", version=1))
+    tomb = repo.export_object("nsdl:5")
     rels = serialize_rels("nsdl:5", []).decode()
     doc = tomb.replace(b"/>\n", f">\n  <rels>{rels}</rels>\n</digitalObject>\n".encode())
     with pytest.raises(ValidationError, match="tombstone documents must be empty"):

@@ -1,5 +1,6 @@
 """Gateway routes: dissemination, management, queries, the mounted OAI app."""
 
+import threading
 from io import BytesIO
 from xml.etree import ElementTree as ET
 
@@ -240,7 +241,8 @@ def test_unembeddable_record_refused_and_oai_still_answers(repo, app, kind):
     with pytest.raises(ValidationError, match="REC.oai_dc"):
         repo.put_object(bad)
     status, _, body = request(app, "PUT", f"/objects/{metadata}",
-                              body=canonical.export_object(bad))
+                              body=canonical.export_object(
+                                  bad, repo.graph.triples_asserted_by(metadata)))
     assert status == 422 and b"REC.oai_dc" in body
     assert repo.export_object(metadata) == before
     for prefix in ("nsdl_dc", "nsdl_agg"):
@@ -278,6 +280,45 @@ def test_post_creates_and_replies_201(repo, app):
                               body=donor.export_object(pid))
     assert status == 201
     assert body.decode().strip() == pid
+
+
+def test_concurrent_puts_of_a_new_pid_answer_201_once(repo, app, monkeypatch):
+    """The write decides the status under the store's lock: both PUTs pass
+    a barrier before either writes, and only the first write creates."""
+    donor = Repository()
+    pid = put_object(donor, {"Content"})
+    doc = donor.export_object(pid)
+    barrier, restore = threading.Barrier(2), repo.restore_object
+
+    def both_then_write(*args, **kwargs):
+        barrier.wait(timeout=10)
+        return restore(*args, **kwargs)
+
+    monkeypatch.setattr(repo, "restore_object", both_then_write)
+    statuses = []
+    threads = [threading.Thread(target=lambda: statuses.append(
+        request(app, "PUT", f"/objects/{pid}", body=doc)[0])) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert sorted(statuses) == [200, 201]
+
+
+@pytest.mark.parametrize("url", [
+    "file:///etc/hostname", "data:text/plain,secret", "/etc/hostname",
+    "http:///no-host", "gopher://example.org/x"])
+def test_put_of_a_remote_stream_breaking_the_url_rule_422(repo, app, url):
+    served = []
+    repo._fetch = lambda url, timeout: served.append(url) or b"local file bytes"
+    doc = canonical.export_object(DigitalObject(
+        pid="nsdl:5", behaviors=frozenset({"Content"}),
+        datastreams=(remote_stream("CONTENT", "text/html", "http://example.org/x"),)))
+    doc = doc.replace(b'url="http://example.org/x"', f'url="{url}"'.encode())
+    status, _, body = request(app, "PUT", "/objects/nsdl:5", body=doc)
+    assert status == 422 and b"http, https or ftp" in body
+    assert request(app, "GET", "/objects/nsdl:5/methods/showContent")[0] == 404
+    assert served == []
 
 
 def test_delete_then_get_410(repo, app):
