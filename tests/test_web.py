@@ -308,9 +308,10 @@ def test_concurrent_puts_of_a_new_pid_answer_201_once(repo, app, monkeypatch):
 @pytest.mark.parametrize("url", [
     "file:///etc/hostname", "data:text/plain,secret", "/etc/hostname",
     "http:///no-host", "gopher://example.org/x"])
-def test_put_of_a_remote_stream_breaking_the_url_rule_422(repo, app, url):
+def test_put_of_a_remote_stream_breaking_the_url_rule_422(url):
     served = []
-    repo._fetch = lambda url, timeout: served.append(url) or b"local file bytes"
+    app = GatewayApp(Repository(
+        url_fetcher=lambda url, timeout: served.append(url) or b"local file bytes"))
     doc = canonical.export_object(DigitalObject(
         pid="nsdl:5", behaviors=frozenset({"Content"}),
         datastreams=(remote_stream("CONTENT", "text/html", "http://example.org/x"),)))
