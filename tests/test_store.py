@@ -465,7 +465,7 @@ def test_a_handed_out_object_stored_again_keeps_its_triples_unparsed(repo, rels_
         rels_stream(pid, [("memberOf", new)])))
     repo.restore_object(snapshot)
     assert repo.graph.objects_of(pid, "memberOf") == [new]
-    assert b"nsdl:%d" % pid_number(new) in repo.export_object(pid)
+    assert f'rdf:resource="info:nsdl/{new}"'.encode() in repo.export_object(pid)
 
 
 @pytest.mark.parametrize("path", ["put", "import"])
