@@ -17,28 +17,15 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from typing import Callable
-from xml.etree import ElementTree as ET
 from xml.sax.saxutils import escape, quoteattr
 
 from . import records
 from .errors import (
-    BrandMissingError,
-    FormatUnavailableError,
-    ModelIntegrityError,
-    NoMetadataError,
-    NotFoundError,
-    NotRepresentedError,
-    ValidationError,
-)
+    BrandMissingError, FormatUnavailableError, ModelIntegrityError, NoMetadataError,
+    NotFoundError, NotRepresentedError, ValidationError)
 from .model import (
-    BRAND_DS,
-    CONTENT_DS,
-    INFO_URI_PREFIX,
-    RECORD_DS_PREFIX,
-    DigitalObject,
-    Representation,
-    representation_uri,
-)
+    BRAND_DS, CONTENT_DS, INFO_URI_PREFIX, RECORD_DS_PREFIX, DigitalObject,
+    Representation, parse_xml, representation_uri)
 from .records import GoldInput, GoldRecord, MetadataRecord, crosswalk, fold_gold
 
 URI_LIST_TYPE = "text/uri-list"
@@ -71,10 +58,7 @@ def build_brand_doc(label: str, logo_url: str | None = None) -> bytes:
 def parse_brand_doc(holder: str, payload: bytes) -> Brand:
     """The Brand a BRAND document gives its holder. Roles are few and
     their documents seldom change, so parses are remembered by content."""
-    try:
-        root = ET.fromstring(payload)
-    except ET.ParseError as exc:
-        raise ValidationError(f"{holder}: malformed BRAND document: {exc}")
+    root = parse_xml(payload, f"{holder}: BRAND document")
     label = root.findtext("label")
     if root.tag != "brand" or label is None:
         raise ValidationError(f"{holder}: BRAND document needs <brand><label>")

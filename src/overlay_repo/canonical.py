@@ -35,14 +35,8 @@ from xml.sax.saxutils import quoteattr
 from .errors import ValidationError
 from .graph import Triple, serialize_rels
 from .model import (
-    BEHAVIOR_NAMES,
-    RELS_DS,
-    RELS_IN_GRAPH,
-    Datastream,
-    DigitalObject,
-    format_datestamp,
-    parse_datestamp,
-)
+    BEHAVIOR_NAMES, RELS_DS, RELS_IN_GRAPH, Datastream, DigitalObject,
+    format_datestamp, parse_datestamp, parse_xml)
 
 _XML_DECL = '<?xml version="1.0" encoding="UTF-8"?>\n'
 # The one frozenset of each set of known behaviors, shared by its objects.
@@ -107,10 +101,7 @@ def import_object(doc: bytes, shared: dict[str, str] | None = None,
     Neither the object nor the element is checked: the repository's write
     and open paths check both, and put the element's triples in the graph.
     """
-    try:
-        root = ET.fromstring(doc)
-    except ET.ParseError as exc:
-        raise ValidationError(f"canonical document is not well-formed XML: {exc}")
+    root = parse_xml(doc, "canonical document")
     if root.tag != "digitalObject":
         raise ValidationError(f"root element must be digitalObject, got {root.tag!r}")
     pid = _require(root, "pid", shared)

@@ -1,7 +1,8 @@
 """Joined triple store over all objects' relationship datastreams.
 
 Each object asserts relationships about itself in its RELS datastream
-(RDF/XML, one rdf:Description about the object's info URI). Fragments are
+(RDF/XML, one rdf:Description about the object's info URI, parsed by
+model.parse_xml, which refuses a DOCTYPE). Fragments are
 merged into one graph keyed by provenance, indexed by object, predicate,
 (subject, predicate) and (predicate, object) only (the orderings that the
 queries probe; cf. Weiss et al., "Hexastore", VLDB 2008), and queried
@@ -59,8 +60,8 @@ from xml.etree import ElementTree as ET
 from . import ontology
 from .errors import LimitExceededError, QueryParseError, ValidationError
 from .model import (
-    INFO_URI_PREFIX, RELS_DS, RELS_MEDIA_TYPE, Datastream, is_pid, pid_sort_key,
-    representation_uri)
+    INFO_URI_PREFIX, RELS_DS, RELS_MEDIA_TYPE, Datastream, is_pid, parse_xml,
+    pid_sort_key, representation_uri)
 from .ontology import BASE_NAMESPACE, Predicate, predicate, predicate_from_uri
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -121,13 +122,8 @@ def parse_rels(pid: str, fragment: bytes | ET.Element,
     the owning object; every property needs an rdf:resource pointing at
     another object's info URI. A repeated property is one triple.
     """
-    if isinstance(fragment, ET.Element):
-        root = fragment
-    else:
-        try:
-            root = ET.fromstring(fragment)
-        except ET.ParseError as exc:
-            raise ValidationError(f"{pid}: RELS fragment is not well-formed XML: {exc}")
+    root = fragment if isinstance(fragment, ET.Element) \
+        else parse_xml(fragment, f"{pid}: RELS fragment")
     if root.tag != _RDF_ROOT:
         raise ValidationError(f"{pid}: RELS root must be rdf:RDF, got {root.tag}")
     descriptions = list(root)

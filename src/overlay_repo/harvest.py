@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from datetime import datetime
 from pathlib import Path
@@ -27,17 +28,9 @@ from .behaviors import build_brand_doc
 from .errors import HarvestProtocolError, NotFoundError, ValidationError
 from .graph import Triple, rels_stream
 from .model import (
-    BRAND_DS,
-    CONTENT_DS,
-    SOURCE_DS,
-    DigitalObject,
-    build_source_doc,
-    format_datestamp,
-    is_absolute_url,
-    local_stream,
-    parse_datestamp,
-    remote_stream,
-)
+    BRAND_DS, CONTENT_DS, SOURCE_DS, DigitalObject, _Refusing, build_source_doc,
+    format_datestamp, is_absolute_url, local_stream, parse_datestamp, parse_xml,
+    remote_stream)
 from .oai import OAI_NS
 from .ontology import base_predicate
 from .store import _atomic_write, _default_fetcher, _read_json
@@ -245,10 +238,11 @@ class Harvester:
             body = self.transport(url)
         except Exception as exc:
             raise HarvestProtocolError(f"{cfg.name}: request failed: {exc}") from exc
+        builder = _TypeBindings()
         try:
-            root, type_bindings = _parse_response(body)
-        except ET.ParseError as exc:
-            raise HarvestProtocolError(f"{cfg.name}: malformed response: {exc}") from exc
+            root = parse_xml(body, "response", builder)
+        except ValidationError as exc:
+            raise HarvestProtocolError(f"{cfg.name}: {exc}") from exc
         error = root.find(f"{{{OAI_NS}}}error")
         if error is not None:
             code = error.get("code", "")
@@ -261,7 +255,7 @@ class Harvester:
             raise HarvestProtocolError(f"{cfg.name}: response has no ListRecords")
         token_el = container.find(f"{{{OAI_NS}}}resumptionToken")
         token = (token_el.text or "").strip() if token_el is not None else ""
-        return _Page(self._parse_records(container, type_bindings), token or None)
+        return _Page(self._parse_records(container, builder.bindings), token or None)
 
     def _parse_records(self, container: ET.Element, type_bindings: dict) -> list:
         parsed = []
@@ -307,7 +301,7 @@ class Harvester:
                     return "no identifier"
             else:
                 identifiers = [(el.text or "").strip() for el in
-                               records.parse_xml(payload).iter(DC_IDENTIFIER)]
+                               parse_xml(payload, "record").iter(DC_IDENTIFIER)]
         except ValidationError as exc:
             return str(exc)
         resource_key = next((v for v in identifiers if is_absolute_url(v)), None)
@@ -399,26 +393,30 @@ class Harvester:
 # response parsing
 
 
-def _parse_response(body: bytes) -> tuple[ET.Element, dict]:
-    """The response tree, and for each element whose xsi:type value is a
-    prefixed QName, that prefix and the namespace bound to it in scope."""
-    parser = ET.XMLPullParser(events=("start-ns", "start", "end"))
-    parser.feed(body)
-    parser.close()
-    scopes, declared, bindings = [{}], {}, {}
-    for event, item in parser.read_events():
-        if event == "start-ns":
-            declared[item[0]] = item[1]
-        elif event == "start":
-            scopes.append({**scopes[-1], **declared} if declared else scopes[-1])
-            declared = {}
-            prefix, colon, _ = (item.get(XSI_TYPE) or "").partition(":")
-            if colon and prefix in scopes[-1]:
-                bindings[item] = (prefix, scopes[-1][prefix])
-        else:
-            scopes.pop()
-            root = item
-    return root, bindings
+class _TypeBindings(_Refusing):
+    """The tree builder of a response. Its bindings map each element whose
+    xsi:type value is a prefixed QName to that prefix and the namespace
+    bound to it in scope: expat reports an element's declarations before
+    the element and ends them after it, so a prefix's stack top is its
+    binding."""
+
+    def __init__(self):
+        super().__init__()
+        self.scopes: defaultdict[str, list[str]] = defaultdict(list)
+        self.bindings: dict[ET.Element, tuple[str, str]] = {}
+
+    def start_ns(self, prefix, uri):
+        self.scopes[prefix].append(uri)
+
+    def end_ns(self, prefix):
+        self.scopes[prefix].pop()
+
+    def start(self, tag, attrs):
+        element = super().start(tag, attrs)
+        prefix, colon, _ = (attrs.get(XSI_TYPE) or "").partition(":")
+        if colon and self.scopes[prefix]:
+            self.bindings[element] = (prefix, self.scopes[prefix][-1])
+        return element
 
 
 def _record_payload(element: ET.Element, type_bindings: dict) -> bytes:

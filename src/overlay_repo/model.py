@@ -74,6 +74,27 @@ def is_absolute_url(value: str) -> bool:
     return bool(parsed.scheme in ("http", "https", "ftp") and parsed.netloc)
 
 
+class _Refusing(ET.TreeBuilder):
+    """A tree builder that refuses a DOCTYPE. expat reports a DOCTYPE
+    before reading any declaration in it, so no entity is ever declared."""
+
+    def doctype(self, name, pubid, system):
+        raise ValidationError("DOCTYPE declarations are not allowed")
+
+
+def parse_xml(data: bytes, what: str, builder: _Refusing | None = None) -> ET.Element:
+    """The root of data, XML from outside, built by builder: the one parse
+    of such bytes into a tree. ValidationError, naming what, when data is
+    not well-formed or holds a DOCTYPE."""
+    try:
+        return ET.fromstring(data, parser=ET.XMLParser(target=builder or _Refusing()))
+    except (ET.ParseError, LookupError, ValueError) as exc:  # the last two:
+        # a declared encoding that expat cannot read through a Python codec
+        raise ValidationError(f"{what} is not well-formed: {exc}") from None
+    except ValidationError as exc:
+        raise ValidationError(f"{what}: {exc}") from None
+
+
 def make_handle(prefix: str, number: int) -> str:
     return f"hdl:{prefix}/{number:05d}"
 
@@ -171,10 +192,7 @@ def build_source_doc(provider: str, oai_identifier: str, datestamp: datetime) ->
 
 
 def parse_source_doc(payload: bytes) -> tuple[str, str, datetime]:
-    try:
-        el = ET.fromstring(payload)
-    except ET.ParseError as exc:
-        raise ValidationError(f"malformed SOURCE document: {exc}")
+    el = parse_xml(payload, "SOURCE document")
     if el.tag != "source":
         raise ValidationError(f"SOURCE root must be <source>, got {el.tag!r}")
     provider = el.get("provider")

@@ -122,12 +122,15 @@ def check_triple(
     subject_behaviors: frozenset[str] | None,
     object_behaviors: frozenset[str] | None,
 ) -> list[str]:
-    """Domain/range violations for one triple; empty when it conforms.
+    """Domain/range violations for one triple, or that its name in the
+    base namespace is no base term; empty when it conforms.
 
     Extension predicates are never checked.
     """
     if not predicate.is_base:
         return []
+    if predicate.name not in DOMAIN_RANGE:
+        return [f"{predicate.name} is not a base relationship term"]
     domain, range_ = DOMAIN_RANGE[predicate.name]
     problems = []
     if not satisfies_type(subject_behaviors, domain):

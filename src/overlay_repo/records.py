@@ -5,8 +5,10 @@ Harvest ingest and the read-time crosswalk both derive nsdl_dc through
 ``parse_dc_entries`` (the one validating parse) and ``apply_rules`` (the
 one normalization pass), so a record derives the same nsdl_dc either way.
 Callers keep the original record verbatim and store the normalized output
-next to it. ``check_record`` is the store's test that a stored record can
-be embedded in another document as it is. Every function here is a pure
+next to it. ``parse_dc_entries`` parses through model.parse_xml, the one
+entry point for XML from outside, and ``check_record``, the store's test
+that a stored record can be embedded in another document as it is, makes
+one expat pass; both refuse a DOCTYPE. Every function here is a pure
 function of its inputs so record pipelines stay deterministic.
 """
 
@@ -23,7 +25,7 @@ from xml.parsers import expat
 from xml.sax.saxutils import quoteattr
 
 from .errors import FormatUnavailableError, ModelIntegrityError, ValidationError
-from .model import pid_sort_key
+from .model import parse_xml, pid_sort_key
 
 DC_NS = "http://purl.org/dc/elements/1.1/"
 DCT_NS = "http://purl.org/dc/terms/"
@@ -97,15 +99,6 @@ class GoldRecord:
 
 # --------------------------------------------------------------------------
 # parsing / serialization
-
-
-def parse_xml(xml: bytes) -> ET.Element:
-    """Root of a record payload; ValidationError when it is not
-    well-formed, with the reason as message."""
-    try:
-        return ET.fromstring(xml)
-    except ET.ParseError as exc:
-        raise ValidationError(f"not well-formed: {exc}")
 
 
 def check_record(xml: bytes, format_name: str) -> None:
@@ -185,7 +178,7 @@ def parse_dc_entries(xml: bytes, format_name: str) -> list[DcEntry]:
     unqualified (as in serialize_dc).
     """
     info = FORMATS[format_name]
-    root = parse_xml(xml)
+    root = parse_xml(xml, "record")
     if root.tag != f"{{{info.namespace}}}{info.root}":
         raise ValidationError(
             f"root element {root.tag} does not match format {format_name}")

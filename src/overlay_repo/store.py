@@ -12,12 +12,14 @@ triple index and all lookup tables are rebuilt from those records on
 open, where objects/<n>.xml must hold nsdl:<n>. One record check,
 _checked, runs on write and on open: the object is validated, a RELS
 fragment (bytes, or the rdf:RDF element of a parsed canonical document,
-so a record file goes through the XML parser once) is read into triples
+so a record file goes through model.parse_xml once) is read into triples
 here only, and every REC.<format> payload must be embeddable as it is
 (one expat pass, no tree), so readers such as the OAI provider splice
-stored records into their output unparsed. Each relationship is held
-once, in the graph: an object holds the RELS_IN_GRAPH marker for its
-RELS stream, and record writes and exports render it from the triples.
+stored records into their output unparsed. Both parses refuse a DOCTYPE;
+a SOURCE payload that holds one, which no check refuses, gives no key.
+Each relationship is held once, in the graph: an object holds the
+RELS_IN_GRAPH marker for its RELS stream, and record writes and exports
+render it from the triples.
 
 For the OAI provider the commit also keeps a sorted (datestamp, pid
 number) list over every object, tombstones included, so a datestamp
@@ -35,6 +37,7 @@ import contextlib
 import json
 import logging
 import threading
+import time
 import urllib.request
 from dataclasses import replace
 from datetime import datetime
@@ -82,11 +85,24 @@ log = logging.getLogger(__name__)
 Clock = Callable[[], datetime]
 UrlFetcher = Callable[[str, float], bytes]
 FETCH_TIMEOUT = 10.0  # seconds a remote CONTENT fetch may take
+# Bytes a request body or a fetched body may hold: canonical XML objects,
+# OAI arguments, query text, remote streams and harvested pages.
+MAX_BODY_BYTES = 16 * 1024 * 1024
 
 
 def _default_fetcher(url: str, timeout: float) -> bytes:
+    """The body at url. The fetch fails once the body passes
+    MAX_BODY_BYTES or timeout seconds have passed since it began; the
+    socket timeout bounds each read, so a stalled read ends too."""
+    deadline, body = time.monotonic() + timeout, bytearray()
     with urllib.request.urlopen(url, timeout=timeout) as response:
-        return response.read()
+        while chunk := response.read1(1 << 16):
+            body += chunk
+            if len(body) > MAX_BODY_BYTES:
+                raise ValueError(f"body passes {MAX_BODY_BYTES} bytes")
+            if time.monotonic() > deadline:
+                raise TimeoutError(f"body not read within {timeout} s")
+    return bytes(body)
 
 
 def _atomic_write(path: Path, data: bytes) -> None:

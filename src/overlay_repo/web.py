@@ -5,7 +5,7 @@ Paths:
     GET    /objects/{pid}                   object profile
     GET    /objects/{pid}/methods/{op}      dissemination (query params pass through)
     PUT    /objects/{pid}                   create/replace from canonical XML
-    POST   /objects                         create from canonical XML
+    POST   /objects                         create/replace from canonical XML
     DELETE /objects/{pid}                   tombstone
     POST   /query                           textual graph query, rows out
     GET/POST /oai                           OAI-PMH endpoint
@@ -43,6 +43,7 @@ from .errors import (
 )
 from .graph import parse_query
 from .oai import OaiProvider, ProtocolError
+from .store import MAX_BODY_BYTES
 
 _OBJECT_RE = re.compile(r"^/objects/([^/]+)$")
 _METHOD_RE = re.compile(r"^/objects/([^/]+)/methods/([^/]+)$")
@@ -51,8 +52,6 @@ _METHOD_RE = re.compile(r"^/objects/([^/]+)/methods/([^/]+)$")
 # A selective 3-clause join over a 2,000-record catalogue examines about
 # 1,000, under one per row of a 2,500-row cap.
 CANDIDATES_PER_CAPPED_ROW = 20
-# Request bodies are canonical XML objects, OAI arguments or query text.
-MAX_BODY_BYTES = 16 * 1024 * 1024
 
 
 @dataclass
@@ -142,9 +141,8 @@ class GatewayApp:
         match = _OBJECT_RE.match(path)
         if match:
             return self._object(method, match.group(1), environ)
-        if path == "/objects" and method == "POST":
-            pid = self.repo.import_object(_read_body(environ))
-            return ("201 Created", "text/plain", f"{pid}\n".encode())
+        if path == "/objects" and method == "POST":  # a PUT without a path pid
+            return self._object("PUT", None, environ)
         return "404 Not Found", "text/plain", b"no such route\n"
 
     def _object(self, method, pid, environ):
@@ -156,11 +154,12 @@ class GatewayApp:
             return "204 No Content", "text/plain", b""
         if method == "PUT":
             obj, rels = import_object(_read_body(environ))
-            if obj.pid != pid:
+            if pid is not None and obj.pid != pid:
                 return ("409 Conflict", "text/plain",
                         f"body pid {obj.pid} does not match path pid {pid}\n".encode())
             created = self.repo.restore_object(obj, _rels=rels)
-            return "201 Created" if created else "200 OK", "text/plain", f"{pid}\n".encode()
+            return ("201 Created" if created else "200 OK", "text/plain",
+                    f"{obj.pid}\n".encode())
         return "405 Method Not Allowed", "text/plain", b"unsupported method\n"
 
     def _query(self, params, body):

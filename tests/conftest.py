@@ -67,17 +67,18 @@ def pid_numbers(monkeypatch):
 def ingest_work(monkeypatch):
     """(outcome, XML parses, normalization passes) of every
     Harvester.ingest_record call. Only the record pipeline's parses count,
-    those made in the records and harvest modules, not the store's."""
+    the model.parse_xml calls made in the records and harvest modules, not
+    the store's."""
     calls = []
     counts = {"parses": 0, "passes": 0}
-    fromstring, apply_rules = ET.fromstring, records.apply_rules
+    parse_xml, apply_rules = model.parse_xml, records.apply_rules
     ingest = Harvester.ingest_record
 
-    def counting_fromstring(*args, **kwargs):
+    def counting_parse(*args, **kwargs):
         caller = sys._getframe(1).f_globals.get("__name__")
         if caller in ("overlay_repo.records", "overlay_repo.harvest"):
             counts["parses"] += 1
-        return fromstring(*args, **kwargs)
+        return parse_xml(*args, **kwargs)
 
     def counting_rules(*args, **kwargs):
         counts["passes"] += 1
@@ -90,7 +91,7 @@ def ingest_work(monkeypatch):
                       counts["passes"] - before["passes"]))
         return outcome
 
-    monkeypatch.setattr(ET, "fromstring", counting_fromstring)
+    _patch_everywhere(monkeypatch, "parse_xml", parse_xml, counting_parse)
     _patch_everywhere(monkeypatch, "apply_rules", apply_rules, counting_rules)
     monkeypatch.setattr(Harvester, "ingest_record", counting_ingest)
     return calls

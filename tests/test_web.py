@@ -223,6 +223,14 @@ def test_put_malformed_rels_422(repo, app):
     assert b"not the owning object" in body
 
 
+def test_put_of_an_unknown_base_term_422(repo, app):
+    pid = put_object(repo, {"Content"}, edges=[("memberOf", put_object(repo, {"Aggregator"}))])
+    doc = repo.export_object(pid).replace(b"rel:memberOf", b"rel:memberOff")
+    status, _, body = request(app, "PUT", f"/objects/{pid}", body=doc)
+    assert status == 422
+    assert b"memberOff is not a base relationship term" in body
+
+
 _GOOD_DC = oai_dc_record(("title", "T"), ("identifier", "http://x.example/1"))
 _UNEMBEDDABLE = {
     "malformed": _GOOD_DC[:-10],
@@ -280,6 +288,17 @@ def test_post_creates_and_replies_201(repo, app):
                               body=donor.export_object(pid))
     assert status == 201
     assert body.decode().strip() == pid
+
+
+def test_post_of_an_existing_pid_replaces_it_and_replies_200(repo, app):
+    """POST goes through PUT's handler: the write decides the status, and
+    only PUT has a path pid to check."""
+    pid = put_object(repo, {"Content"})
+    doc = repo.export_object(pid)
+    status, _, body = request(app, "POST", "/objects", body=doc)
+    assert status == 200 and body.decode().strip() == pid
+    assert repo.get_object(pid).version == 2
+    assert request(app, "POST", f"/objects/{pid}", body=doc)[0] == 405
 
 
 def test_concurrent_puts_of_a_new_pid_answer_201_once(repo, app, monkeypatch):
