@@ -12,7 +12,6 @@ xsi:type values use.
 
 from __future__ import annotations
 
-import json
 import logging
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
@@ -33,7 +32,7 @@ from .model import (
     remote_stream)
 from .oai import OAI_NS
 from .ontology import base_predicate
-from .store import _atomic_write, _default_fetcher, _read_json
+from .store import _default_fetcher, _read_json, write_json
 
 log = logging.getLogger(__name__)
 
@@ -201,18 +200,22 @@ class Harvester:
                 raise
             for header, metadata in page.records:
                 report.harvested += 1
-                if header.deleted:
-                    self.handle_deleted(header.identifier, cfg)
+                identifier = "" if header is None else header.identifier
+                if not identifier:
+                    outcome = "no header" if header is None else "no header identifier"
+                elif header.deleted:
+                    self.handle_deleted(identifier, cfg)
                     report.deleted += 1
                     continue
-                outcome = self.ingest_record(header, metadata, cfg)
+                else:
+                    outcome = self.ingest_record(header, metadata, cfg)
                 if outcome == "created":
                     report.created += 1
                 elif outcome == "updated":
                     report.updated += 1
                 else:
                     report.rejected += 1
-                    report.rejects.append((header.identifier, outcome))
+                    report.rejects.append((identifier, outcome))
             if page.resumption_token:
                 state.pending_resumption = page.resumption_token
                 state.pending_until = until
@@ -258,10 +261,13 @@ class Harvester:
         return _Page(self._parse_records(container, builder.bindings), token or None)
 
     def _parse_records(self, container: ET.Element, type_bindings: dict) -> list:
+        """(header, payload) of each record; a record without a header is
+        (None, None), which the harvest counts as a reject."""
         parsed = []
         for record in container.findall(f"{{{OAI_NS}}}record"):
             header_el = record.find(f"{{{OAI_NS}}}header")
             if header_el is None:
+                parsed.append((None, None))
                 continue
             identifier = header_el.findtext(f"{{{OAI_NS}}}identifier", "").strip()
             stamp = header_el.findtext(f"{{{OAI_NS}}}datestamp", "").strip()
@@ -452,8 +458,7 @@ def load_provider_configs(path: Path) -> dict[str, ProviderConfig]:
 
 
 def save_provider_configs(path: Path, configs: dict[str, ProviderConfig]) -> None:
-    payload = [configs[name].to_dict() for name in sorted(configs)]
-    _save_json(Path(path), payload)
+    write_json(Path(path), [configs[name].to_dict() for name in sorted(configs)])
 
 
 def state_path(data_dir: Path, provider_name: str) -> Path:
@@ -466,9 +471,4 @@ def load_state(data_dir: Path, provider_name: str) -> HarvestState:
 
 
 def save_state(data_dir: Path, provider_name: str, state: HarvestState) -> None:
-    _save_json(state_path(data_dir, provider_name), state.to_dict())
-
-
-def _save_json(path: Path, data) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(path, (json.dumps(data, indent=2) + "\n").encode("utf-8"))
+    write_json(state_path(data_dir, provider_name), state.to_dict())

@@ -262,6 +262,9 @@ class DigitalObject:
             raise ValidationError(f"{self.pid}: unknown state {self.state!r}")
         if self.handle is not None and not is_handle(self.handle):
             raise ValidationError(f"{self.pid}: malformed handle {self.handle!r}")
+        if self.last_modified.utcoffset() is None or self.last_modified.microsecond:
+            raise ValidationError(f"{self.pid}: lastModified {self.last_modified} "
+                                  f"is not whole seconds with a time zone")
         unknown = self.behaviors - BEHAVIOR_NAMES
         if unknown:
             raise ValidationError(
@@ -284,12 +287,10 @@ class DigitalObject:
         return None
 
     def record_formats(self) -> list[str]:
-        """Formats stored as REC.<format> datastreams, sorted."""
-        return sorted(
-            ds.ds_id[len(RECORD_DS_PREFIX):]
-            for ds in self.datastreams
-            if ds.ds_id.startswith(RECORD_DS_PREFIX)
-        )
+        """Formats stored as REC.<format> datastreams, in stream order: sorted
+        for a stored object, whose streams the store keeps in order."""
+        return [ds.ds_id[len(RECORD_DS_PREFIX):] for ds in self.datastreams
+                if ds.ds_id.startswith(RECORD_DS_PREFIX)]
 
     def with_datastream(self, ds: Datastream) -> "DigitalObject":
         """Copy with ds replacing any same-named stream (order preserved)."""

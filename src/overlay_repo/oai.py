@@ -68,6 +68,10 @@ AGG_FORMAT = "nsdl_agg"
 AGG_NS = "http://ns.nsdl.org/nsdl_agg_v1.00/"
 AGG_SCHEMA = "http://ns.nsdl.org/schemas/nsdl_agg/nsdl_agg_v1.00.xsd"
 TOKEN_TTL = timedelta(hours=1)  # how long a resumption token stays valid
+# (schema, namespace) of each built-in format; a format that is only
+# stored has ("", "info:nsdl/formats/<name>").
+_BUILT_IN_FORMATS = {AGG_FORMAT: (AGG_SCHEMA, AGG_NS), **{
+    name: (info.schema, info.namespace) for name, info in FORMATS.items()}}
 
 _ROOT_START = (
     "<?xml version='1.0' encoding='utf-8'?>\n"
@@ -240,13 +244,8 @@ class OaiProvider:
                     "noMetadataFormats", f"{identifier} has no available formats")
         out = []
         for name in names:
-            info = FORMATS.get(name)
-            if name == AGG_FORMAT:
-                schema, namespace = AGG_SCHEMA, AGG_NS
-            elif info is not None:
-                schema, namespace = info.schema, info.namespace
-            else:
-                schema, namespace = "", f"info:nsdl/formats/{name}"
+            schema, namespace = _BUILT_IN_FORMATS.get(
+                name, ("", f"info:nsdl/formats/{name}"))
             out.append(
                 f"<metadataFormat><metadataPrefix>{escape(name)}</metadataPrefix>"
                 f"{f'<schema>{escape(schema)}</schema>' if schema else '<schema />'}"
@@ -406,7 +405,7 @@ class OaiProvider:
         return sets
 
     def _global_formats(self) -> list[str]:
-        return sorted({*FORMATS, AGG_FORMAT, *self.repo.stored_formats()})
+        return sorted({*_BUILT_IN_FORMATS, *self.repo.stored_formats()})
 
     def _item_formats(self, obj: DigitalObject) -> list[str]:
         names: set[str] = set()
@@ -418,7 +417,7 @@ class OaiProvider:
         return sorted(names)
 
     def _check_format_known(self, format_name: str) -> None:
-        if format_name not in FORMATS and format_name != AGG_FORMAT \
+        if format_name not in _BUILT_IN_FORMATS \
                 and format_name not in self._global_formats():
             raise ProtocolError(
                 "cannotDisseminateFormat", f"unknown format {format_name}")
@@ -467,30 +466,24 @@ class OaiProvider:
             return [f"<record>{header}</record>".encode("utf-8")]
         payload = (embeddable(crosswalk(item.source, format_name).xml)
                    if item.describing is None
-                   else self.emit_aggregation_record(
-                       item.pid, item.describing, item.resource, brands))
+                   else self.emit_aggregation_record(item.resource, item.describing, brands))
         return [f"<record>{header}<metadata>".encode("utf-8"),
                 payload, b"</metadata></record>"]
 
-    def emit_aggregation_record(self, resource_pid: str,
-                                describing: list[DigitalObject] | None = None,
-                                resource: DigitalObject | None = None,
+    def emit_aggregation_record(self, resource: DigitalObject,
+                                describing: list[DigitalObject],
                                 brands: dict[str, str] | None = None) -> bytes:
         """The resource-centric bundle: every source record with its
         provider's brand, plus the computed gold record (empty when no
         gold can be folded), from the resource object and its describing
-        metadata objects, each read unless given. Stored records go in as
-        their own bytes. brands maps each provider role read so far to its
-        brand attribute, so a response reads a role once for all records."""
+        metadata objects. Stored records go in as their own bytes. brands
+        maps each provider role read so far to its brand attribute, so a
+        response reads a role once for all records."""
         brands = {} if brands is None else brands
-        obj = self.repo.get_object(resource_pid) if resource is None else resource
-        if describing is None:
-            describing = [self.repo.get_object(m) for m in
-                          behaviors.resource_get_metadata(self.repo, resource_pid)]
-        content = obj.datastream(CONTENT_DS)
+        content = resource.datastream(CONTENT_DS)
         url = content.url if content is not None and content.kind == "remote" else ""
         out = [f'<nsdl_agg:nsdl_agg xmlns:nsdl_agg="{AGG_NS}"><nsdl_agg:resource'
-               f' handle={_attr(obj.handle or "")} url={_attr(url or "")} />'.encode("utf-8")]
+               f' handle={_attr(resource.handle or "")} url={_attr(url)} />'.encode("utf-8")]
         for m in describing:
             try:
                 role = behaviors.metadata_get_provider(self.repo, m.pid)
@@ -506,7 +499,7 @@ class OaiProvider:
                         embeddable(record.xml), b"</nsdl_agg:sourceRecord>"]
         try:
             gold = embeddable(behaviors.content_get_gold(
-                self.repo, resource_pid, describing).xml)
+                self.repo, resource.pid, describing).xml)
             out += [b"<nsdl_agg:gold>", gold, b"</nsdl_agg:gold>"]
         except (NoMetadataError, FormatUnavailableError, ModelIntegrityError):
             out.append(b"<nsdl_agg:gold />")

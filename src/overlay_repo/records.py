@@ -391,8 +391,6 @@ def fold_order(inputs: list[GoldInput],
     done: set[str] = set()
     while ready:
         *_, pid = heapq.heappop(ready)
-        if pid in done:
-            continue
         done.add(pid)
         ordered.append(by_pid[pid])
         for follower in augmenters[pid]:

@@ -25,9 +25,10 @@ For the OAI provider the commit also keeps a sorted (datestamp, pid
 number) list over every object, tombstones included, so a datestamp
 window is two bisects, plus the active Aggregator pids and a count of the
 REC.<format> streams on active objects; open rebuilds them through the
-same commits. state.json holds the minted-pid mark, written by mint_pid
-only (a pid minted but never stored is never minted again); the counters
-a write moves past its own pid and handle come back from the records.
+same commits. state.json holds the minted-pid mark alone, written by
+mint_pid only (a pid minted but never stored is never minted again); the
+counters a write moves past its own pid and handle come back from the
+records. Every state file goes through write_json, in one JSON form.
 """
 
 from __future__ import annotations
@@ -105,17 +106,6 @@ def _default_fetcher(url: str, timeout: float) -> bytes:
     return bytes(body)
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    try:
-        tmp.write_bytes(data)
-        tmp.replace(path)
-    except OSError as exc:
-        with contextlib.suppress(OSError):
-            tmp.unlink(missing_ok=True)
-        raise StoreError(f"write to {path} failed: {exc}") from exc
-
-
 def _read_json(path: Path, convert: Callable):
     """convert() of a JSON state file's value, or of None when there is no
     file; an unreadable or wrongly shaped file is a StoreError naming it."""
@@ -126,6 +116,13 @@ def _read_json(path: Path, convert: Callable):
     except (OSError, ValueError, AttributeError, LookupError, TypeError,
             ValidationError) as exc:
         raise StoreError(f"unreadable state file {path}: {exc}") from exc
+
+
+def write_json(path: Path, data) -> None:
+    """Write a JSON state file, indented, through the store's one writer,
+    making its directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    Repository._atomic_write(path, (json.dumps(data, indent=2) + "\n").encode("utf-8"))
 
 
 class Repository:
@@ -171,10 +168,7 @@ class Repository:
         with self._lock:
             self._pid_counter += 1
             if self.data_dir is not None:
-                self._atomic_write(self.data_dir / "state.json", json.dumps({
-                    "pid_counter": self._pid_counter,
-                    "handle_counter": self._handle_counter,
-                }).encode("utf-8"))
+                write_json(self.data_dir / "state.json", {"pid_counter": self._pid_counter})
             return make_pid(self._pid_counter)
 
     def resolve_handle(self, handle: str) -> str:
@@ -522,9 +516,8 @@ class Repository:
             objects_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise StoreError(f"cannot initialize data directory: {exc}") from exc
-        self._pid_counter, self._handle_counter = _read_json(
-            self.data_dir / "state.json", lambda state: [
-                int((state or {}).get(key, 0)) for key in ("pid_counter", "handle_counter")])
+        self._pid_counter = _read_json(self.data_dir / "state.json",
+                                       lambda state: int((state or {}).get("pid_counter", 0)))
         records = sorted(objects_dir.glob("*.xml"),
                          key=lambda p: int(p.stem) if p.stem.isdigit() else 0)
         shared: dict[str, str] = {}  # one string per pid and repeated value
@@ -548,9 +541,16 @@ class Repository:
         if self.data_dir is not None:
             self._atomic_write(self._record(number), canonical.export_object(obj, triples))
 
-    # The harvest state files share the module's writer; the store's own
-    # writes go through this attribute.
-    _atomic_write = staticmethod(_atomic_write)
+    @staticmethod
+    def _atomic_write(path: Path, data: bytes) -> None:
+        tmp = path.with_suffix(path.suffix + ".tmp")
+        try:
+            tmp.write_bytes(data)
+            tmp.replace(path)
+        except OSError as exc:
+            with contextlib.suppress(OSError):
+                tmp.unlink(missing_ok=True)
+            raise StoreError(f"write to {path} failed: {exc}") from exc
 
 
 def _checked(obj: DigitalObject, rels: ET.Element | None = None,
@@ -558,7 +558,8 @@ def _checked(obj: DigitalObject, rels: ET.Element | None = None,
              held: Callable[[str], list[Triple]] | None = None,
              ) -> tuple[DigitalObject, list[Triple]]:
     """The one record check, on write and on open: obj, validated, with
-    RELS_IN_GRAPH for any RELS stream, and the triples it asserts, parsed
+    its streams in its record's order (every stream but RELS by id, then
+    RELS_IN_GRAPH for any RELS stream), and the triples it asserts, parsed
     from rels, the rdf:RDF element of obj's document, else from its RELS
     bytes; a marker without rels keeps held(pid). A tombstone must be
     empty. Every REC.<format> stream must be local and embeddable as it
@@ -576,14 +577,16 @@ def _checked(obj: DigitalObject, rels: ET.Element | None = None,
                 check_record(ds.payload, ds.ds_id[len(RECORD_DS_PREFIX):])
             except ValidationError as exc:
                 raise ValidationError(f"{obj.pid}: {ds.ds_id} {exc}") from None
-    if rels is not None:
-        return obj, parse_rels(obj.pid, rels, shared)
     ds = obj.datastream(RELS_DS)
-    if ds is None:
-        return obj, []
-    if ds is RELS_IN_GRAPH:
-        return obj, held(obj.pid)
-    return obj.with_datastream(RELS_IN_GRAPH), parse_rels(obj.pid, ds.payload, shared)
+    if rels is None and ds is not None and ds is not RELS_IN_GRAPH:
+        rels = ds.payload
+    triples = (parse_rels(obj.pid, rels, shared) if rels is not None
+               else held(obj.pid) if ds is not None else [])
+    streams = tuple(RELS_IN_GRAPH if d is ds else d for d in sorted(
+        obj.datastreams, key=lambda d: (d is ds, d.ds_id)))
+    if streams != obj.datastreams:
+        obj = replace(obj, datastreams=streams)
+    return obj, triples
 
 
 def _holders(index: dict, key) -> tuple[str, ...]:

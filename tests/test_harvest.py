@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from overlay_repo import behaviors
+from overlay_repo import behaviors, canonical
 from overlay_repo.errors import HarvestProtocolError, StoreError
 from overlay_repo.harvest import (
     HarvestState,
@@ -24,7 +24,8 @@ from overlay_repo.model import SOURCE_DS, parse_source_doc
 from overlay_repo.store import Repository
 
 from support import (
-    START, StubOaiProvider, oai_dc_record, put_object, record_stream, stub_record)
+    START, StubOaiProvider, format_stamp, oai_dc_record, put_object, record_stream,
+    stub_record)
 
 
 @pytest.fixture
@@ -431,6 +432,49 @@ def test_failed_state_write_keeps_previous_file(tmp_path, cfg, monkeypatch):
     assert load_provider_configs(providers) == {cfg.name: cfg}
     assert load_state(tmp_path, cfg.name) == state
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_state_files_go_through_the_stores_writer(tmp_path, cfg, atomic_writes):
+    save_provider_configs(tmp_path / "providers.json", {cfg.name: cfg})
+    save_state(tmp_path, cfg.name, HarvestState(last_success_until=START))
+    assert atomic_writes == [tmp_path / "providers.json",
+                             tmp_path / "harvest_state" / f"{cfg.name}.json"]
+
+
+def test_harvested_objects_equal_their_records(tmp_path, clock, stub):
+    """A stored object holds its streams in its record's order: it equals
+    its reopened self and the import of its export."""
+    repo = Repository(tmp_path / "d", clock=clock)
+    harvester = Harvester(repo, transport=stub.transport)
+    cfg = harvester.register_provider(
+        ProviderConfig(name="alpha", base_url="http://alpha.example/oai"))
+    seed(stub, "alpha", 3)
+    assert harvester.harvest(cfg)[0].created == 3
+    reopened = Repository(tmp_path / "d", clock=clock)
+    for pid in repo.pids():
+        assert repo.get_object(pid) == reopened.get_object(pid) \
+            == canonical.import_object(repo.export_object(pid))[0]
+
+
+def test_record_without_header_or_identifier_is_a_reject(repo, cfg):
+    """Nothing keys a record without a header or an identifier: each is
+    counted as a reject, and none creates, updates or deletes an object."""
+    stamp = format_stamp(SEED_BASE)
+    records = [
+        *(f"<record><header><identifier/><datestamp>{stamp}</datestamp></header>"
+          f"<metadata>{stub_record('alpha', i).decode()}</metadata></record>"
+          for i in (0, 1)),
+        f"<record><metadata>{stub_record('alpha', 2).decode()}</metadata></record>",
+        f'<record><header status="deleted"><identifier> </identifier>'
+        f"<datestamp>{stamp}</datestamp></header></record>"]
+    page = StubOaiProvider._envelope(f"<ListRecords>{''.join(records)}</ListRecords>")
+    before = {pid: repo.get_object(pid) for pid in repo.pids()}
+    report, _ = Harvester(repo, transport=lambda url: page).harvest(cfg)
+    assert (report.harvested, report.created, report.updated, report.deleted,
+            report.rejected) == (4, 0, 0, 0, 4)
+    assert report.rejects == [("", "no header identifier")] * 2 + [
+        ("", "no header"), ("", "no header identifier")]
+    assert {pid: repo.get_object(pid) for pid in repo.pids()} == before
 
 
 def test_malformed_datestamp_is_logged_and_replaced_by_clock(repo, stub, cfg, caplog):

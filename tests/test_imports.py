@@ -1,5 +1,5 @@
-"""The package runs on the standard library plus click, and parses XML
-at one entry point."""
+"""The package runs on the standard library plus click, parses XML at one
+entry point and writes files through one writer."""
 
 import ast
 import sys
@@ -60,3 +60,24 @@ def test_outside_bytes_are_parsed_only_by_the_one_entry_point():
                               for alias in node.names
                               if (node.module, alias.name, alias.asname) not in XML_IMPORTS]
     assert not stray
+
+
+def test_only_the_store_names_the_atomic_writer():
+    """Every file the package writes goes through Repository._atomic_write,
+    which store.py alone names; other modules write state files through
+    store.write_json."""
+    named = []
+    for path in sorted(Path(overlay_repo.__file__).parent.glob("*.py")):
+        if path.name == "store.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [n for alias in node.names for n in (alias.name, alias.asname)]
+            else:
+                continue
+            named += [f"{path.name}: {n}" for n in names if n == "_atomic_write"]
+    assert not named

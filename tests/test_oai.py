@@ -712,7 +712,8 @@ AGG = {"a": "http://ns.nsdl.org/nsdl_agg_v1.00/"}
 
 def test_aggregation_record_bundles_sources_and_gold(repo, provider):
     labels = load_topology(repo, "augmented_metadata")
-    payload = ET.fromstring(provider.emit_aggregation_record(labels["resource"]))
+    item = provider._classify(repo.get_object(labels["resource"]), "nsdl_agg")
+    payload = ET.fromstring(provider.emit_aggregation_record(item.resource, item.describing))
     assert payload.tag == "{%s}nsdl_agg" % AGG["a"]
     resource_el = payload.find("a:resource", AGG)
     assert resource_el.get("handle") == "hdl:2200/00121"

@@ -1,6 +1,7 @@
 """Object store behavior: minting, lifecycle, dissemination, round-trips."""
 
 import base64
+import json
 import shutil
 import string
 import sys
@@ -634,6 +635,39 @@ def test_state_file_failure_does_not_fail_stored_writes(tmp_path, clock,
     assert _snapshot(reopened) == _snapshot(repo)
     for store in (repo, reopened):
         assert store.mint_pid() == "nsdl:10"
+
+
+@pytest.mark.parametrize("stamp", [
+    datetime(2005, 3, 5, 12), datetime(2005, 3, 5, 12, 0, 0, 500, tzinfo=timezone.utc)],
+    ids=["no time zone", "fraction of a second"])
+def test_stamp_a_record_cannot_hold_is_refused_before_the_write(tmp_path, clock,
+                                                                stamp):
+    """A record holds a lastModified of whole seconds in UTC: a stamp it
+    cannot hold is refused by the check, before any record is written."""
+    repo = Repository(tmp_path / "d", clock=clock)
+    put_object(repo, {"Content"})
+    before = _snapshot(repo)
+    with pytest.raises(ValidationError, match="lastModified"):
+        repo.restore_object(DigitalObject(pid="nsdl:2", behaviors=frozenset({"Content"}),
+                                          last_modified=stamp))
+    assert not (tmp_path / "d" / "objects" / "2.xml").exists()
+    assert _snapshot(repo) == before
+    assert _snapshot(Repository(tmp_path / "d", clock=clock)) == before
+
+
+@pytest.mark.parametrize("stale", [{"handle_counter": 1}, {}],
+                         ids=["stale handle_counter", "no handle_counter"])
+def test_state_file_holds_the_pid_mark_alone(tmp_path, clock, stale):
+    """state.json holds pid_counter only; the handle counter comes back
+    from the records, whatever an older state file says of it."""
+    repo = Repository(tmp_path / "d", clock=clock)
+    for _ in range(3):
+        repo.assign_handle(put_object(repo, {"Content"}))
+    state = tmp_path / "d" / "state.json"
+    assert json.loads(state.read_text("utf-8")) == {"pid_counter": 3}
+    state.write_text(json.dumps({"pid_counter": 3, **stale}))
+    reopened = Repository(tmp_path / "d", clock=clock)
+    assert reopened.assign_handle(put_object(reopened, {"Content"})) == "hdl:2200/00004"
 
 
 def _kept_index(repo):

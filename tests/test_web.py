@@ -8,7 +8,8 @@ import pytest
 
 from overlay_repo import canonical
 from overlay_repo.errors import ValidationError
-from overlay_repo.model import DigitalObject, local_stream, remote_stream
+from overlay_repo.model import (
+    DigitalObject, build_source_doc, local_stream, remote_stream)
 from overlay_repo.oai import OaiProvider
 from overlay_repo.store import Repository
 from overlay_repo.web import (
@@ -20,8 +21,8 @@ from overlay_repo.web import (
 )
 
 from support import (
-    brute_force_query, load_topology, oai_dc_record, put_object, record_stream,
-    seed_metadata)
+    START, brute_force_query, load_topology, nsdl_dc_record, oai_dc_record, put_object,
+    record_stream, seed_metadata)
 
 
 @pytest.fixture
@@ -212,6 +213,28 @@ def test_put_of_existing_pid_parses_rels_once_and_writes_once(
     assert status == 200, body
     assert rels_parses == [metadata]
     assert atomic_writes == [tmp_path / "d" / "objects" / "2.xml"]
+
+
+def test_put_body_out_of_order_is_held_in_record_order(tmp_path, clock):
+    """A PUT body that lists SOURCE before REC.nsdl_dc and puts <rels>
+    first is held as its record holds it: the stored object equals its
+    reopened self and the import of its export."""
+    repo = Repository(tmp_path / "d", clock=clock)
+    app = GatewayApp(repo, OaiProvider(repo, repository_id="test.local"))
+    resource = put_object(repo, {"Content"})
+    metadata = put_object(repo, {"Metadata"}, edges=[("metadataFor", resource)], streams=[
+        record_stream("nsdl_dc", nsdl_dc_record(("title", "T"))),
+        local_stream("SOURCE", "application/xml", build_source_doc("p", "oai:p:1", START))])
+    lines = repo.export_object(metadata).decode("utf-8").splitlines(keepends=True)
+    rels = lines[lines.index("  <rels>\n"):lines.index("  </rels>\n") + 1]
+    streams = [line for line in lines if line.startswith("  <datastream")]
+    assert [line.split('"')[1] for line in streams] == ["REC.nsdl_dc", "SOURCE"]
+    body = "".join([*lines[:2], *rels, *reversed(streams),
+                    *(line for line in lines if line.startswith("  <behavior")), lines[-1]])
+    status, _, out = request(app, "PUT", f"/objects/{metadata}", body=body.encode("utf-8"))
+    assert status == 200, out
+    assert repo.get_object(metadata) == Repository(tmp_path / "d", clock=clock).get_object(
+        metadata) == canonical.import_object(repo.export_object(metadata))[0]
 
 
 def test_put_malformed_rels_422(repo, app):
