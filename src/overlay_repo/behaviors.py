@@ -171,12 +171,14 @@ def content_get_gold(repo, pid: str,
     inputs = []
     for m in describing:
         source = record_source(m, "nsdl_dc")
-        if source is not None:
-            inputs.append(GoldInput(
-                pid=m.pid,
-                datestamp=m.last_modified,
-                entries=tuple(records.dc_entries(source, "nsdl_dc")),
-            ))
+        if source is None:
+            continue
+        # a canonical nsdl_dc record hands out its own lines; any other is
+        # read through dc_entries and written by the same line writer
+        lines = records.read_dc_lines(source.xml) if source.format == "nsdl_dc" else None
+        if lines is None:
+            lines = [records.dc_line(e) for e in records.dc_entries(source, "nsdl_dc")]
+        inputs.append(GoldInput(pid=m.pid, datestamp=m.last_modified, lines=tuple(lines)))
     if not inputs:
         raise NoMetadataError(f"no record describing {pid} can produce nsdl_dc")
     # one contributor is its own order, whatever it augments

@@ -24,11 +24,12 @@ Each object a page walks is classified once, and its record is rendered
 from what that found: a metadata object's record source, by the rule
 GetRecord serves by, or a resource's describing metadata objects. A
 response is a list of byte chunks joined once: the envelope, headers,
-small verbs and the nsdl_agg wrapper from escaped string templates, and
-stored records and the gold record as their own bytes, declaration
-stripped, each keeping its own namespace declarations. The store checks
-every stored record on write and on open (records.check_record), so
-rendering parses nothing.
+small verbs and the nsdl_agg wrapper from escaped string templates,
+stored records as their own bytes, declaration stripped, each keeping its
+own namespace declarations, and the gold record as the fold wrote it. The
+store checks every stored record on write and on open
+(records.check_record), so rendering parses nothing but the contributors
+of a gold record that are not canonical nsdl_dc.
 """
 
 from __future__ import annotations
@@ -78,8 +79,7 @@ _ROOT_START = (
     f'<OAI-PMH xmlns="{OAI_NS}" xmlns:xsi="{XSI_NS}"'
     f' xsi:schemaLocation="{OAI_NS} {OAI_SCHEMA}">')
 
-_ATTR_REFS = TEXT_REFS + (
-    ('"', "&quot;"), ("\n", "&#10;"), ("\r", "&#13;"), ("\t", "&#09;"))
+_ATTR_REFS = TEXT_REFS + (('"', "&quot;"), ("\n", "&#10;"), ("\t", "&#09;"))
 
 # Characters outside XML 1.0's Char production cannot appear in a response.
 _NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
@@ -498,9 +498,9 @@ class OaiProvider:
                         f" format={_attr(format_name)}>".encode("utf-8"),
                         embeddable(record.xml), b"</nsdl_agg:sourceRecord>"]
         try:
-            gold = embeddable(behaviors.content_get_gold(
-                self.repo, resource.pid, describing).xml)
-            out += [b"<nsdl_agg:gold>", gold, b"</nsdl_agg:gold>"]
+            gold = behaviors.content_get_gold(self.repo, resource.pid, describing).xml
+            # as the fold wrote it, but for its final newline
+            out += [b"<nsdl_agg:gold>", gold[:-1], b"</nsdl_agg:gold>"]
         except (NoMetadataError, FormatUnavailableError, ModelIntegrityError):
             out.append(b"<nsdl_agg:gold />")
         out.append(b"</nsdl_agg:nsdl_agg>")

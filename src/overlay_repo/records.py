@@ -8,8 +8,12 @@ Callers keep the original record verbatim and store the normalized output
 next to it. ``parse_dc_entries`` parses through model.parse_xml, the one
 entry point for XML from outside, and ``check_record``, the store's test
 that a stored record can be embedded in another document as it is, makes
-one expat pass; both refuse a DOCTYPE. Every function here is a pure
-function of its inputs so record pipelines stay deterministic.
+one expat pass; both refuse a DOCTYPE. ``dc_line`` writes one entry as a
+line of a record, for ``serialize_dc`` and for the gold fold, and
+``read_dc_lines`` reads those lines back from a record that is exactly
+what ``serialize_dc`` writes in nsdl_dc, so the fold copies a canonical
+contributor's lines instead of parsing them. Every function here is a
+pure function of its inputs so record pipelines stay deterministic.
 """
 
 from __future__ import annotations
@@ -55,8 +59,9 @@ GOLD_SINGLE_VALUED = frozenset({"title", "identifier", "date"})
 _TYPE_ATTRS = {qualifier: f" xsi:type={quoteattr(qualifier)}"
                for qualifier in ("dct:W3CDTF", "dct:RFC3066", "dct:DCMIType")}
 _DC_TAG, _XSI_TYPE = "{%s}" % DC_NS, "{%s}type" % XSI_NS
-# What escape replaces in text, as xml.sax.saxutils.escape does; "&" first.
-TEXT_REFS = (("&", "&amp;"), (">", "&gt;"), ("<", "&lt;"))
+# What escape replaces in text, "&" first: what xml.sax.saxutils.escape
+# replaces, and "\r", which an XML reader would otherwise read as "\n".
+TEXT_REFS = (("&", "&amp;"), (">", "&gt;"), ("<", "&lt;"), ("\r", "&#13;"))
 
 
 @dataclass(frozen=True)
@@ -198,28 +203,80 @@ def escape(text: str, refs: tuple[tuple[str, str], ...] = TEXT_REFS) -> str:
     return text
 
 
-def serialize_dc(format_name: str, entries: list[DcEntry],
-                 trailer: tuple[str, ...] = ()) -> bytes:
-    """Deterministic serialization of DC entries, then the trailer lines,
-    under the given root.
+class DcLine(NamedTuple):
+    """One DC entry as a line of a record: the whole line, the element
+    name and the escaped text."""
+
+    line: str
+    name: str
+    text: str
+
+
+def dc_line(entry: DcEntry, qualified: bool = True) -> DcLine:
+    """entry as serialize_dc writes it: with its xsi:type when qualified,
+    as nsdl_dc is, and without it in unqualified oai_dc."""
+    name, value, xsi_type = entry
+    attr = ""
+    if qualified and xsi_type:
+        attr = _TYPE_ATTRS.get(xsi_type) or f" xsi:type={quoteattr(xsi_type)}"
+    text = escape(value)
+    return DcLine(f"  <dc:{name}{attr}>{text}</dc:{name}>", name, text)
+
+
+def _dc_document(format_name: str, lines: list[str]) -> bytes:
+    """lines under the root of a DC format, as serialize_dc writes them."""
+    info = FORMATS[format_name]
+    decls = f' xmlns:{info.prefix}="{info.namespace}" xmlns:dc="{DC_NS}"'
+    if format_name == "nsdl_dc":
+        decls += f' xmlns:dct="{DCT_NS}" xmlns:xsi="{XSI_NS}"'
+    return "\n".join([f"<{info.prefix}:{info.root}{decls}>", *lines,
+                      f"</{info.prefix}:{info.root}>\n"]).encode("utf-8")
+
+
+def serialize_dc(format_name: str, entries: list[DcEntry]) -> bytes:
+    """Deterministic serialization of DC entries under the format's root,
+    one dc_line per entry.
 
     oai_dc is unqualified, so xsi:type annotations are dropped there;
     nsdl_dc keeps them.
     """
-    info = FORMATS[format_name]
     qualified = format_name == "nsdl_dc"
-    decls = f' xmlns:{info.prefix}="{info.namespace}" xmlns:dc="{DC_NS}"'
-    if qualified:
-        decls += f' xmlns:dct="{DCT_NS}" xmlns:xsi="{XSI_NS}"'
-    lines = [f"<{info.prefix}:{info.root}{decls}>"]
-    for name, value, xsi_type in entries:
-        attr = ""
-        if qualified and xsi_type:
-            attr = _TYPE_ATTRS.get(xsi_type) or f" xsi:type={quoteattr(xsi_type)}"
-        lines.append(f"  <dc:{name}{attr}>{escape(value)}</dc:{name}>")
-    lines += trailer
-    lines.append(f"</{info.prefix}:{info.root}>\n")
-    return "\n".join(lines).encode("utf-8")
+    return _dc_document(format_name, [dc_line(entry, qualified).line for entry in entries])
+
+
+# An nsdl_dc record with no entries is its first and its last line.
+_NSDL_DC_HEAD, _NSDL_DC_TAIL = re.findall(".*\n", _dc_document("nsdl_dc", []).decode("utf-8"))
+# One entry line that dc_line writes for the entry parse_dc_entries reads
+# from it: an ASCII name, at most one non-empty xsi:type that quoteattr
+# writes as it is, and text with no raw ">", "\r" or "\n", no reference but
+# &amp;, &lt; and &gt;, and no whitespace (in the str.strip sense) at
+# either end. The groups are DcLine's fields.
+_DC_LINE = re.compile(
+    r'^(  <dc:([A-Za-z_][A-Za-z0-9_.-]*)(?: xsi:type="[^"&<>\t\n\r]+")?>'
+    r"(?!\s)([^&<>\r\n]*(?:&(?:amp|lt|gt);[^&<>\r\n]*)*)(?<!\s)</dc:\2>)\n",
+    re.MULTILINE)
+
+
+def read_dc_lines(xml: bytes) -> list[DcLine] | None:
+    """The lines of a record whose bytes are exactly what serialize_dc
+    writes in nsdl_dc: equal to dc_line of each entry parse_dc_entries
+    reads from it, without a parse. None for any other bytes, and the
+    caller then parses; like model.parse_datestamp's strict form, it is
+    exact or declines."""
+    try:
+        body = xml.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if not (body.startswith(_NSDL_DC_HEAD) and body.endswith(_NSDL_DC_TAIL)):
+        return None
+    middle = body[len(_NSDL_DC_HEAD):len(body) - len(_NSDL_DC_TAIL)]
+    found = _DC_LINE.findall(middle)
+    # Each match starts a line and ends at its newline, so as many matches
+    # as newlines, with nothing after the last, cover the middle.
+    if len(found) != middle.count("\n") or middle[-1:] not in ("", "\n"):
+        return None
+    new = tuple.__new__  # skips DcLine's Python-level __new__
+    return [new(DcLine, groups) for groups in found]
 
 
 # --------------------------------------------------------------------------
@@ -361,11 +418,12 @@ def dc_entries(record: MetadataRecord, to_format: str) -> list[DcEntry]:
 
 class GoldInput(NamedTuple):
     """One contributing record: the asserting metadata object's pid, its
-    record datestamp (tie-break), and its parsed nsdl_dc entries."""
+    record datestamp (tie-break), and its nsdl_dc entries as dc_line
+    writes them."""
 
     pid: str
     datestamp: datetime
-    entries: tuple[DcEntry, ...]
+    lines: tuple[DcLine, ...]
 
 
 def fold_order(inputs: list[GoldInput],
@@ -406,32 +464,35 @@ def fold_order(inputs: list[GoldInput],
 
 def fold_gold(inputs: list[GoldInput],
               augment_edges: list[tuple[str, str]]) -> GoldRecord:
-    """Merge contributing records element-wise in augmentation order.
+    """Merge contributing records element-wise in augmentation order, and
+    write the gold as the chosen lines and the contributors.
 
-    Single-valued elements (title, identifier, date) take the values of
+    Single-valued elements (title, identifier, date) take the lines of
     the last record that has them; repeatable elements union with
-    exact-string dedup in first-seen order.
+    exact-string dedup of their values in first-seen order. escape is
+    one-to-one, so lines dedup by their escaped text.
     """
     ordered = inputs if len(inputs) == 1 else fold_order(inputs, augment_edges)
-    chosen: dict[str, list[DcEntry]] = {}
+    chosen: dict[str, list[str]] = {}
     seen: dict[str, set[str]] = {}
     for g in ordered:
-        own: dict[str, list[DcEntry]] = {}
-        for entry in g.entries:
-            name, value, _ = entry
+        own: dict[str, list[str]] = {}
+        for line, name, text in g.lines:
             if name in GOLD_SINGLE_VALUED:
-                own.setdefault(name, []).append(entry)
+                own.setdefault(name, []).append(line)
             elif name not in seen:
-                seen[name] = {value}
-                chosen[name] = [entry]
-            elif value not in seen[name]:
-                seen[name].add(value)
-                chosen[name].append(entry)
+                seen[name] = {text}
+                chosen[name] = [line]
+            elif text not in seen[name]:
+                seen[name].add(text)
+                chosen[name].append(line)
         chosen.update(own)
 
     names = sorted(chosen, key=lambda name: (_ELEMENT_RANK.get(name, len(_ELEMENT_RANK)), name))
-    merged = [entry for name in names for entry in chosen[name]]
-    trailer = ("  <contributors>", *(f"    <contributor>info:nsdl/{g.pid}</contributor>"
-                                     for g in ordered), "  </contributors>")
-    return GoldRecord(serialize_dc("nsdl_dc", merged, trailer),
-                      tuple(g.pid for g in ordered))
+    return GoldRecord(
+        _dc_document("nsdl_dc", [
+            *(line for name in names for line in chosen[name]),
+            "  <contributors>",
+            *(f"    <contributor>info:nsdl/{g.pid}</contributor>" for g in ordered),
+            "  </contributors>"]),
+        tuple(g.pid for g in ordered))

@@ -13,22 +13,25 @@ from xml.etree import ElementTree as ET
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from overlay_repo import behaviors
+from overlay_repo import behaviors, records
 from overlay_repo.cli import load_fixture_dir
 from overlay_repo.errors import (
     FormatUnavailableError, ObjectDeletedError, OperationNotSupportedError)
 from overlay_repo.graph import TripleStore
+from overlay_repo.harvest import Harvester, ProviderConfig
 from overlay_repo.model import (
     format_datestamp, local_stream, parse_datestamp, pid_number)
 from overlay_repo.oai import OaiProvider
 from overlay_repo.behaviors import build_brand_doc
-from overlay_repo.records import embeddable
+from overlay_repo.records import DC_NS, NSDL_DC_NS, XSI_NS, embeddable
 from overlay_repo.store import Repository
 from overlay_repo.web import GatewayApp
 
+from check_agg_walk import agg_walk, reader_declining
 from support import (
-    FIGURES, START, TickingClock, load_topology, nsdl_dc_record, oai_dc_record,
-    put_object, record_stream, rels_stream, seed_metadata)
+    FIGURES, START, StubOaiProvider, TickingClock, load_topology, nsdl_dc_record,
+    oai_dc_record, oracle_gold_fold, put_object, record_stream, rels_stream,
+    seed_metadata)
 
 NS = {"o": "http://www.openarchives.org/OAI/2.0/"}
 
@@ -919,7 +922,8 @@ def test_aggregation_answers_whatever_its_neighbours_hold(
 
 def test_rendering_parses_and_serializes_no_xml(repo, xml_work):
     """An oai_dc page splices stored records unparsed; an nsdl_agg page
-    parses only for the gold fold, once per contributing record."""
+    parses only for the gold fold, once per contributing record that is
+    not canonical nsdl_dc."""
     labels = load_topology(repo, "augmented_metadata")  # a resource with 2 contributors
     seed_metadata(repo, 5)
     assert repo.validate_graph() == []
@@ -942,14 +946,105 @@ def test_rendering_parses_and_serializes_no_xml(repo, xml_work):
         assert error_code(response) is None
         served = record_identifiers(response, params["verb"])
         assert len(served) == (1 if params["verb"] == "GetRecord" else 3)
-        # the gold fold reads the nsdl_dc of each describing record that has one
-        contributors = 0 if params["metadataPrefix"] == "oai_dc" else sum(
-            behaviors.record_source(repo.get_object(m), "nsdl_dc") is not None
+        # the gold fold reads the nsdl_dc of each describing record that has
+        # one, and parses it unless it is canonical nsdl_dc
+        sources = [] if params["metadataPrefix"] == "oai_dc" else [
+            behaviors.record_source(repo.get_object(m), "nsdl_dc")
             for identifier in served for m in behaviors.resource_get_metadata(
-                repo, identifier.removeprefix(prefix)))
-        assert work == {"parsers": contributors, "serializations": 0,
-                        "dc_parses": contributors}, params
-    assert contributors == 2
+                repo, identifier.removeprefix(prefix))]
+        contributors = [s for s in sources if s is not None]
+        parsed = sum(s.format != "nsdl_dc" or records.read_dc_lines(s.xml) is None
+                     for s in contributors)
+        assert work == {"parsers": parsed, "serializations": 0,
+                        "dc_parses": parsed}, params
+    assert (len(contributors), parsed) == (2, 1)
+
+
+def _stub_harvest(repo, name, upstream):
+    """Harvest upstream's (identifier, oai_dc bytes) records as provider name."""
+    stub = StubOaiProvider()
+    for identifier, xml in upstream:
+        stub.add(identifier, START - timedelta(days=1), xml)
+    harvester = Harvester(repo, transport=stub.transport)
+    cfg = harvester.register_provider(
+        ProviderConfig(name=name, base_url=f"http://{name}.example/oai"))
+    harvester.harvest(cfg)
+    return cfg
+
+
+# nsdl_dc that a PUT may store: well-formed, but not what serialize_dc
+# writes (declaration, padding, references, CDATA, a foreign element).
+_NOT_CANONICAL_NSDL_DC = (
+    "<?xml version='1.0' encoding='utf-8'?>\n"
+    f'<nsdl_dc:nsdl_dc xmlns:nsdl_dc="{NSDL_DC_NS}" xmlns:dc="{DC_NS}" xmlns:xsi="{XSI_NS}">'
+    "<dc:title> Put &#65; title </dc:title>"
+    "<dc:subject><![CDATA[S1]]></dc:subject>"
+    "<dc:subject>S4 &amp; more</dc:subject>"
+    '<dc:subject xsi:type="dct:LCSH">S2</dc:subject>'
+    "<dc:description>one&#13;two</dc:description>"
+    '<dc:date xsi:type="dct:W3CDTF">2005</dc:date>'
+    '<note xmlns="urn:x">skipped</note>'
+    "</nsdl_dc:nsdl_dc>").encode("utf-8")
+
+
+def test_agg_walk_golds_equal_the_parsed_fold_and_the_oracle(repo, xml_work):
+    """Over two harvested providers that share a resource URL, an
+    oai_dc-only contributor and a PUT nsdl_dc record that is not canonical
+    and augments a harvested one, an nsdl_agg walk is byte for byte the
+    walk whose golds fold parsed contributors, and each gold folds what
+    the oracle folds."""
+    shared = "http://shared.example/r"
+    alpha = _stub_harvest(repo, "alpha", [
+        ("oai:alpha:1", oai_dc_record(("title", "Alpha & co"), ("subject", "S1"),
+                                      ("date", "March 5, 2004"), ("identifier", shared))),
+        ("oai:alpha:2", oai_dc_record(("title", "Own"), ("language", "English"),
+                                      ("identifier", "http://alpha.example/2")))])
+    beta = _stub_harvest(repo, "beta", [
+        ("oai:beta:1", oai_dc_record(("title", "Beta <b>"), ("subject", "S1"),
+                                     ("subject", "S2"), ("type", "Movie"),
+                                     ("identifier", shared)))])
+    resource = repo.content_pid_for_url(shared)
+    put_object(repo, {"Metadata"},
+               streams=[record_stream("oai_dc", oai_dc_record(
+                   ("subject", "S3"), ("identifier", shared)))],
+               edges=[("metadataFor", resource), ("providedBy", alpha.provider_role_pid)])
+    put_object(repo, {"Metadata"},
+               streams=[record_stream("nsdl_dc", _NOT_CANONICAL_NSDL_DC)],
+               edges=[("metadataFor", resource), ("providedBy", beta.provider_role_pid),
+                      ("augments", repo.source_pid("beta", "oai:beta:1"))])
+    provider = OaiProvider(repo, repository_id="test.local", page_size=2)
+    app = GatewayApp(repo, provider)
+    for key in xml_work:
+        xml_work[key] = 0
+    pages = agg_walk(app)
+    # only the oai_dc-only record and the PUT nsdl_dc record are parsed
+    assert xml_work["dc_parses"] == 2
+    with reader_declining():
+        assert agg_walk(app) == pages
+
+    prefix = provider.oai_identifier("")
+    golds = {record.findtext("o:header/o:identifier", namespaces=NS).removeprefix(prefix):
+             record.find("o:metadata/a:nsdl_agg/a:gold", {**NS, **AGG})[0]
+             for page in pages for record in ET.fromstring(page).iterfind(".//o:record", NS)}
+    assert len(golds) == 2 and len(behaviors.resource_get_metadata(repo, resource)) == 4
+    for pid, gold in golds.items():
+        describing = [repo.get_object(m) for m in behaviors.resource_get_metadata(repo, pid)]
+        inputs = [{"pid": m.pid, "datestamp": m.last_modified,
+                   "entries": [(e.name, e.value) for e in records.dc_entries(
+                       behaviors.record_source(m, "nsdl_dc"), "nsdl_dc")]}
+                  for m in describing]
+        edges = [(m.pid, b) for m in describing for b in repo.graph.objects_of(m.pid, "augments")]
+        order, merged = oracle_gold_fold(inputs, edges)
+        entries = {}
+        for el in gold:
+            if el.tag.startswith("{%s}" % DC_NS):
+                entries.setdefault(el.tag.split("}")[1], []).append(el.text or "")
+        assert entries == merged
+        # the contributors list is unprefixed, so it takes the namespace
+        # of the document the gold is spliced into
+        contributors = next(el for el in gold if el.tag.endswith("contributors"))
+        assert [c.text for c in contributors] == [f"info:nsdl/{m}" for m in order]
+    assert golds[resource].find("{%s}description" % DC_NS).text == "one\rtwo"
 
 
 # -- one classification per item

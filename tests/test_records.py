@@ -3,11 +3,12 @@ crosswalks, and the gold-record fold."""
 
 import heapq
 from datetime import datetime, timedelta, timezone
+from typing import NamedTuple
 from xml.etree import ElementTree as ET
-from xml.sax.saxutils import escape, quoteattr
+from xml.sax.saxutils import escape, quoteattr, unescape
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from overlay_repo.errors import FormatUnavailableError, ModelIntegrityError, ValidationError
 from overlay_repo.harvest import Harvester, ProviderConfig
@@ -26,9 +27,11 @@ from overlay_repo.records import (
     check_record,
     crosswalk,
     dc_entries,
+    dc_line,
     embeddable,
     fold_gold,
     parse_dc_entries,
+    read_dc_lines,
     serialize_dc,
 )
 
@@ -155,7 +158,7 @@ def test_dc_entries_equal_the_crosswalk_parsed_back(first, second):
 
     def gold(entries):
         return fold_gold([GoldInput(f"nsdl:{i + 1}", T0 + timedelta(seconds=i),
-                                    tuple(e)) for i, e in enumerate(entries)], [])
+                                    tuple(map(dc_line, e))) for i, e in enumerate(entries)], [])
 
     assert gold(direct).xml == gold(parsed_back).xml
 
@@ -284,6 +287,141 @@ def test_embedded_root_keeps_its_namespace(payload, embedded):
 
 
 # --------------------------------------------------------------------------
+# serialization round trip and the line reader
+
+# Characters XML 1.0 allows in a document.
+_xml_char = st.one_of(
+    st.sampled_from("\t\n\r &<>\"'\xa0\x85\u2028"),
+    st.characters(min_codepoint=0x20, max_codepoint=0xD7FF),
+    st.characters(min_codepoint=0xE000, max_codepoint=0xFFFD),
+    st.characters(min_codepoint=0x10000))
+_dc_name = st.sampled_from(("title", "date", "identifier", "subject", "abstract", "a.b-c_1"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_dc_name, st.text(_xml_char, max_size=12).map(str.strip),
+                          st.one_of(st.none(), st.text(_xml_char, min_size=1, max_size=6))),
+                max_size=5),
+       st.sampled_from(("oai_dc", "nsdl_dc")))
+@example([("title", "a\rb", None)], "nsdl_dc")
+def test_serialized_entries_parse_back_unchanged(drawn, format_name):
+    """Stripped XML text, "\\r" inside it included, survives its own
+    serialization; oai_dc is unqualified, so its entries carry no type."""
+    entries = [DcEntry(name, value, xsi_type if format_name == "nsdl_dc" else None)
+               for name, value, xsi_type in drawn]
+    assert parse_dc_entries(serialize_dc(format_name, entries), format_name) == entries
+
+
+# Hostile names (non-ASCII, punctuation), values (references, whitespace
+# at the edges, NBSP, non-ASCII) and types (quotes, escapes, spaces).
+_reader_names = st.sampled_from(
+    ("title", "date", "subject", "zone", "a.b-c_1", "_x", "t\u00eftle", "1a"))
+_reader_text = st.text(alphabet="ab &<>\"'\t\n\r\xa0\u00e9", max_size=5)
+_reader_types = st.one_of(
+    st.none(), st.just(""), st.sampled_from(("dct:W3CDTF", "dct:URI", "a'b", "a b", "\u00e9")),
+    st.text(alphabet="a:\"'&<>\t\n\xa0", max_size=4))
+_reader_entries = st.lists(st.builds(DcEntry, _reader_names, _reader_text, _reader_types),
+                           max_size=5)
+
+
+def _reader_variants(entries):
+    """serialize_dc's nsdl_dc bytes for entries, and well-formed (or not)
+    variants of them that a reader of canonical records must not misread."""
+    head, tail = serialize_dc("nsdl_dc", []).decode("utf-8").split("\n", 1)
+    lines = [dc_line(entry) for entry in entries]
+    base = [line.line for line in lines]
+
+    def doc(body, first=head, last=tail):
+        return "\n".join([first, *body, last])
+
+    yield doc(base)
+    yield "<?xml version='1.0' encoding='utf-8'?>\n" + doc(base)
+    yield "\ufeff" + doc(base)
+    yield doc(base).replace("\n", "\r\n")
+    yield doc(base) + "\n"
+    yield doc(base)[:-1]
+    yield doc(base, first=head.replace(" xmlns:dc=", "  xmlns:dc="))
+    yield doc(base + ["  <!-- a comment -->"])
+    yield doc(base + [""])
+    yield doc([f'  <x:title xmlns:x="{DC_NS}">x</x:title>', *base])
+    yield doc([*base, '  <dc:title xmlns:dc="urn:not-dc">x</dc:title>'])
+    yield doc([*base, "  <title>x</title>"])
+    for i, (line, name, text) in enumerate(lines):
+        value = entries[i].value
+        start, end = line[:line.index(">") + 1], f"</dc:{name}>"
+
+        def swap(new):
+            return doc(base[:i] + [new] + base[i + 1:])
+
+        yield swap(f"{start}&#65;{text}{end}")
+        yield swap(f"{start}{text}&#13;{end}")
+        yield swap(f"{start}{text}&#x20;{end}")
+        yield swap(f"{start} {text}{end}")
+        yield swap(f"{start}{text}\xa0{end}")
+        yield swap(f"{start}{text.replace('&gt;', '>')}{end}")
+        yield swap(f"{start}<![CDATA[{value}]]>{end}")
+        yield swap(f"{start}{text}<!-- a comment -->{end}")
+        yield swap(f"{start}{text}<dc:x>y</dc:x>{end}")
+        yield swap(f'{start[:-1]} a="1">{text}{end}')
+        yield swap(f"{start[:-1]} xml:lang='en'>{text}{end}")
+        for xsi_type in ("dct:URI", "", "a>b", "&#65;", "a\tb", "&quot;", "&amp;"):
+            yield swap(f'  <dc:{name} xsi:type="{xsi_type}">{text}{end}')
+        yield swap(start.replace('xsi:type="', "xsi:type='").replace('">', "'>") + text + end)
+        yield swap(f"{start[:-1]} >{text}{end}")
+        yield swap(f"{start}{text}</dc:{name} >")
+        yield swap(f"  <dc:{name}/>")
+        yield swap("\t" + line.lstrip(" "))
+        yield swap(f'  <d:{name} xmlns:d="{DC_NS}">{text}</d:{name}>')
+        yield swap(f"{line}  ")
+
+
+def _one_plain_line(entry):
+    """Whether dc_line writes entry as one line with an ASCII name, no
+    reference in its text but &amp;, &lt; and &gt;, and a type, if any,
+    that quoteattr writes as it is."""
+    name, value, xsi_type = entry
+    return (name.isascii() and not set(value) & set("\r\n")
+            and not set(xsi_type or "") & set('"&<>\t\n\r'))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reader_entries)
+def test_line_reader_is_exact_or_declines(entries):
+    """For every variant the store would keep, the reader hands out the
+    lines dc_line writes for the entries the validating parse reads, or
+    declines. It declines no canonical record whose entries parse back
+    unchanged and are each one plain line, so a reader that always
+    declines fails."""
+    for variant in _reader_variants(entries):
+        xml = variant.encode("utf-8")
+        try:
+            check_record(xml, "nsdl_dc")
+        except ValidationError:
+            continue
+        got = read_dc_lines(xml)
+        if got is not None:
+            assert got == [dc_line(e) for e in parse_dc_entries(xml, "nsdl_dc")], variant
+    canonical = serialize_dc("nsdl_dc", entries)
+    try:
+        check_record(canonical, "nsdl_dc")
+    except ValidationError:
+        return
+    if parse_dc_entries(canonical, "nsdl_dc") == entries and all(map(_one_plain_line, entries)):
+        assert read_dc_lines(canonical) == [dc_line(e) for e in entries]
+
+
+def test_line_reader_reads_lines_and_declines_other_formats():
+    entries = [DcEntry("title", "A & B <c>"), DcEntry("date", "2004", "dct:W3CDTF")]
+    lines = read_dc_lines(serialize_dc("nsdl_dc", entries))
+    assert lines == [dc_line(e) for e in entries]
+    assert [(line.name, line.text) for line in lines] == [
+        ("title", "A &amp; B &lt;c&gt;"), ("date", "2004")]
+    assert read_dc_lines(serialize_dc("nsdl_dc", [])) == []
+    assert read_dc_lines(serialize_dc("oai_dc", entries)) is None
+    assert read_dc_lines(b"\xff") is None
+
+
+# --------------------------------------------------------------------------
 # gold fold
 
 
@@ -291,14 +429,14 @@ def _gold_input(pid, minutes, *entries):
     return GoldInput(
         pid=pid,
         datestamp=T0 + timedelta(minutes=minutes),
-        entries=tuple(DcEntry(n, v) for n, v in entries),
+        lines=tuple(dc_line(DcEntry(n, v)) for n, v in entries),
     )
 
 
 def _as_oracle(gold_inputs):
     return [
         {"pid": g.pid, "datestamp": g.datestamp,
-         "entries": [(e.name, e.value) for e in g.entries]}
+         "entries": [(line.name, unescape(line.text, {"&#13;": "\r"})) for line in g.lines]}
         for g in gold_inputs
     ]
 
@@ -395,9 +533,16 @@ def _reference_serialize_dc(entries) -> bytes:
         attr = ""
         if entry.xsi_type:
             attr = f" xsi:type={quoteattr(entry.xsi_type)}"
-        lines.append(f"  <dc:{entry.name}{attr}>{escape(entry.value)}</dc:{entry.name}>")
+        text = escape(entry.value, {"\r": "&#13;"})
+        lines.append(f"  <dc:{entry.name}{attr}>{text}</dc:{entry.name}>")
     lines.append("</nsdl_dc:nsdl_dc>")
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+class _ReferenceInput(NamedTuple):
+    pid: str
+    datestamp: datetime
+    entries: tuple[DcEntry, ...]
 
 
 def _reference_fold_order(inputs, augment_edges):
@@ -485,13 +630,14 @@ def test_fold_equals_reference_fold(data):
     escaping, and augments chains (a cycle raises the same error)."""
     numbers = data.draw(st.lists(st.integers(1, 30), min_size=1, max_size=5, unique=True))
     pids = [f"nsdl:{n}" for n in numbers]
-    inputs = [GoldInput(pid, T0 + timedelta(seconds=data.draw(st.integers(0, 2))),
-                        tuple(data.draw(_fold_entries)))
-              for pid in pids]
+    drawn = [_ReferenceInput(pid, T0 + timedelta(seconds=data.draw(st.integers(0, 2))),
+                             tuple(data.draw(_fold_entries)))
+             for pid in pids]
+    inputs = [GoldInput(g.pid, g.datestamp, tuple(map(dc_line, g.entries))) for g in drawn]
     edges = data.draw(st.lists(st.tuples(st.sampled_from(pids + ["nsdl:99"]),
                                          st.sampled_from(pids)), max_size=6))
     try:
-        expected = _reference_fold_gold(inputs, edges)
+        expected = _reference_fold_gold(drawn, edges)
     except ModelIntegrityError as exc:
         with pytest.raises(ModelIntegrityError) as raised:
             fold_gold(inputs, edges)
