@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from typing import Callable
-from xml.sax.saxutils import escape, quoteattr
 
 from . import records
 from .errors import (
@@ -25,7 +24,7 @@ from .errors import (
     NotFoundError, NotRepresentedError, ValidationError)
 from .model import (
     BRAND_DS, CONTENT_DS, INFO_URI_PREFIX, RECORD_DS_PREFIX, DigitalObject,
-    Representation, parse_xml, representation_uri)
+    Representation, escape, parse_xml, quoteattr, representation_uri)
 from .records import GoldInput, GoldRecord, MetadataRecord, crosswalk, fold_gold
 
 URI_LIST_TYPE = "text/uri-list"

@@ -30,13 +30,12 @@ from __future__ import annotations
 import base64
 from itertools import combinations
 from xml.etree import ElementTree as ET
-from xml.sax.saxutils import quoteattr
 
 from .errors import ValidationError
 from .graph import Triple, serialize_rels
 from .model import (
     BEHAVIOR_NAMES, RELS_DS, RELS_IN_GRAPH, Datastream, DigitalObject,
-    format_datestamp, parse_datestamp, parse_xml)
+    format_datestamp, parse_datestamp, parse_xml, quoteattr)
 
 _XML_DECL = '<?xml version="1.0" encoding="UTF-8"?>\n'
 # The one frozenset of each set of known behaviors, shared by its objects.
@@ -82,8 +81,9 @@ def export_object(obj: DigitalObject, triples: list[Triple] | None = None) -> by
     for name in sorted(obj.behaviors):
         lines.append("  <behavior" + _render_attrs([("name", name)]) + "/>")
     if rels_payload is not None:
-        lines += ["  <rels>", *("    " + raw if raw else ""
-                                for raw in rels_payload.decode("utf-8").splitlines()),
+        # at "\n" alone: str.splitlines also splits at U+2028, U+0085 and more
+        fragment = rels_payload.decode("utf-8").removesuffix("\n")
+        lines += ["  <rels>", *("    " + raw if raw else "" for raw in fragment.split("\n")),
                   "  </rels>"]
     lines.append("</digitalObject>")
     return (_XML_DECL + "\n".join(lines) + "\n").encode("utf-8")

@@ -61,7 +61,7 @@ from . import ontology
 from .errors import LimitExceededError, QueryParseError, ValidationError
 from .model import (
     INFO_URI_PREFIX, RELS_DS, RELS_MEDIA_TYPE, Datastream, is_pid, parse_xml,
-    pid_sort_key, representation_uri)
+    pid_sort_key, quoteattr, representation_uri)
 from .ontology import BASE_NAMESPACE, Predicate, predicate, predicate_from_uri
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -177,20 +177,17 @@ def serialize_rels(pid: str, triples: Iterable[Triple]) -> bytes:
         ns = t.predicate.namespace
         if ns not in prefixes:
             prefixes[ns] = f"ext{len(prefixes) - 1}"
-    decls = "".join(
-        f' xmlns:{prefix}="{ns}"' for ns, prefix in prefixes.items()
-    )
+    decls = "".join(f" xmlns:{prefix}={quoteattr(ns)}" for ns, prefix in prefixes.items())
     lines = [f"<rdf:RDF{decls}>"]
-    about = representation_uri(pid)
+    about = quoteattr(representation_uri(pid))
     if not ordered:
-        lines.append(f'  <rdf:Description rdf:about="{about}"/>')
+        lines.append(f"  <rdf:Description rdf:about={about}/>")
     else:
-        lines.append(f'  <rdf:Description rdf:about="{about}">')
+        lines.append(f"  <rdf:Description rdf:about={about}>")
         for t in ordered:
             prefix = prefixes[t.predicate.namespace]
-            target = representation_uri(t.object)
-            lines.append(
-                f'    <{prefix}:{t.predicate.name} rdf:resource="{target}"/>')
+            target = quoteattr(representation_uri(t.object))
+            lines.append(f"    <{prefix}:{t.predicate.name} rdf:resource={target}/>")
         lines.append("  </rdf:Description>")
     lines.append("</rdf:RDF>")
     return ("\n".join(lines) + "\n").encode("utf-8")

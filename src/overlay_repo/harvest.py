@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Callable
 from urllib.parse import urlencode
 from xml.etree import ElementTree as ET
-from xml.sax.saxutils import quoteattr
 
 from . import records
 from .behaviors import build_brand_doc
@@ -29,7 +28,7 @@ from .graph import Triple, rels_stream
 from .model import (
     BRAND_DS, CONTENT_DS, SOURCE_DS, DigitalObject, _Refusing, build_source_doc,
     format_datestamp, is_absolute_url, local_stream, parse_datestamp, parse_xml,
-    remote_stream)
+    quoteattr, remote_stream)
 from .oai import OAI_NS
 from .ontology import base_predicate
 from .store import _default_fetcher, _read_json, write_json

@@ -3,7 +3,8 @@
 Identifiers are plain strings with a fixed grammar; the helpers here
 validate and dissect them. Objects and datastreams are frozen dataclasses,
 so every value handed out by the repository is an immutable snapshot that
-is safe to share between threads.
+is safe to share between threads. parse_xml is the one parse of XML from
+outside; escape and quoteattr write every value of XML going out.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from datetime import datetime, timezone
 from typing import Iterable, NamedTuple
 from urllib.parse import urlparse
 from xml.etree import ElementTree as ET
-from xml.sax.saxutils import quoteattr
 
 from .errors import ValidationError
 from .ontology import TYPE_EXPANSION, satisfies_type
@@ -93,6 +93,32 @@ def parse_xml(data: bytes, what: str, builder: _Refusing | None = None) -> ET.El
         raise ValidationError(f"{what} is not well-formed: {exc}") from None
     except ValidationError as exc:
         raise ValidationError(f"{what}: {exc}") from None
+
+
+# What escape replaces in text, "&" first: what xml.sax.saxutils.escape
+# replaces, and "\r", which an XML reader would otherwise read as "\n".
+_TEXT_REFS = (("&", "&amp;"), (">", "&gt;"), ("<", "&lt;"), ("\r", "&#13;"))
+# And in an attribute value "\n" and "\t", which it would read as spaces.
+_ATTR_REFS = _TEXT_REFS + (("\n", "&#10;"), ("\t", "&#9;"))
+
+
+def escape(text: str, refs: tuple[tuple[str, str], ...] = _TEXT_REFS) -> str:
+    """text with each character of refs replaced by its reference, in
+    order, copying text only for a character it holds: the one escape of
+    text in every document the package writes."""
+    for char, ref in refs:
+        if char in text:
+            text = text.replace(char, ref)
+    return text
+
+
+def quoteattr(value: str) -> str:
+    """value as a quoted attribute value, byte for byte what
+    xml.sax.saxutils.quoteattr writes: the one attribute writer."""
+    value = escape(value, _ATTR_REFS)
+    if '"' not in value:
+        return f'"{value}"'
+    return f"'{value}'" if "'" not in value else '"%s"' % value.replace('"', "&quot;")
 
 
 def make_handle(prefix: str, number: int) -> str:

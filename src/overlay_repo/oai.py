@@ -24,12 +24,13 @@ Each object a page walks is classified once, and its record is rendered
 from what that found: a metadata object's record source, by the rule
 GetRecord serves by, or a resource's describing metadata objects. A
 response is a list of byte chunks joined once: the envelope, headers,
-small verbs and the nsdl_agg wrapper from escaped string templates,
-stored records as their own bytes, declaration stripped, each keeping its
-own namespace declarations, and the gold record as the fold wrote it. The
-store checks every stored record on write and on open
-(records.check_record), so rendering parses nothing but the contributors
-of a gold record that are not canonical nsdl_dc.
+small verbs and the nsdl_agg wrapper from string templates, each value
+written by model.escape or model.quoteattr, stored records as their own
+bytes, declaration stripped, each keeping its own namespace declarations,
+and the gold record as the fold wrote it, in no namespace. The store
+checks every stored record on write and on open (records.check_record),
+so rendering parses nothing but the contributors of a gold record that
+are not canonical nsdl_dc.
 """
 
 from __future__ import annotations
@@ -52,14 +53,15 @@ from .model import (
     CONTENT_DS,
     EPOCH,
     DigitalObject,
+    escape,
     format_datestamp,
     is_pid,
     make_pid,
     parse_datestamp,
     pid_number,
+    quoteattr,
 )
-from .records import (
-    FORMATS, TEXT_REFS, XSI_NS, MetadataRecord, crosswalk, embeddable, escape)
+from .records import FORMATS, XSI_NS, MetadataRecord, crosswalk, embeddable
 
 OAI_NS = "http://www.openarchives.org/OAI/2.0/"
 OAI_SCHEMA = "http://www.openarchives.org/OAI/2.0/OAI-PMH.xsd"
@@ -79,15 +81,8 @@ _ROOT_START = (
     f'<OAI-PMH xmlns="{OAI_NS}" xmlns:xsi="{XSI_NS}"'
     f' xsi:schemaLocation="{OAI_NS} {OAI_SCHEMA}">')
 
-_ATTR_REFS = TEXT_REFS + (('"', "&quot;"), ("\n", "&#10;"), ("\t", "&#09;"))
-
 # Characters outside XML 1.0's Char production cannot appear in a response.
 _NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
-
-
-def _attr(value: str) -> str:
-    """value as a double-quoted attribute value."""
-    return f'"{escape(value, _ATTR_REFS)}"'
 
 
 _VERB_ARGS = {
@@ -483,24 +478,26 @@ class OaiProvider:
         content = resource.datastream(CONTENT_DS)
         url = content.url if content is not None and content.kind == "remote" else ""
         out = [f'<nsdl_agg:nsdl_agg xmlns:nsdl_agg="{AGG_NS}"><nsdl_agg:resource'
-               f' handle={_attr(resource.handle or "")} url={_attr(url)} />'.encode("utf-8")]
+               f' handle={quoteattr(resource.handle or "")}'
+               f' url={quoteattr(url)} />'.encode("utf-8")]
         for m in describing:
             try:
                 role = behaviors.metadata_get_provider(self.repo, m.pid)
                 if role not in brands:
-                    brands[role] = _attr(behaviors.role_get_brand(self.repo, role).label)
+                    brands[role] = quoteattr(behaviors.role_get_brand(self.repo, role).label)
                 brand = brands[role]
             except RepositoryError:
                 brand = '""'
             for format_name in m.record_formats():
                 record = behaviors.record_source(m, format_name)
                 out += [f"<nsdl_agg:sourceRecord brand={brand}"
-                        f" format={_attr(format_name)}>".encode("utf-8"),
+                        f" format={quoteattr(format_name)}>".encode("utf-8"),
                         embeddable(record.xml), b"</nsdl_agg:sourceRecord>"]
         try:
             gold = behaviors.content_get_gold(self.repo, resource.pid, describing).xml
-            # as the fold wrote it, but for its final newline
-            out += [b"<nsdl_agg:gold>", gold[:-1], b"</nsdl_agg:gold>"]
+            # as the fold wrote it, but for its final newline; xmlns="" keeps
+            # its unprefixed <contributors> in no namespace, as getGold serves it
+            out += [b'<nsdl_agg:gold xmlns="">', gold[:-1], b"</nsdl_agg:gold>"]
         except (NoMetadataError, FormatUnavailableError, ModelIntegrityError):
             out.append(b"<nsdl_agg:gold />")
         out.append(b"</nsdl_agg:nsdl_agg>")
@@ -520,13 +517,13 @@ class OaiProvider:
         # Bad requests must not echo their arguments back.
         echo = exc.code not in ("badVerb", "badArgument")
         return self._head(params if echo else {}) + (
-            f"<error code={_attr(exc.code)}>{escape(str(exc))}</error>"
+            f"<error code={quoteattr(exc.code)}>{escape(str(exc))}</error>"
             "</OAI-PMH>").encode("utf-8")
 
     def _head(self, params: dict[str, str]) -> bytes:
         """Declaration, root start tag, responseDate and the request,
         echoing params."""
-        args = "".join(f" {key}={_attr(value)}" for key, value in sorted(params.items()))
+        args = "".join(f" {key}={quoteattr(value)}" for key, value in sorted(params.items()))
         return (f"{_ROOT_START}<responseDate>{format_datestamp(self.repo.clock())}"
                 f"</responseDate><request{args}>{escape(self.base_url)}</request>"
                 ).encode("utf-8")

@@ -9,7 +9,8 @@ next to it. ``parse_dc_entries`` parses through model.parse_xml, the one
 entry point for XML from outside, and ``check_record``, the store's test
 that a stored record can be embedded in another document as it is, makes
 one expat pass; both refuse a DOCTYPE. ``dc_line`` writes one entry as a
-line of a record, for ``serialize_dc`` and for the gold fold, and
+line of a record, for ``serialize_dc`` and for the gold fold, through
+model.escape and model.quoteattr, the one writer of XML values, and
 ``read_dc_lines`` reads those lines back from a record that is exactly
 what ``serialize_dc`` writes in nsdl_dc, so the fold copies a canonical
 contributor's lines instead of parsing them. Every function here is a
@@ -26,10 +27,9 @@ from datetime import datetime
 from typing import NamedTuple
 from xml.etree import ElementTree as ET
 from xml.parsers import expat
-from xml.sax.saxutils import quoteattr
 
 from .errors import FormatUnavailableError, ModelIntegrityError, ValidationError
-from .model import parse_xml, pid_sort_key
+from .model import escape, parse_xml, pid_sort_key, quoteattr
 
 DC_NS = "http://purl.org/dc/elements/1.1/"
 DCT_NS = "http://purl.org/dc/terms/"
@@ -55,13 +55,7 @@ _ELEMENT_RANK = {name: rank for rank, name in enumerate(DC_ELEMENT_ORDER)}
 # Elements where a later record's values replace earlier ones during the
 # gold fold; everything else unions with exact-string dedup.
 GOLD_SINGLE_VALUED = frozenset({"title", "identifier", "date"})
-# xsi:type attributes of the qualifiers apply_rules assigns, written once.
-_TYPE_ATTRS = {qualifier: f" xsi:type={quoteattr(qualifier)}"
-               for qualifier in ("dct:W3CDTF", "dct:RFC3066", "dct:DCMIType")}
 _DC_TAG, _XSI_TYPE = "{%s}" % DC_NS, "{%s}type" % XSI_NS
-# What escape replaces in text, "&" first: what xml.sax.saxutils.escape
-# replaces, and "\r", which an XML reader would otherwise read as "\n".
-TEXT_REFS = (("&", "&amp;"), (">", "&gt;"), ("<", "&lt;"), ("\r", "&#13;"))
 
 
 @dataclass(frozen=True)
@@ -194,15 +188,6 @@ def parse_dc_entries(xml: bytes, format_name: str) -> list[DcEntry]:
             for child in root if child.tag.startswith(_DC_TAG)]
 
 
-def escape(text: str, refs: tuple[tuple[str, str], ...] = TEXT_REFS) -> str:
-    """text with each character of refs replaced by its reference, in
-    order, copying text only for a character it holds."""
-    for char, ref in refs:
-        if char in text:
-            text = text.replace(char, ref)
-    return text
-
-
 class DcLine(NamedTuple):
     """One DC entry as a line of a record: the whole line, the element
     name and the escaped text."""
@@ -216,9 +201,7 @@ def dc_line(entry: DcEntry, qualified: bool = True) -> DcLine:
     """entry as serialize_dc writes it: with its xsi:type when qualified,
     as nsdl_dc is, and without it in unqualified oai_dc."""
     name, value, xsi_type = entry
-    attr = ""
-    if qualified and xsi_type:
-        attr = _TYPE_ATTRS.get(xsi_type) or f" xsi:type={quoteattr(xsi_type)}"
+    attr = f" xsi:type={quoteattr(xsi_type)}" if qualified and xsi_type else ""
     text = escape(value)
     return DcLine(f"  <dc:{name}{attr}>{text}</dc:{name}>", name, text)
 

@@ -45,7 +45,6 @@ from datetime import datetime
 from pathlib import Path
 from typing import Callable, Iterator
 from xml.etree import ElementTree as ET
-from xml.sax.saxutils import quoteattr
 
 from . import canonical
 from .errors import (
@@ -75,6 +74,7 @@ from .model import (
     pid_number,
     pid_sort_key,
     pid_sorted,
+    quoteattr,
     utcnow_seconds,
 )
 from .behaviors import ALIASES, OPERATIONS, content_get_gold
@@ -85,6 +85,7 @@ log = logging.getLogger(__name__)
 
 Clock = Callable[[], datetime]
 UrlFetcher = Callable[[str, float], bytes]
+HANDLE_PREFIX = "2200"  # of the handles the repository mints
 FETCH_TIMEOUT = 10.0  # seconds a remote CONTENT fetch may take
 # Bytes a request body or a fetched body may hold: canonical XML objects,
 # OAI arguments, query text, remote streams and harvested pages.
@@ -134,12 +135,10 @@ class Repository:
         data_dir: str | Path | None = None,
         *,
         clock: Clock | None = None,
-        handle_prefix: str = "2200",
         url_fetcher: UrlFetcher | None = None,
     ):
         self.data_dir = Path(data_dir) if data_dir is not None else None
         self.clock = clock or utcnow_seconds
-        self.handle_prefix = handle_prefix
         self._fetch = url_fetcher or _default_fetcher
 
         self._lock = threading.RLock()
@@ -188,7 +187,7 @@ class Repository:
             if not satisfies_type(obj.behaviors, "Resource"):
                 raise OperationNotSupportedError(
                     f"{pid} binds no resource type, handles do not apply")
-            handle = make_handle(self.handle_prefix, self._handle_counter + 1)
+            handle = make_handle(HANDLE_PREFIX, self._handle_counter + 1)
             self._store(replace(obj, handle=handle, version=obj.version + 1,
                                 last_modified=self.clock()), obj, strict=False)
             return handle
@@ -498,10 +497,9 @@ class Repository:
 
     def _absorb(self, obj: DigitalObject, number: int) -> None:
         """Move the counters past obj's pid, whose number is given, and any
-        handle in this repository's prefix, so neither is minted again."""
+        handle in HANDLE_PREFIX, so neither is minted again."""
         self._pid_counter = max(self._pid_counter, number)
-        if obj.handle is not None and obj.handle.startswith(
-                f"hdl:{self.handle_prefix}/"):
+        if obj.handle is not None and obj.handle.startswith(f"hdl:{HANDLE_PREFIX}/"):
             suffix = handle_suffix(obj.handle)
             if suffix.isdigit():
                 self._handle_counter = max(self._handle_counter, int(suffix))

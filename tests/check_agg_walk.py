@@ -92,7 +92,7 @@ def main(argv: list[str]) -> int:
         read = agg_walk(app)
     with reader_declining(), parses_counted(parses):
         parsed = agg_walk(app)
-    golds = sum(page.count(b"<nsdl_agg:gold>") for page in read)
+    golds = sum(page.count(b'<nsdl_agg:gold xmlns="">') for page in read)
     differ = [i for i, (a, b) in enumerate(zip(read, parsed)) if a != b]
     print(f"{len(read)} pages, {golds} gold records, {sum(map(len, read))} bytes; "
           f"DC parses {parses[0]} as is, {parses[1]} with the reader declining; "

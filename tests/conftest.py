@@ -5,6 +5,7 @@ from xml.etree import ElementTree as ET
 from xml.parsers import expat
 
 import pytest
+from hypothesis import settings
 
 import overlay_repo
 from overlay_repo import graph, model, records
@@ -13,6 +14,10 @@ from overlay_repo.harvest import Harvester
 from overlay_repo.store import Repository
 
 from support import TickingClock
+
+# Ten times the default number of examples, for a property that CI runs
+# once more with --hypothesis-profile=ci.
+settings.register_profile("ci", max_examples=10 * settings.default.max_examples)
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import re
 from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
+from xml.etree import ElementTree as ET
 
 import pytest
 
@@ -21,6 +22,7 @@ from overlay_repo.harvest import (
     save_state,
 )
 from overlay_repo.model import SOURCE_DS, parse_source_doc
+from overlay_repo.oai import OAI_NS, OaiProvider
 from overlay_repo.store import Repository
 
 from support import (
@@ -65,6 +67,24 @@ def test_register_provisions_agent_and_roles(repo, harvester):
     assert sorted(roles) == sorted([cfg.provider_role_pid, cfg.aggregator_role_pid])
     assert behaviors.role_get_brand(repo, cfg.provider_role_pid).label == "P!"
     assert behaviors.role_get_brand(repo, cfg.aggregator_role_pid).label == "P!"
+
+
+def test_brand_values_read_back_as_given(repo, harvester, stub):
+    """A label and a logo URL holding "\\r", "&" and "<" come back as given
+    from getBrand, from showBrand on a harvested resource and as the set
+    name in ListSets."""
+    label, logo = "A\r& <B>", "http://logo.example/a?b=1&c=<2>\r"
+    cfg = harvester.register_provider(ProviderConfig(
+        name="p", base_url="http://p/oai", brand_label=label, brand_logo_url=logo))
+    seed(stub, "p", 1)
+    harvester.harvest(cfg)
+    resource = repo.content_pid_for_url("http://resources.example/p/0")
+    brand = ET.fromstring(repo.disseminate(cfg.provider_role_pid, "getBrand").body)
+    assert (brand.findtext("label"), brand.findtext("logoUrl")) == (label, logo)
+    shown = ET.fromstring(repo.disseminate(resource, "showBrand").body)
+    assert [(b.findtext("label"), b.findtext("logoUrl")) for b in shown] == [(label, logo)]
+    sets = ET.fromstring(OaiProvider(repo).handle_request({"verb": "ListSets"}))
+    assert [name.text for name in sets.iter(f"{{{OAI_NS}}}setName")] == [label]
 
 
 def test_register_is_idempotent_once_provisioned(harvester, cfg):

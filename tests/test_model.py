@@ -1,12 +1,14 @@
-"""Identifier grammar and datestamp parsing."""
+"""Identifier grammar, datestamp parsing and the writer of XML values."""
 
 from datetime import datetime, timedelta, timezone
+from xml.sax import saxutils  # the reference writer
 
 import pytest
 from hypothesis import given, strategies as st
 
 from overlay_repo.errors import ValidationError
 from overlay_repo.model import (
+    escape,
     format_datestamp,
     handle_suffix,
     is_handle,
@@ -16,6 +18,7 @@ from overlay_repo.model import (
     pid_number,
     pid_sort_key,
     pid_sorted,
+    quoteattr,
 )
 
 
@@ -111,3 +114,17 @@ def test_handle_grammar_is_matched_whole(handle):
 def test_format_datestamp_writes_utc_with_a_4_digit_year(when, written):
     assert format_datestamp(when) == written
     assert parse_datestamp(written) == when
+
+
+# Any text, drawn often from the characters the writers replace or quote.
+_values = st.text(st.one_of(st.sampled_from("&<>\"'\t\n\r"), st.characters()))
+
+
+@given(_values)
+def test_quoteattr_writes_what_saxutils_writes(value):
+    assert quoteattr(value) == saxutils.quoteattr(value)
+
+
+@given(_values)
+def test_escape_is_saxutils_escape_and_a_carriage_return_reference(value):
+    assert escape(value) == saxutils.escape(value, {"\r": "&#13;"})

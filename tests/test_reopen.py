@@ -16,21 +16,25 @@ other prefixes and its properties are reordered.
 
 import re
 import shutil
+import tempfile
 from datetime import datetime, timezone
 from io import BytesIO
 from pathlib import Path
 from xml.etree import ElementTree as ET
+from xml.sax.saxutils import quoteattr  # the reference writer
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from overlay_repo.errors import StoreError
+from overlay_repo.graph import RDF_NS, Triple
 from overlay_repo.model import RELS_DS, SOURCE_DS, pid_number
 from overlay_repo.oai import OaiProvider
-from overlay_repo.ontology import Predicate
+from overlay_repo.ontology import BASE_NAMESPACE, Predicate
 from overlay_repo.store import Repository
 from overlay_repo.web import GatewayApp
 
-from support import put_object, seed_metadata
+from support import TickingClock, put_object, seed_metadata
 
 OAI = {"o": "http://www.openarchives.org/OAI/2.0/"}
 
@@ -228,3 +232,125 @@ def test_early_year_survives_export_reopen_and_oai(tmp_path, clock, year):
     assert response.findtext(".//o:header/o:datestamp", namespaces=OAI) == stamp
     response = ET.fromstring(oai.handle_request({"verb": "Identify"}))
     assert response.findtext(".//o:earliestDatestamp", namespaces=OAI) == stamp
+
+
+# -- what a PUT stores reopens as written
+
+
+def _document(pid: str, handle: str | None = None, streams=(), behaviors=("Content",),
+              properties=(), target: str = "nsdl:1") -> bytes:
+    """A canonical document for pid whose attribute values, given as the
+    values to be read, are written by the reference writer. A stream is
+    (dsId, mediaType, url), local when url is None; a RELS property is
+    (namespace, name), pointing at target."""
+    def attrs(*pairs):
+        return "".join(f" {key}={quoteattr(value)}" for key, value in pairs)
+
+    lines = [f'<digitalObject pid="{pid}" state="active" version="1"'
+             f' lastModified="2010-06-01T00:00:00Z"'
+             f'{attrs(("handle", handle)) if handle is not None else ""}>']
+    for ds_id, media_type, url in streams:
+        if url is None:
+            lines.append(f'<datastream{attrs(("dsId", ds_id), ("kind", "local"))}'
+                         f'{attrs(("mediaType", media_type))}>eA==</datastream>')
+        else:
+            lines.append(f'<datastream{attrs(("dsId", ds_id), ("kind", "remote"))}'
+                         f'{attrs(("mediaType", media_type), ("url", url))}/>')
+    lines += [f'<behavior name="{name}"/>' for name in behaviors]
+    if properties:
+        lines.append(f'<rels><rdf:RDF xmlns:rdf="{RDF_NS}">'
+                     f'<rdf:Description rdf:about="info:nsdl/{pid}">')
+        lines += [f'<p{i}:{name}{attrs((f"xmlns:p{i}", ns))}'
+                  f' rdf:resource="info:nsdl/{target}"/>'
+                  for i, (ns, name) in enumerate(properties)]
+        lines.append("</rdf:Description></rdf:RDF></rels>")
+    lines.append("</digitalObject>")
+    return "\n".join(lines).encode("utf-8")
+
+
+def _state(repo: Repository):
+    """Everything a reopen must give back: the objects, the graph and
+    every export."""
+    return (list(repo.objects()), repo.graph.dump(),
+            {pid: repo.export_object(pid) for pid in repo.pids()})
+
+
+def _files(data_dir: Path) -> dict[str, bytes]:
+    return {str(path.relative_to(data_dir)): path.read_bytes()
+            for path in sorted(data_dir.rglob("*")) if path.is_file()}
+
+
+# RELS namespaces as a document writes them: references that must be
+# written again, a newline reference (read as a space if written raw), a
+# raw U+2028, at which str.splitlines splits, and both quotes.
+_HOSTILE_NAMESPACES = [
+    "http://e.example/a&amp;b&quot;c#",
+    "http://e.example/a&lt;b#",
+    "http://e.example/a&#10;b#",
+    "http://e.example/a\u2028b#",
+    "http://e.example/a&apos;b&quot;c#",
+]
+
+
+@pytest.mark.parametrize("written", _HOSTILE_NAMESPACES)
+def test_put_rels_namespace_reopens_as_written(tmp_path, clock, written):
+    repo = Repository(tmp_path / "d", clock=clock)
+    put_object(repo, {"Content"})
+    namespace = ET.fromstring(f'<a ns="{written}"/>').get("ns")
+    doc = _document("nsdl:2", properties=[("", "cites")]).replace(
+        b'xmlns:p0=""', f'xmlns:p0="{written}"'.encode("utf-8"))
+    status, _ = _put(GatewayApp(repo), "nsdl:2", doc)
+    assert status == "201 Created"
+    assert repo.graph.dump() == [
+        Triple("nsdl:2", Predicate(namespace, "cites"), "nsdl:1", "nsdl:2")]
+    assert _state(Repository(tmp_path / "d", clock=clock)) == _state(repo)
+
+
+# Text a document may carry in a value: markup, quotes, whitespace an XML
+# reader normalizes, line breaks str.splitlines knows, URI and
+# ElementTree delimiters, and any other XML 1.0 character.
+_hostile = st.text(st.one_of(
+    st.sampled_from("&<>\"'\t\n\r \x85\u2028\u2029#/:{}"),
+    st.characters(exclude_categories=("Cs", "Cc"), exclude_characters="\ufffe\uffff")),
+    max_size=10)
+_url = st.one_of(_hostile, _hostile.map("http://h.example/".__add__))
+_handle = st.one_of(st.none(), _hostile,
+                    st.tuples(_hostile, _hostile).map(lambda p: f"hdl:{p[0]}/{p[1]}"))
+_namespace = st.one_of(
+    _hostile, _hostile.map("http://e.example/".__add__),
+    st.sampled_from([RDF_NS, BASE_NAMESPACE, "http://www.w3.org/XML/1998/namespace",
+                     "http://www.w3.org/2000/xmlns/"]))
+_put_documents = st.lists(st.builds(
+    _document,
+    pid=st.sampled_from(["nsdl:2", "nsdl:3"]),
+    handle=_handle,
+    streams=st.lists(st.tuples(
+        st.one_of(_hostile, st.sampled_from(["CONTENT", "SOURCE"])), _hostile,
+        st.one_of(st.none(), _url)), max_size=3),
+    behaviors=st.lists(st.sampled_from(["Content", "Agent", "Metadata"]),
+                       unique=True, max_size=2),
+    properties=st.lists(st.tuples(_namespace, st.sampled_from(["cites", "links"])),
+                        max_size=3)), min_size=1, max_size=3)
+
+
+@settings(deadline=None)
+@example([_document("nsdl:2", properties=[("http://e.example/a\u2028b#", "cites")])])
+@given(_put_documents)
+def test_put_documents_reopen_as_written_property(docs):
+    """After every PUT that gets a 2xx, the reopened repository equals the
+    live one; a PUT that gets a 4xx writes nothing and changes nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        data_dir = Path(tmp) / "d"
+        repo = Repository(data_dir, clock=TickingClock())
+        put_object(repo, {"Content"})
+        app = GatewayApp(repo)
+        for doc in docs:
+            before, files = _state(repo), _files(data_dir)
+            pid = re.search(rb'pid="(nsdl:[0-9]+)"', doc)[1].decode()
+            status, body = _put(app, pid, doc)
+            assert status[0] in ("2", "4"), (status, body)
+            if status[0] == "2":
+                assert _state(Repository(data_dir, clock=TickingClock())) \
+                    == _state(repo), pid
+            else:
+                assert (_state(repo), _files(data_dir)) == (before, files), body

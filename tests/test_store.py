@@ -8,10 +8,12 @@ import sys
 import threading
 from collections import Counter
 from datetime import datetime, timezone
+from io import BytesIO
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from overlay_repo import canonical
 from overlay_repo.errors import (
     DisseminationError,
     NotFoundError,
@@ -23,7 +25,10 @@ from overlay_repo.errors import (
 from overlay_repo.graph import parse_query, serialize_rels
 from overlay_repo.model import (
     CONTENT_DS,
+    RELS_DS,
+    RELS_MEDIA_TYPE,
     SOURCE_DS,
+    Datastream,
     DigitalObject,
     build_source_doc,
     local_stream,
@@ -32,6 +37,7 @@ from overlay_repo.model import (
     remote_stream,
 )
 from overlay_repo.store import Repository
+from overlay_repo.web import GatewayApp
 
 from support import START, oai_dc_record, put_object, record_stream, rels_stream
 
@@ -145,6 +151,58 @@ def test_rejected_put_changes_nothing(repo):
     assert {p: repo.export_object(p) for p in repo.pids()} == snapshot_objects
     with pytest.raises(NotFoundError):
         repo.get_object(bad)
+
+
+def _content(*streams, handle=None, behaviors=("Content",)) -> DigitalObject:
+    return DigitalObject(pid="nsdl:1", handle=handle, behaviors=frozenset(behaviors),
+                         datastreams=streams)
+
+
+_PAGE = remote_stream(CONTENT_DS, "text/html", "http://h.example/")
+# Each check of Datastream.validate and DigitalObject.validate, with an
+# object that fails it. A case the canonical import can express goes in
+# as a PUT of the object's document, any other through put_object.
+_INVALID = [pytest.param(put, obj, reason, id=name) for name, put, obj, reason in [
+    ("unknown kind", False,
+     _content(Datastream("X", "inline", "text/plain", payload=b"x")), "unknown kind"),
+    ("local with a url", False,
+     _content(Datastream("X", "local", "text/plain", payload=b"x", url="http://h.example/")),
+     "local streams carry payload only"),
+    ("remote with a payload", False,
+     _content(Datastream("X", "remote", "text/html", payload=b"x", url="http://h.example/")),
+     "remote streams carry url only"),
+    ("remote RELS", False,
+     _content(Datastream(RELS_DS, "remote", RELS_MEDIA_TYPE, url="http://h.example/")),
+     "RELS must be local"),
+    ("RELS of another media type", False,
+     _content(local_stream(RELS_DS, "text/plain", b"")), "RELS must be local"),
+    ("malformed handle", True, _content(handle="hdl:2200"), "malformed handle"),
+    ("duplicate datastream", True, _content(_PAGE, _PAGE), "duplicate datastream CONTENT"),
+    ("handle without a resource type", True,
+     _content(handle="hdl:x/1", behaviors=("Metadata",)), "binds no resource type"),
+]]
+
+
+@pytest.mark.parametrize("put, obj, reason", _INVALID)
+def test_invalid_object_is_refused_and_changes_nothing(tmp_path, clock, put, obj, reason):
+    repo = Repository(tmp_path / "d", clock=clock)
+    put_object(repo, {"Content"}, streams=[_PAGE])
+    state = ([repo.export_object("nsdl:1")], repo.graph.dump(),
+             (tmp_path / "d" / "objects" / "1.xml").read_bytes())
+    if put:
+        doc, answer = canonical.export_object(obj), {}
+        body = b"".join(GatewayApp(repo)({
+            "REQUEST_METHOD": "PUT", "PATH_INFO": "/objects/nsdl:1", "QUERY_STRING": "",
+            "CONTENT_LENGTH": str(len(doc)), "wsgi.input": BytesIO(doc),
+        }, lambda status, headers: answer.setdefault("status", status)))
+        assert answer["status"] == "422 Unprocessable Entity" and reason in body.decode()
+    else:
+        with pytest.raises(ValidationError, match=reason):
+            repo.put_object(obj)
+    assert ([repo.export_object("nsdl:1")], repo.graph.dump(),
+            (tmp_path / "d" / "objects" / "1.xml").read_bytes()) == state
+    assert sorted(p.name for p in (tmp_path / "d").rglob("*")) \
+        == ["1.xml", "objects", "state.json"]
 
 
 def test_resolve_stored_record(repo):
