@@ -3,12 +3,12 @@
 Six behavior definitions (Metadata, Agent, Content, Aggregator,
 MetadataProvider, Role) give objects their operational semantics. An
 object binds any subset. OPERATIONS names, for each operation, the
-ontology type whose objects answer it (the abstract Resource and Role
-types included), so an object answers every operation of every type its
-bindings satisfy. Repository.disseminate checks that, and that the object
-is no tombstone, once; the functions here run in-process against a
-repository snapshot and trust their caller. The neighbours they reach (a
-provider role, a describing record) answer by what they hold: a
+ontology type whose objects answer it (the abstract Resource, Role and
+Information types included), so an object answers every operation of
+every type its bindings satisfy. Repository.disseminate checks that, and
+that the object is no tombstone, once; the functions here run in-process
+against a repository snapshot and trust their caller. The neighbours they
+reach (a provider role, a describing record) answer by what they hold: a
 tombstone holds no BRAND stream, and any holder's record stream is read.
 """
 
@@ -274,7 +274,7 @@ OPERATIONS: dict[str, tuple[str, Operation]] = {
         resource_get_metadata(repo, pid))),
     "listMemberships": ("Resource", lambda repo, pid, params: _uri_list(
         resource_memberships(repo, pid))),
-    "showBrand": ("Resource", lambda repo, pid, params: _brands_doc(
+    "showBrand": ("Information", lambda repo, pid, params: _brands_doc(
         show_brand(repo, pid))),
     "getAnnotations": ("Resource", lambda repo, pid, params: _uri_list(
         annotations_for(repo, pid))),

@@ -18,11 +18,11 @@ record layout and the bulk-fixture format.
     </digitalObject>
 
 Tombstones serialize as an empty root element with state="deleted". This
-module only converts: import parses the document once and hands the
-parsed rdf:RDF element over as it is, not written back to bytes; the
+module only converts: import parses the document once and reads its
+rdf:RDF element into triples there, never through bytes again; the
 repository's one record check (store._checked) validates the object and
-reads that element into triples, once, on write and on open; export
-writes the fragment from the triples the repository's graph holds.
+takes those triples, on write and on open; export writes the fragment
+from the triples the repository's graph holds.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from itertools import combinations
 from xml.etree import ElementTree as ET
 
 from .errors import ValidationError
-from .graph import Triple, serialize_rels
+from .graph import Triple, parse_rels, serialize_rels
 from .model import (
     BEHAVIOR_NAMES, RELS_DS, RELS_IN_GRAPH, Datastream, DigitalObject,
     format_datestamp, parse_datestamp, parse_xml, quoteattr)
@@ -90,16 +90,17 @@ def export_object(obj: DigitalObject, triples: list[Triple] | None = None) -> by
 
 
 def import_object(doc: bytes, shared: dict[str, str] | None = None,
-                  ) -> tuple[DigitalObject, ET.Element | None]:
+                  ) -> tuple[DigitalObject, list[Triple] | None]:
     """Parse a canonical document into a DigitalObject, with RELS_IN_GRAPH
-    as its RELS stream, and the rdf:RDF element that <rels> wraps (None,
-    and no RELS stream, without one).
-    The pid, state, stream ids and media types come from shared, a table
-    of the strings read so far that a caller opening many documents keeps.
+    as its RELS stream, and the triples of the rdf:RDF element that <rels>
+    wraps (None, and no RELS stream, without one).
+    The pid, state, stream ids, media types and target pids come from
+    shared, a table of the strings read so far that a caller opening many
+    documents keeps.
 
-    Malformed documents are rejected with the offending element named.
-    Neither the object nor the element is checked: the repository's write
-    and open paths check both, and put the element's triples in the graph.
+    Malformed documents and fragments are rejected with the offending
+    element named. The repository's write and open paths check the
+    object, and put its triples in the graph.
     """
     root = parse_xml(doc, "canonical document")
     if root.tag != "digitalObject":
@@ -112,19 +113,19 @@ def import_object(doc: bytes, shared: dict[str, str] | None = None,
         raise ValidationError(f"{pid}: version must be a decimal integer")
 
     datastreams: list[Datastream] = []
-    rels = None
+    triples = None
     for child in root:
         if child.tag == "datastream":
             datastreams.append(_parse_datastream(pid, child, shared))
         elif child.tag == "behavior":
             pass
         elif child.tag == "rels":
-            if rels is not None:
+            if triples is not None:
                 raise ValidationError(f"{pid}: multiple rels elements")
             rdf = list(child)
             if len(rdf) != 1 or (rdf[0].tail or "").strip(" \t\r\n"):
                 raise ValidationError(f"{pid}: rels must wrap one rdf:RDF element")
-            rels = rdf[0]
+            triples = parse_rels(pid, rdf[0], shared)
             datastreams.append(RELS_IN_GRAPH)
         else:
             raise ValidationError(f"{pid}: unexpected element {child.tag!r}")
@@ -140,7 +141,7 @@ def import_object(doc: bytes, shared: dict[str, str] | None = None,
         behaviors=behaviors,
         last_modified=parse_datestamp(last_modified),
         version=int(version),
-    ), rels
+    ), triples
 
 
 def _render_attrs(attrs) -> str:

@@ -2,17 +2,20 @@
 
 Each object asserts relationships about itself in its RELS datastream
 (RDF/XML, one rdf:Description about the object's info URI, parsed by
-model.parse_xml, which refuses a DOCTYPE). Fragments are
-merged into one graph keyed by provenance, indexed by object, predicate,
-(subject, predicate) and (predicate, object) only (the orderings that the
-queries probe; cf. Weiss et al., "Hexastore", VLDB 2008), and queried
-with conjunctive triple patterns. An index bucket of two or more triples
-is a list kept in row order (Triple.sort_key) by the write that changes
-it, under the store's lock, as the sorted indexes of Neumann and Weikum
-("RDF-3X", VLDB 2008) are, so the pids of a bucket's one unbound position
-are read in pid order without a sort. The graph holds what it is given:
-the repository checks each fragment against the base ontology before it
-lands.
+model.parse_xml, which refuses a DOCTYPE). Inside the package the
+relationships move as triples: a canonical document's fragment is read
+where the document is parsed, the harvester builds its own, and
+serialize_rels writes the fragment back for a record or an export. The
+triples are merged into one graph keyed by asserting object, indexed by
+object, predicate, (subject, predicate) and (predicate, object) only (the
+orderings that the queries probe; cf. Weiss et al., "Hexastore", VLDB
+2008), and queried with conjunctive triple patterns. An index bucket of
+two or more triples is a list kept in row order (Triple.sort_key) by the
+write that changes it, under the store's lock, as the sorted indexes of
+Neumann and Weikum ("RDF-3X", VLDB 2008) are, so the pids of a bucket's
+one unbound position are read in pid order without a sort. The graph
+holds what it is given: the repository checks each object's triples
+against the base ontology before they land.
 
 A query is planned before it runs. The clauses are ordered greedily, the
 access-path choice of Selinger et al. (SIGMOD 1979): first a clause that
@@ -52,7 +55,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from collections.abc import Collection, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter, itemgetter
 from xml.etree import ElementTree as ET
@@ -60,8 +63,7 @@ from xml.etree import ElementTree as ET
 from . import ontology
 from .errors import LimitExceededError, QueryParseError, ValidationError
 from .model import (
-    INFO_URI_PREFIX, RELS_DS, RELS_MEDIA_TYPE, Datastream, is_pid, parse_xml,
-    pid_sort_key, quoteattr, representation_uri)
+    INFO_URI_PREFIX, is_pid, parse_xml, pid_sort_key, quoteattr, representation_uri)
 from .ontology import BASE_NAMESPACE, Predicate, predicate, predicate_from_uri
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -80,7 +82,8 @@ class Triple:
     subject: str
     predicate: Predicate
     object: str
-    provenance: str = ""
+    # The subject, or "": it takes no part in equality, hashing or order.
+    provenance: str = field(default="", compare=False)
 
     def sort_key(self):
         return pid_sort_key(self.subject), self.predicate, pid_sort_key(self.object)
@@ -158,7 +161,7 @@ def parse_rels(pid: str, fragment: bytes | ET.Element,
         obj = shared.setdefault(obj, obj)
         # Namespaces split by ElementTree lose their trailing separator.
         sep = "" if ns.endswith(("#", "/")) else "#"
-        triples.append(Triple(pid, predicate(ns + sep, name), obj, provenance=pid))
+        triples.append(Triple(pid, predicate(ns + sep, name), obj))
     return list(dict.fromkeys(triples))
 
 
@@ -191,12 +194,6 @@ def serialize_rels(pid: str, triples: Iterable[Triple]) -> bytes:
         lines.append("  </rdf:Description>")
     lines.append("</rdf:RDF>")
     return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def rels_stream(pid: str, triples: Iterable[Triple]) -> Datastream:
-    """The RELS datastream asserting triples about pid."""
-    return Datastream(RELS_DS, "local", RELS_MEDIA_TYPE,
-                      payload=serialize_rels(pid, triples))
 
 
 # --------------------------------------------------------------------------
@@ -261,21 +258,17 @@ class TripleStore:
             for t in self._by_provenance.pop(pid, ()):
                 self._remove(t)
 
-    def rebuild(self, fragments: Iterable[tuple[str, bytes | None]]) -> None:
-        """Drop and reconstruct the whole index from stored RELS fragments.
+    def rebuild(self, asserted: Iterable[tuple[str, list[Triple] | None]]) -> None:
+        """Drop and reconstruct the whole index from (pid, triples) pairs,
+        None for a pid that asserts nothing.
 
-        Aborts (leaving the current graph untouched) if any fragment fails
-        to parse, naming the offending object.
+        An exception raised while the pairs are read (a fragment that fails
+        to parse, whose message starts with its pid) leaves the current
+        graph untouched.
         """
-        rebuilt, shared = TripleStore(), {}
-        for pid, fragment in fragments:
-            if fragment is None:
-                continue
-            try:
-                triples = parse_rels(pid, fragment, shared)
-            except ValidationError as exc:
-                raise ValidationError(f"rebuild aborted at {pid}: {exc}")
-            rebuilt.replace_triples(pid, triples)
+        rebuilt = TripleStore()
+        for pid, triples in asserted:
+            rebuilt.replace_triples(pid, triples or ())
         with self._mutex:
             self.__dict__.update({**rebuilt.__dict__, "_mutex": self._mutex})
 

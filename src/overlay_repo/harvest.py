@@ -23,8 +23,8 @@ from xml.etree import ElementTree as ET
 
 from . import records
 from .behaviors import build_brand_doc
-from .errors import HarvestProtocolError, NotFoundError, ValidationError
-from .graph import Triple, rels_stream
+from .errors import HarvestProtocolError, ValidationError
+from .graph import Triple
 from .model import (
     BRAND_DS, CONTENT_DS, SOURCE_DS, DigitalObject, _Refusing, build_source_doc,
     format_datestamp, is_absolute_url, local_stream, parse_datestamp, parse_xml,
@@ -154,11 +154,11 @@ class Harvester:
             pid=aggregator_role, behaviors=frozenset({"Aggregator"}),
             datastreams=(brand,)))
         agent = self.repo.mint_pid()
-        self.repo.put_object(DigitalObject(
-            pid=agent, behaviors=frozenset({"Agent"}), datastreams=(rels_stream(agent, [
-                Triple(agent, base_predicate("hasRole"), provider_role),
-                Triple(agent, base_predicate("hasRole"), aggregator_role),
-            ]),)))
+        has_role = base_predicate("hasRole")
+        self.repo.put_object(
+            DigitalObject(pid=agent, behaviors=frozenset({"Agent"})),
+            _triples=[Triple(agent, has_role, provider_role),
+                      Triple(agent, has_role, aggregator_role)])
         self.repo.assign_handle(agent)
         return replace(cfg, agent_pid=agent, provider_role_pid=provider_role,
                        aggregator_role_pid=aggregator_role)
@@ -327,13 +327,12 @@ class Harvester:
             streams.append(local_stream(
                 "REC.nsdl_dc", records.RECORD_MEDIA_TYPE,
                 records.serialize_dc("nsdl_dc", entries)))
-        streams.append(rels_stream(metadata_pid, [
-            Triple(metadata_pid, base_predicate("metadataFor"), resource_pid),
-            Triple(metadata_pid, base_predicate("providedBy"), cfg.provider_role_pid),
-        ]))
-        self.repo.put_object(DigitalObject(
-            pid=metadata_pid, behaviors=frozenset({"Metadata"}),
-            datastreams=tuple(streams)))
+        self.repo.put_object(
+            DigitalObject(pid=metadata_pid, behaviors=frozenset({"Metadata"}),
+                          datastreams=tuple(streams)),
+            _triples=[
+                Triple(metadata_pid, base_predicate("metadataFor"), resource_pid),
+                Triple(metadata_pid, base_predicate("providedBy"), cfg.provider_role_pid)])
         for resource in described:
             if resource != resource_pid:  # the record moved to another resource
                 self._leave_if_undescribed(resource, cfg)
@@ -351,11 +350,10 @@ class Harvester:
                     existing, memberships + [cfg.aggregator_role_pid])
             return existing
         pid = self.repo.mint_pid()
-        member = Triple(pid, base_predicate("memberOf"), cfg.aggregator_role_pid)
-        self.repo.put_object(DigitalObject(
-            pid=pid, behaviors=frozenset({"Content"}),
-            datastreams=(remote_stream(CONTENT_DS, "text/html", url),
-                         rels_stream(pid, [member]))))
+        self.repo.put_object(
+            DigitalObject(pid=pid, behaviors=frozenset({"Content"}),
+                          datastreams=(remote_stream(CONTENT_DS, "text/html", url),)),
+            _triples=[Triple(pid, base_predicate("memberOf"), cfg.aggregator_role_pid)])
         self.repo.assign_handle(pid)
         return pid
 
@@ -363,8 +361,8 @@ class Harvester:
         obj = self.repo.get_object(pid)
         keep = [t for t in self.repo.graph.triples_asserted_by(pid)
                 if str(t.predicate) != "memberOf"]
-        triples = keep + [Triple(pid, base_predicate("memberOf"), a) for a in aggregations]
-        self.repo.put_object(obj.with_datastream(rels_stream(pid, triples)))
+        self.repo.put_object(obj, _triples=keep + [
+            Triple(pid, base_predicate("memberOf"), a) for a in aggregations])
 
     def handle_deleted(self, oai_identifier: str, cfg: ProviderConfig) -> None:
         """Tombstone the metadata object for a deleted upstream record.
@@ -388,10 +386,7 @@ class Harvester:
         memberships = graph.objects_of(resource, "memberOf")
         if cfg.aggregator_role_pid in memberships:
             memberships.remove(cfg.aggregator_role_pid)
-            try:
-                self._set_memberships(resource, memberships)
-            except NotFoundError:
-                pass
+            self._set_memberships(resource, memberships)
 
 
 # --------------------------------------------------------------------------

@@ -196,6 +196,8 @@ class OaiProvider:
         if verb == "Identify":
             return self.serve_identify()
         if verb == "ListSets":
+            if "resumptionToken" in params:  # the set list is never paged
+                raise ProtocolError("badResumptionToken", "ListSets issues no tokens")
             return self.serve_list_sets()
         if verb == "ListMetadataFormats":
             return self.serve_list_formats(params.get("identifier"))

@@ -19,12 +19,14 @@ BASE_NAMESPACE = "http://ns.nsdl.org/ontologies/relationships#"
 
 # Abstract types expand to the concrete behavior names that realize them.
 # An object "is a" Resource if it binds Agent or Content; it "is a" Role
-# if it binds Role itself or one of the two role subtypes.
+# if it binds Role itself or one of the two role subtypes; Information
+# (what roles project their brands onto) is Metadata or a Resource.
 TYPE_EXPANSION: dict[str, frozenset[str]] = {
     "Metadata": frozenset({"Metadata"}),
     "Agent": frozenset({"Agent"}),
     "Content": frozenset({"Content"}),
     "Resource": frozenset({"Agent", "Content"}),
+    "Information": frozenset({"Metadata", "Agent", "Content"}),
     "Role": frozenset({"Role", "Aggregator", "MetadataProvider"}),
     "Aggregator": frozenset({"Aggregator"}),
     "MetadataProvider": frozenset({"MetadataProvider"}),

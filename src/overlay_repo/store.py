@@ -10,16 +10,16 @@ validate_graph runs it too.
 Persistence is a directory of canonical XML records plus state.json; the
 triple index and all lookup tables are rebuilt from those records on
 open, where objects/<n>.xml must hold nsdl:<n>. One record check,
-_checked, runs on write and on open: the object is validated, a RELS
-fragment (bytes, or the rdf:RDF element of a parsed canonical document,
-so a record file goes through model.parse_xml once) is read into triples
-here only, and every REC.<format> payload must be embeddable as it is
-(one expat pass, no tree), so readers such as the OAI provider splice
-stored records into their output unparsed. Both parses refuse a DOCTYPE;
-a SOURCE payload that holds one, which no check refuses, gives no key.
-Each relationship is held once, in the graph: an object holds the
-RELS_IN_GRAPH marker for its RELS stream, and record writes and exports
-render it from the triples.
+_checked, runs on write and on open: the object is validated and takes
+the triples the write hands it (a canonical document's, read where
+canonical.import_object parses it, or the harvester's own), else those
+of a RELS stream of bytes; every REC.<format> payload must be
+embeddable as it is (one expat pass, no tree), so readers such as the
+OAI provider splice stored records into their output unparsed. Every
+parse refuses a DOCTYPE; a SOURCE payload that holds one, which no check
+refuses, gives no key. Each relationship is held once, in the graph: an
+object holds the RELS_IN_GRAPH marker for its RELS stream, and record
+writes and exports render it from the triples.
 
 For the OAI provider the commit also keeps a sorted (datestamp, pid
 number) list over every object, tombstones included, so a datestamp
@@ -44,7 +44,6 @@ from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
 from typing import Callable, Iterator
-from xml.etree import ElementTree as ET
 
 from . import canonical
 from .errors import (
@@ -195,12 +194,13 @@ class Repository:
     # ------------------------------------------------------------------
     # object lifecycle
 
-    def put_object(self, obj: DigitalObject, *, strict: bool = True) -> int:
+    def put_object(self, obj: DigitalObject, *, strict: bool = True,
+                   _triples: list[Triple] | None = None) -> int:
         """Create or update an object atomically with its graph assertions.
 
         Returns the new version. Any rejection (structure, relationship
         fragment, ontology) leaves both the object store and the graph
-        untouched.
+        untouched. _triples, from the package's own writers: see _checked.
         """
         with self._lock:
             if pid_number(obj.pid) > self._pid_counter:
@@ -214,20 +214,20 @@ class Repository:
                 version=(old.version + 1) if old else 1,
                 last_modified=self.clock(),
             )
-            return self._store(prepared, old, strict=strict).version
+            return self._store(prepared, old, strict=strict, triples=_triples).version
 
     def restore_object(self, obj: DigitalObject, *, strict: bool = True,
-                       _rels: ET.Element | None = None) -> bool:
+                       _triples: list[Triple] | None = None) -> bool:
         """Import path: stores obj, tombstones included, as the document
         gives it, keeping its version and datestamp (bumping the version
         only when a replaced object is already past it); True if the pid
         is new. It passes the same checks as put_object, handle ownership
-        included. _rels is the rdf:RDF element of obj's document."""
+        included. _triples are the triples of obj's document."""
         with self._lock:
             old = self._objects.get(obj.pid)
             if old is not None and old.version >= obj.version:
                 obj = replace(obj, version=old.version + 1)
-            self._store(obj, old, strict=strict, rels=_rels)
+            self._store(obj, old, strict=strict, triples=_triples)
             return old is None
 
     def get_object(self, pid: str) -> DigitalObject:
@@ -258,8 +258,8 @@ class Repository:
                 self.get_object(pid), self.graph.triples_asserted_by(pid))
 
     def import_object(self, doc: bytes, *, strict: bool = True) -> str:
-        obj, rels = canonical.import_object(doc)
-        self.restore_object(obj, strict=strict, _rels=rels)
+        obj, triples = canonical.import_object(doc)
+        self.restore_object(obj, strict=strict, _triples=triples)
         return obj.pid
 
     # ------------------------------------------------------------------
@@ -404,12 +404,12 @@ class Repository:
     # write path internals (lock held)
 
     def _store(self, obj: DigitalObject, old: DigitalObject | None,
-               *, strict: bool, rels: ET.Element | None = None) -> DigitalObject:
+               *, strict: bool, triples: list[Triple] | None = None) -> DigitalObject:
         """The one write path: check obj, write its record, commit it, and
         move the counters past its pid and handle. A rejection or a failed
         record write leaves the store as it was. The counters are not
         written: the record just written carries them back on open."""
-        obj, triples = _checked(obj, rels, held=self.graph.triples_asserted_by)
+        obj, triples = _checked(obj, triples, self.graph.triples_asserted_by)
         violations = self._violations(obj, triples)
         if violations:
             if strict:
@@ -521,8 +521,8 @@ class Repository:
         shared: dict[str, str] = {}  # one string per pid and repeated value
         for path in records:
             try:
-                obj, triples = _checked(
-                    *canonical.import_object(path.read_bytes(), shared), shared)
+                obj, triples = _checked(*canonical.import_object(
+                    path.read_bytes(), shared), self.graph.triples_asserted_by)
                 number = pid_number(obj.pid)
                 if path.name != f"{number}.xml":
                     raise ValidationError(f"holds {obj.pid}, whose record is "
@@ -551,21 +551,21 @@ class Repository:
             raise StoreError(f"write to {path} failed: {exc}") from exc
 
 
-def _checked(obj: DigitalObject, rels: ET.Element | None = None,
-             shared: dict[str, str] | None = None,
-             held: Callable[[str], list[Triple]] | None = None,
+def _checked(obj: DigitalObject, triples: list[Triple] | None,
+             held: Callable[[str], list[Triple]],
              ) -> tuple[DigitalObject, list[Triple]]:
     """The one record check, on write and on open: obj, validated, with
     its streams in its record's order (every stream but RELS by id, then
-    RELS_IN_GRAPH for any RELS stream), and the triples it asserts, parsed
-    from rels, the rdf:RDF element of obj's document, else from its RELS
-    bytes; a marker without rels keeps held(pid). A tombstone must be
-    empty. Every REC.<format> stream must be local and embeddable as it
-    is (records.check_record), so the OAI provider splices stored records
-    into responses without parsing them."""
+    RELS_IN_GRAPH for any RELS stream), and the triples it asserts. Given
+    triples are those, and obj gets the marker; else a RELS stream of bytes
+    is parsed; else the marker keeps held(pid). Triples and RELS bytes
+    both given are refused. A tombstone must be empty. Every REC.<format>
+    stream must be local and embeddable as it is (records.check_record),
+    so the OAI provider splices stored records into responses without
+    parsing them."""
     obj.validate()
     if obj.state == "deleted" and (obj.datastreams or obj.behaviors
-                                   or rels is not None):
+                                   or triples is not None):
         raise ValidationError(f"{obj.pid}: tombstone documents must be empty")
     for ds in obj.datastreams:
         if ds.ds_id.startswith(RECORD_DS_PREFIX):
@@ -576,12 +576,15 @@ def _checked(obj: DigitalObject, rels: ET.Element | None = None,
             except ValidationError as exc:
                 raise ValidationError(f"{obj.pid}: {ds.ds_id} {exc}") from None
     ds = obj.datastream(RELS_DS)
-    if rels is None and ds is not None and ds is not RELS_IN_GRAPH:
-        rels = ds.payload
-    triples = (parse_rels(obj.pid, rels, shared) if rels is not None
-               else held(obj.pid) if ds is not None else [])
-    streams = tuple(RELS_IN_GRAPH if d is ds else d for d in sorted(
-        obj.datastreams, key=lambda d: (d is ds, d.ds_id)))
+    if triples is None:
+        triples = ([] if ds is None else held(obj.pid) if ds is RELS_IN_GRAPH
+                   else parse_rels(obj.pid, ds.payload))
+    elif ds is None or ds is RELS_IN_GRAPH:
+        ds = RELS_IN_GRAPH
+    else:
+        raise ValidationError(f"{obj.pid}: triples given with RELS bytes")
+    rest = sorted((d for d in obj.datastreams if d.ds_id != RELS_DS), key=lambda d: d.ds_id)
+    streams = tuple(rest) if ds is None else (*rest, RELS_IN_GRAPH)
     if streams != obj.datastreams:
         obj = replace(obj, datastreams=streams)
     return obj, triples

@@ -92,7 +92,6 @@ def load_config(path: str | Path | None = None,
             raw = env[key]
             values[field_info.name] = int(raw) if field_info.type == "int" else raw
     known = {f.name for f in fields(GatewayConfig)}
-    values.pop("providers", None)  # provider list is consumed by the CLI
     unknown = set(values) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -153,17 +152,20 @@ class GatewayApp:
             self.repo.delete_object(pid)
             return "204 No Content", "text/plain", b""
         if method == "PUT":
-            obj, rels = import_object(_read_body(environ))
+            obj, triples = import_object(_read_body(environ))
             if pid is not None and obj.pid != pid:
                 return ("409 Conflict", "text/plain",
                         f"body pid {obj.pid} does not match path pid {pid}\n".encode())
-            created = self.repo.restore_object(obj, _rels=rels)
+            created = self.repo.restore_object(obj, _triples=triples)
             return ("201 Created" if created else "200 OK", "text/plain",
                     f"{obj.pid}\n".encode())
         return "405 Method Not Allowed", "text/plain", b"unsupported method\n"
 
     def _query(self, params, body):
-        pattern = parse_query(body.decode("utf-8"))
+        try:
+            pattern = parse_query(body.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise QueryParseError("query body is not UTF-8") from exc
         paged = "offset" in params or "limit" in params
         try:  # a bad value is a malformed query here: 400, not 422
             offset, limit = paging(params)

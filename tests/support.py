@@ -12,10 +12,11 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
-from overlay_repo import graph
 from overlay_repo.cli import load_fixture_dir
-from overlay_repo.graph import Triple
+from overlay_repo.graph import Triple, serialize_rels
 from overlay_repo.model import (
+    RELS_DS,
+    RELS_MEDIA_TYPE,
     Datastream,
     DigitalObject,
     local_stream,
@@ -83,7 +84,7 @@ def rels_stream(pid: str, edges) -> Datastream:
             from overlay_repo.ontology import Predicate
 
             triples.append(Triple(pid, Predicate(ns, name), target, provenance=pid))
-    return graph.rels_stream(pid, triples)
+    return local_stream(RELS_DS, RELS_MEDIA_TYPE, serialize_rels(pid, triples))
 
 
 def put_object(repo, behaviors, streams=(), edges=(), pid=None, handle=None,

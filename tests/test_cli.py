@@ -62,6 +62,15 @@ def test_unknown_subcommand_exit_1():
     assert result.returncode == 1
 
 
+def test_config_with_a_provider_list_is_a_bad_config(tmp_path):
+    """Nothing reads a providers key, so it is unknown like any other."""
+    config = tmp_path / "config.json"
+    config.write_text('{"providers": []}')
+    result = cli("--config", str(config), "query", "-e", "select ?s where (?s ?p ?o)")
+    assert result.returncode == 1
+    assert "bad config" in result.stderr and "providers" in result.stderr
+
+
 def test_register_provider_requires_data_dir():
     result = cli("register-provider", "--name", "x",
                  "--base-url", "http://x/oai")

@@ -346,9 +346,9 @@ def test_union_property(repo):
     repo.delete_object(members[1])
     union = []
     for obj in repo.active_objects():
-        rels = canonical.import_object(repo.export_object(obj.pid))[1]
-        if rels is not None:
-            union.extend(parse_rels(obj.pid, rels))
+        triples = canonical.import_object(repo.export_object(obj.pid))[1]
+        if triples is not None:
+            union.extend(triples)
     assert sorted(union, key=Triple.sort_key) == repo.graph.dump()
 
 
@@ -374,12 +374,26 @@ def test_rebuild_after_delete_drops_subject(repo):
     assert all(t.subject != member for t in repo.graph.dump())
 
 
+def test_provenance_takes_no_part_in_comparison():
+    """A triple the harvester builds equals the same triple parsed back."""
+    built = Triple("nsdl:1", base_predicate("memberOf"), "nsdl:2")
+    parsed = Triple("nsdl:1", base_predicate("memberOf"), "nsdl:2", provenance="nsdl:1")
+    assert built == parsed and hash(built) == hash(parsed)
+    assert not built < parsed and not parsed < built
+    assert sorted([parsed, built]) == [parsed, built]
+    assert sorted([built, parsed]) == [built, parsed]
+
+
 def test_rebuild_aborts_on_unparseable_rels():
     store = TripleStore()
+    held = Triple("nsdl:3", base_predicate("memberOf"), "nsdl:1")
+    store.replace_triples("nsdl:3", [held])
     good = serialize_rels("nsdl:1", [])
     with pytest.raises(ValidationError) as excinfo:
-        store.rebuild([("nsdl:1", good), ("nsdl:2", b"<broken")])
+        store.rebuild((pid, parse_rels(pid, fragment))
+                      for pid, fragment in [("nsdl:1", good), ("nsdl:2", b"<broken")])
     assert "nsdl:2" in str(excinfo.value)
+    assert store.dump() == [held]
 
 
 def test_inverse_relation_consistency_at_scale(repo):

@@ -476,6 +476,50 @@ def test_harvested_objects_equal_their_records(tmp_path, clock, stub):
             == canonical.import_object(repo.export_object(pid))[0]
 
 
+def test_harvest_hands_the_store_triples(tmp_path, clock, rels_parses):
+    """A first harvest of 300 records parses no RELS fragment: each write
+    is handed the triples the harvester builds. A reopen parses the
+    fragment of each record file that holds one, once, into the same
+    graph."""
+    repo = Repository(tmp_path / "d", clock=clock)
+    stub = StubOaiProvider(page_size=100)
+    harvester = Harvester(repo, transport=stub.transport)
+    cfg = harvester.register_provider(
+        ProviderConfig(name="alpha", base_url="http://alpha.example/oai"))
+    seed(stub, "alpha", 300)
+    assert harvester.harvest(cfg)[0].created == 300
+    assert rels_parses == []
+    records = (tmp_path / "d" / "objects").glob("*.xml")
+    with_rels = sorted(f"nsdl:{path.stem}" for path in records
+                       if b"<rels>" in path.read_bytes())
+    assert len(with_rels) == 601  # the agent, 300 records, 300 resources
+    reopened = Repository(tmp_path / "d", clock=clock)
+    assert sorted(rels_parses) == with_rels
+    assert reopened.graph.dump() == repo.graph.dump()
+
+
+def test_second_harvest_leaves_the_graph_its_records_rebuild(tmp_path, clock, stub):
+    """After a harvest that updates a record, moves one to another
+    dc:identifier URL and deletes one upstream, the live graph equals the
+    reopened repository's and a rebuild's."""
+    repo = Repository(tmp_path / "d", clock=clock)
+    harvester = Harvester(repo, transport=stub.transport)
+    cfg = harvester.register_provider(
+        ProviderConfig(name="alpha", base_url="http://alpha.example/oai"))
+    seed(stub, "alpha", 4)
+    _, state = harvester.harvest(cfg)
+    stub.add("oai:alpha:0", clock.now, stub_record("alpha", 0, title="Retitled"))
+    stub.add("oai:alpha:1", clock.now,
+             stub_record("alpha", 1, url="http://resources.example/moved"))
+    stub.delete("oai:alpha:2", clock.now)
+    report, _ = harvester.harvest(cfg, state)
+    assert (report.updated, report.created, report.deleted) == (2, 0, 1)
+    live = repo.graph.dump()
+    assert Repository(tmp_path / "d", clock=clock).graph.dump() == live
+    repo.rebuild_graph()
+    assert repo.graph.dump() == live
+
+
 def test_record_without_header_or_identifier_is_a_reject(repo, cfg):
     """Nothing keys a record without a header or an identifier: each is
     counted as a reject, and none creates, updates or deletes an object."""

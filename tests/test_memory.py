@@ -11,7 +11,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from overlay_repo import canonical
-from overlay_repo.graph import Triple, TripleStore, serialize_rels
+from overlay_repo.graph import Triple, TripleStore, parse_rels, serialize_rels
 from overlay_repo.model import Datastream, DigitalObject
 from overlay_repo.ontology import base_predicate
 from overlay_repo.store import Repository
@@ -60,8 +60,9 @@ def test_rebuild_bytes_per_triple():
     gc.collect()
     tracemalloc.start()
     try:
-        store = TripleStore()
-        store.rebuild(fragments)
+        store, shared = TripleStore(), {}
+        store.rebuild((pid, parse_rels(pid, fragment, shared))
+                      for pid, fragment in fragments)
         traced = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

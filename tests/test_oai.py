@@ -663,6 +663,16 @@ def test_list_sets(repo, provider):
     assert [s.findtext("o:setName", namespaces=NS) for s in sets] == ["One", "Two"]
 
 
+def test_list_sets_refuses_every_resumption_token(repo, provider):
+    """ListSets issues no resumption token, so every token it is given is
+    a badResumptionToken, as OAI-PMH 2.0 states for the verb."""
+    put_object(repo, {"Aggregator"},
+               streams=[local_stream("BRAND", "application/xml", build_brand_doc("One"))])
+    response = call(provider, verb="ListSets", resumptionToken="bogus")
+    assert error_code(response) == "badResumptionToken"
+    assert response.find("o:ListSets", NS) is None
+
+
 def test_list_sets_empty(provider):
     response = call(provider, verb="ListSets")
     assert error_code(response) == "noSetHierarchy"

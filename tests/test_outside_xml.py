@@ -23,7 +23,6 @@ from overlay_repo import canonical, store
 from overlay_repo.behaviors import build_brand_doc
 from overlay_repo.errors import (
     DisseminationError, HarvestProtocolError, StoreError, ValidationError)
-from overlay_repo.graph import parse_rels
 from overlay_repo.harvest import HarvestState, Harvester, ProviderConfig
 from overlay_repo.model import (
     BRAND_DS, SOURCE_DS, build_source_doc, local_stream, remote_stream)
@@ -254,10 +253,9 @@ def test_mutated_golden_records_never_get_a_500(case):
     assert status < 500, out
     assert peak < 64 * max(len(body), 4096)
     if status < 300:
-        obj, rels = canonical.import_object(repo.export_object(pid))
+        obj, triples = canonical.import_object(repo.export_object(pid))
         assert obj == repo.get_object(pid)
-        assert sorted(parse_rels(pid, rels) if rels is not None else []) \
-            == sorted(repo.graph.triples_asserted_by(pid))
+        assert sorted(triples or []) == sorted(repo.graph.triples_asserted_by(pid))
 
 
 # -- the fetch cap and deadline

@@ -22,7 +22,7 @@ from overlay_repo.errors import (
     StoreError,
     ValidationError,
 )
-from overlay_repo.graph import parse_query, serialize_rels
+from overlay_repo.graph import Triple, parse_query, serialize_rels
 from overlay_repo.model import (
     CONTENT_DS,
     RELS_DS,
@@ -36,6 +36,7 @@ from overlay_repo.model import (
     pid_number,
     remote_stream,
 )
+from overlay_repo.ontology import base_predicate
 from overlay_repo.store import Repository
 from overlay_repo.web import GatewayApp
 
@@ -570,6 +571,18 @@ def test_reopen_parses_each_rels_once(tmp_path, clock, rels_parses):
     reopened = Repository(tmp_path / "d", clock=clock)
     assert rels_parses == described[1:]
     assert reopened.graph.dump() == repo.graph.dump()
+
+
+def test_write_given_triples_and_rels_bytes_is_refused(repo):
+    aggregator = put_object(repo, {"Aggregator"})
+    pid = repo.mint_pid()
+    member = Triple(pid, base_predicate("memberOf"), aggregator)
+    with pytest.raises(ValidationError, match="triples given with RELS bytes"):
+        repo.put_object(DigitalObject(
+            pid=pid, behaviors=frozenset({"Content"}),
+            datastreams=(rels_stream(pid, [("memberOf", aggregator)]),)),
+            _triples=[member])
+    assert pid not in repo.pids() and repo.graph.triples_asserted_by(pid) == []
 
 
 def test_reopen_names_record_with_bad_rels(tmp_path, clock):

@@ -8,6 +8,7 @@ import pytest
 
 from overlay_repo import canonical
 from overlay_repo.errors import ValidationError
+from overlay_repo.harvest import Harvester, ProviderConfig
 from overlay_repo.model import (
     DigitalObject, build_source_doc, local_stream, remote_stream)
 from overlay_repo.oai import OaiProvider
@@ -21,8 +22,8 @@ from overlay_repo.web import (
 )
 
 from support import (
-    START, brute_force_query, load_topology, nsdl_dc_record, oai_dc_record, put_object,
-    record_stream, seed_metadata)
+    START, StubOaiProvider, brute_force_query, load_topology, nsdl_dc_record,
+    oai_dc_record, put_object, record_stream, seed_metadata, stub_record)
 
 
 @pytest.fixture
@@ -126,6 +127,21 @@ def test_show_brand_of_a_deleted_aggregation_409_names_the_role(repo, app):
         app, "GET", f"/objects/{labels['resource']}/methods/showBrand")
     assert status == 409 and labels["aggregator_role"].encode() in body
     assert b"no BRAND stream" in body
+
+
+def test_show_brand_of_harvested_metadata_is_its_providers(repo, app):
+    """showBrand on a Metadata object gives its provider's brand over HTTP,
+    byte-identical to resolve()."""
+    stub = StubOaiProvider()
+    stub.add("oai:alpha:0", START, stub_record("alpha", 0))
+    harvester = Harvester(repo, transport=stub.transport)
+    cfg = harvester.register_provider(ProviderConfig(
+        name="alpha", base_url="http://alpha.example/oai", brand_label="Alpha Brand"))
+    harvester.harvest(cfg)
+    metadata = repo.source_pid("alpha", "oai:alpha:0")
+    status, _, body = request(app, "GET", f"/objects/{metadata}/methods/showBrand")
+    assert status == 200 and b"Alpha Brand" in body
+    assert body == repo.resolve(f"info:nsdl/{metadata}/showBrand").body
 
 
 def test_list_provided_route_pages(repo, app):
@@ -409,6 +425,12 @@ def test_query_route_empty(repo, app):
 def test_query_route_parse_error_400(app):
     status, _, _ = request(app, "POST", "/query", body=b"still wrong")
     assert status == 400
+
+
+def test_query_route_body_not_utf8_400(app):
+    status, _, out = request(app, "POST", "/query",
+                             body=b"select ?s where (?s ?p \xff)")
+    assert status == 400 and b"not UTF-8" in out
 
 
 def test_query_route_three_clause_join_matches_oracle(repo, app):
